@@ -7,12 +7,15 @@
 //! cargo run --release --bin experiments -- --threads 4
 //! cargo run --release --bin experiments -- --scale 0.05 --md EXPERIMENTS.smoke.md --out smoke.json
 //! cargo run --release --bin experiments -- --only fig17 --json
+//! cargo run --release --bin experiments -- --only fig14_waste_vs_fault --seed 7
 //! cargo run --release --bin experiments -- --list
 //! ```
 //!
 //! With `--only <substring>` the run is a partial preview: results go to
 //! stdout only and no files are written (a partial `EXPERIMENTS.md` would
-//! masquerade as the full evaluation).
+//! masquerade as the full evaluation). An exact experiment name runs that
+//! experiment alone; any other value runs every experiment whose name
+//! contains it.
 //!
 //! With `--sim-seed <N> --sim-profile <name>` the driver instead replays
 //! exactly one ordering of the control-plane fault-injection simulator (the
@@ -266,15 +269,18 @@ fn main() {
     }
 
     let ctx = RunCtx::from_args(&args.common);
-    let selected: Vec<_> = registry::all()
-        .iter()
-        .filter(|e| {
-            args.only
-                .as_deref()
-                .map(|needle| e.name.contains(needle))
-                .unwrap_or(true)
-        })
-        .collect();
+    let selected: Vec<_> = match args.only.as_deref() {
+        None => registry::all().iter().collect(),
+        // An exact name selects that experiment alone, even where it is a
+        // substring of another name (`appg_alltoall`).
+        Some(needle) => match registry::find(needle) {
+            Some(experiment) => vec![experiment],
+            None => registry::all()
+                .iter()
+                .filter(|e| e.name.contains(needle))
+                .collect(),
+        },
+    };
     if selected.is_empty() {
         eprintln!(
             "error: --only '{}' matches no experiment (try --list)",

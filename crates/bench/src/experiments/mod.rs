@@ -1,7 +1,6 @@
 //! One module per registered experiment. Each module exposes
-//! `pub fn run(&RunCtx) -> Vec<Table>` — the body that used to live in the
-//! corresponding binary's `main` — and the binaries are now thin wrappers
-//! around [`crate::run_cli`].
+//! `pub fn run(&RunCtx) -> Vec<Table>`; the `experiments` binary runs it by
+//! name (`experiments --only <name>`).
 
 pub mod appg_alltoall;
 pub mod appg_alltoall_fastswitch;

@@ -2,16 +2,17 @@
 //!
 //! Every table and figure of the paper's evaluation is one **registered
 //! experiment** ([`registry`]): a named function from a [`registry::RunCtx`]
-//! (seed, thread count, scale factor) to a list of [`Table`]s. The per-figure
-//! binaries under `src/bin/` are thin wrappers around the registry ([`run_cli`])
-//! and the `experiments` driver binary runs the whole registry in-process,
-//! regenerating `EXPERIMENTS.md` and a machine-readable `bench_results.json`.
+//! (seed, thread count, scale factor) to a list of [`Table`]s. The
+//! `experiments` binary runs the whole registry in-process,
+//! regenerating `EXPERIMENTS.md` and a machine-readable `bench_results.json`;
+//! `experiments --only <name> [--json] [--seed <u64>]` runs one experiment
+//! and prints its tables to stdout.
 //!
 //! Every experiment is deterministic in `(seed, scale)` and **invariant in the
 //! thread count**: stochastic sweeps draw from per-shard RNG streams derived
 //! from the master seed (see [`par`]), so `--threads 1` and `--threads N`
 //! produce byte-identical JSON — the property the workspace-level
-//! `integration_determinism` suite asserts for all 35 registered experiments.
+//! `integration_determinism` suite asserts for all 37 registered experiments.
 
 pub mod experiments;
 pub mod registry;
@@ -38,7 +39,7 @@ pub use table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Parses the common CLI flags of the harness binaries: `--seed <u64>`,
+/// Parses the common CLI flags of the `experiments` binary: `--seed <u64>`,
 /// `--threads <n>`, `--scale <f64>` and `--json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessArgs {
@@ -66,30 +67,10 @@ impl Default for HarnessArgs {
     }
 }
 
-/// One-line usage string shared by every harness binary.
+/// One-line usage string of the common flags.
 pub const USAGE: &str = "usage: <binary> [--seed <u64>] [--threads <n>] [--scale <f64>] [--json]";
 
 impl HarnessArgs {
-    /// Parses `std::env::args()`, printing the error and usage to stderr and
-    /// exiting with status 2 on malformed input (a malformed `--seed` is an
-    /// error, not a silent fallback to the default).
-    pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        match Self::try_parse(&argv) {
-            Ok((args, leftover)) => {
-                if let Some(unknown) = leftover.first() {
-                    eprintln!("error: unknown argument '{unknown}'\n{USAGE}");
-                    std::process::exit(2);
-                }
-                args
-            }
-            Err(message) => {
-                eprintln!("error: {message}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Parses the common flags out of `argv`, returning the parsed arguments
     /// and any unrecognised arguments (in order) for the caller to interpret
     /// or reject. Malformed values for recognised flags are hard errors.
@@ -145,26 +126,6 @@ impl HarnessArgs {
     /// A seeded RNG for the experiment.
     pub fn rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.seed)
-    }
-}
-
-/// Runs the registered experiment `name` as a standalone binary: parses the
-/// common CLI flags and prints every table the experiment produces, as text or
-/// (with `--json`) one JSON document per table.
-pub fn run_cli(name: &str) {
-    let args = HarnessArgs::parse();
-    let experiment = registry::find(name)
-        .unwrap_or_else(|| panic!("experiment '{name}' is not in the registry"));
-    let ctx = registry::RunCtx::from_args(&args);
-    for table in (experiment.run)(&ctx) {
-        if args.json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&table.to_json()).expect("serialisable")
-            );
-        } else {
-            table.print_text();
-        }
     }
 }
 

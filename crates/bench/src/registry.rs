@@ -1,7 +1,6 @@
 //! The experiment registry: every table/figure of the paper's evaluation,
-//! name → runner function, replacing 24 ad-hoc `main`s with one composable
-//! catalogue that the thin per-figure binaries, the `experiments` driver and
-//! the determinism test suite all share.
+//! name → runner function: one catalogue that the `experiments` binary and
+//! the determinism test suite share.
 
 use crate::experiments;
 use crate::{HarnessArgs, Table};
@@ -69,7 +68,7 @@ impl RunCtx {
 
 /// A registered experiment.
 pub struct Experiment {
-    /// Stable name — identical to the per-figure binary name.
+    /// Stable name — the argument of `experiments --only <name>`.
     pub name: &'static str,
     /// Which part of the evaluation the experiment reproduces.
     pub group: &'static str,

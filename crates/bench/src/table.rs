@@ -1,8 +1,8 @@
 //! The unit of experiment output: a titled table.
 //!
 //! Experiments return `Vec<Table>`; the harness renders tables as aligned
-//! plain text (the historical binary output), JSON documents (the `--json`
-//! path and `bench_results.json`) or GitHub-flavoured markdown
+//! plain text (the `experiments --only` output), JSON documents (the
+//! `--json` path and `bench_results.json`) or GitHub-flavoured markdown
 //! (`EXPERIMENTS.md`).
 
 use crate::print_series;
@@ -35,8 +35,7 @@ impl Table {
         table
     }
 
-    /// The JSON document for this table — the same shape the harness binaries
-    /// have always printed with `--json`: the title under `"experiment"` and
+    /// The JSON document for this table: the title under `"experiment"` and
     /// one string-valued object per row.
     pub fn to_json(&self) -> serde_json::Value {
         let records: Vec<serde_json::Value> = self

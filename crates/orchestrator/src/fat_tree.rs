@@ -84,14 +84,15 @@ pub(crate) struct SearchScratch {
     /// layout (mirrors the `break` in the uncached loop). Each entry is
     /// `Arc`-shared so a patch carries clean segments over for free.
     segments: Vec<Arc<SegmentCache>>,
-    /// `effective[a]` = the fault set with the ToR expansion applied in
-    /// domains `< a`; `effective[0]` is the raw fault set.
-    effective: Vec<FaultSet>,
-    /// The fault set this scratch was built from — the source of the
-    /// per-segment fingerprints: a segment's fingerprint is the fault words
-    /// covering its aggregation domain, read out of this set with
-    /// [`FaultSet::range_eq`] when a patch decides what to re-orchestrate.
-    fingerprint: FaultSet,
+    /// The fault set this scratch was built from. It doubles as the
+    /// per-domain fingerprint: a patch compares its words over each
+    /// aggregation domain with [`FaultSet::range_eq`] to decide what to
+    /// re-orchestrate.
+    raw: FaultSet,
+    /// `raw` with the ToR expansion applied in every aggregation domain. A
+    /// probe with `a` aligned domains reads this set below the cutoff
+    /// `a × nodes_per_aggregation_domain` and `raw` from the cutoff on.
+    expanded: FaultSet,
 }
 
 /// The two placements a sub-line segment can contribute, depending only on
@@ -165,6 +166,19 @@ impl FatTreeOrchestrator {
         for peer in tor_start..(tor_start + p).min(self.fat_tree.nodes()) {
             effective.add(NodeId(peer));
         }
+    }
+
+    /// `faults` with the ToR expansion applied in every aggregation domain;
+    /// ids past the last domain stay raw. Shared by the cold scratch build
+    /// and [`patch_scratch`](Self::patch_scratch).
+    fn expand_domains(&self, faults: &FaultSet) -> FaultSet {
+        let mut expanded = faults.clone();
+        let in_domains =
+            self.alignment_constraints() * self.fat_tree.nodes_per_aggregation_domain();
+        for node in faults.iter_range(0, in_domains) {
+            self.expand_tor(&mut expanded, node);
+        }
+        expanded
     }
 
     /// `Placement-Fat-Tree` (Algorithm 4): places TP groups with the first
@@ -252,41 +266,27 @@ impl FatTreeOrchestrator {
     }
 
     /// Builds the per-search scratch shared by every probe of one constraint
-    /// search: the deployment order, the segment-ownership mask, the effective
-    /// (ToR-expanded) fault set per `aligned_domains` value, and both
-    /// placement variants of every sub-line segment.
+    /// search: the deployment order, the segment-ownership mask, the raw and
+    /// the ToR-expanded fault sets, and both placement variants of every
+    /// sub-line segment.
     ///
     /// A segment's placement depends only on the segment and on whether its
     /// own aggregation domain is aligned: ToRs never straddle domains
     /// (`nodes_per_aggregation_domain = p × tors_per_domain`), so the ToR
     /// expansion sourced from other domains cannot touch the segment's nodes.
     /// Each segment is therefore orchestrated exactly twice per search — once
-    /// raw, once aligned — instead of once per probe.
+    /// raw, once aligned — instead of once per probe. The same argument lets
+    /// a probe with `a` aligned domains read one expanded set below the
+    /// domain cutoff instead of a per-`a` effective set.
     pub(crate) fn search_scratch(
         &self,
         request: &OrchestrationRequest,
         faults: &FaultSet,
     ) -> SearchScratch {
         let p = self.deployment.sublines();
-        let npd = self.fat_tree.nodes_per_aggregation_domain();
-        let tors_per_domain = npd / p;
+        let tors_per_domain = self.fat_tree.nodes_per_aggregation_domain() / p;
         let n_segments = self.segment_constraints();
-        let n_domains = self.alignment_constraints();
-
-        // effective[a] = faults with the ToR expansion applied in domains < a,
-        // built incrementally (one domain's worth of expansion per step).
-        let mut effective: Vec<FaultSet> = Vec::with_capacity(n_domains + 1);
-        effective.push(faults.clone());
-        for a in 1..=n_domains {
-            let mut next = effective[a - 1].clone();
-            for node in faults.iter() {
-                if node.index() / npd == a - 1 {
-                    self.expand_tor(&mut next, node);
-                }
-            }
-            effective.push(next);
-        }
-        let fully_expanded = effective.last().expect("effective[0] always exists");
+        let expanded = self.expand_domains(faults);
 
         let mut owner = vec![usize::MAX; self.fat_tree.nodes()];
         let mut segments = Vec::with_capacity(n_segments);
@@ -303,16 +303,11 @@ impl FatTreeOrchestrator {
                 owner[node.index()] = seg;
             }
             segments.push(Arc::new(SegmentCache {
-                raw: orchestrate_dcn_free(
-                    &nodes,
-                    request.k,
-                    &effective[0],
-                    request.nodes_per_group,
-                ),
+                raw: orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group),
                 aligned: orchestrate_dcn_free(
                     &nodes,
                     request.k,
-                    fully_expanded,
+                    &expanded,
                     request.nodes_per_group,
                 ),
             }));
@@ -322,8 +317,8 @@ impl FatTreeOrchestrator {
             order: Arc::new(self.deployment.deployment_order()),
             owner: Arc::new(owner),
             segments,
-            effective,
-            fingerprint: faults.clone(),
+            raw: faults.clone(),
+            expanded,
         }
     }
 
@@ -332,27 +327,25 @@ impl FatTreeOrchestrator {
     /// fault set — the incremental half of the oracle-vs-fast-solver pair
     /// whose oracle is the cold [`search_scratch`](Self::search_scratch)
     /// rebuild. Cost is proportional to the *delta* between the two fault
-    /// sets, not the cluster:
+    /// sets, not the cluster, apart from one linear pass rebuilding the
+    /// expanded set:
     ///
     /// * the deployment order and ownership mask are layout-only and shared
     ///   by `Arc`;
     /// * an aggregation domain whose fault words are unchanged
-    ///   ([`FaultSet::range_eq`] against the old scratch's fingerprint)
-    ///   contributes nothing — its segments are `Arc`-cloned and its slices
-    ///   of every effective set are already correct;
-    /// * a dirty domain splices its new raw words into the effective sets
-    ///   that keep it unexpanded and its rebuilt ToR expansion into the rest
-    ///   ([`FaultSet::splice_range`]), exact because the ToR expansion never
+    ///   ([`FaultSet::range_eq`] against the old scratch's `raw` set)
+    ///   contributes nothing — its segments are `Arc`-cloned, and its
+    ///   expanded words are unchanged too because the ToR expansion never
     ///   crosses a domain boundary;
-    /// * only segments whose own nodes' raw (resp. expanded) bits flipped
-    ///   re-orchestrate their raw (resp. aligned) variant; every other
-    ///   variant is carried over.
+    /// * inside a dirty domain, only segments whose own nodes' raw (resp.
+    ///   expanded) bits flipped re-orchestrate their raw (resp. aligned)
+    ///   variant; every other variant is carried over.
     ///
     /// Bit-exactness versus the cold rebuild follows from
     /// `orchestrate_dcn_free` being a deterministic function of the fault
-    /// bits on the segment's own nodes: an unchanged fingerprint implies an
-    /// identical placement, so cloning it is indistinguishable from
-    /// recomputing it. Pinned field-for-field by the patch proptests below.
+    /// bits on the segment's own nodes: unchanged bits imply an identical
+    /// placement, so cloning it is indistinguishable from recomputing it.
+    /// Pinned field-for-field by the patch proptests below.
     pub(crate) fn patch_scratch(
         &self,
         request: &OrchestrationRequest,
@@ -362,75 +355,33 @@ impl FatTreeOrchestrator {
         let p = self.deployment.sublines();
         let npd = self.fat_tree.nodes_per_aggregation_domain();
         let tors_per_domain = npd / p;
-        let n_domains = self.alignment_constraints();
 
-        let mut effective = old.effective.clone();
+        let expanded = self.expand_domains(faults);
         let mut raw_dirty = vec![false; old.segments.len()];
         let mut aligned_dirty = vec![false; old.segments.len()];
         let mut stats = ScratchPatchStats::default();
-        let mark = |flags: &mut [bool], domain: usize, node: NodeId| {
-            if let Some(flag) = flags.get_mut(domain * p + node.index() % p) {
-                *flag = true;
+        // Marks the owning segment of every node of `domain` that is faulty
+        // in exactly one of `new` and `old`.
+        let mark_flips = |flags: &mut [bool], domain: usize, new: &FaultSet, old: &FaultSet| {
+            let (lo, hi) = (domain * npd, (domain + 1) * npd);
+            let added = new.iter_range(lo, hi).filter(|n| !old.is_faulty(*n));
+            let removed = old.iter_range(lo, hi).filter(|n| !new.is_faulty(*n));
+            for node in added.chain(removed) {
+                if let Some(flag) = flags.get_mut(domain * p + node.index() % p) {
+                    *flag = true;
+                }
             }
         };
 
-        let old_expanded = old.effective.last().expect("effective[0] always exists");
-        for domain in 0..n_domains {
-            let (lo, hi) = (domain * npd, (domain + 1) * npd);
-            if faults.range_eq(&old.fingerprint, lo, hi) {
+        for domain in 0..self.alignment_constraints() {
+            if faults.range_eq(&old.raw, domain * npd, (domain + 1) * npd) {
                 continue;
             }
             stats.domains_patched += 1;
-            // Raw flips: mark the owning segment of every flipped node and
-            // splice the new raw words into the effective sets that keep this
-            // domain unexpanded (`a <= domain`).
-            for node in faults.iter_range(lo, hi) {
-                if !old.fingerprint.is_faulty(node) {
-                    mark(&mut raw_dirty, domain, node);
-                }
-            }
-            for node in old.fingerprint.iter_range(lo, hi) {
-                if !faults.is_faulty(node) {
-                    mark(&mut raw_dirty, domain, node);
-                }
-            }
-            for eff in effective.iter_mut().take(domain + 1) {
-                eff.splice_range(faults, lo, hi);
-            }
-            // Expanded flips: rebuild this domain's ToR expansion (adds only
-            // in-domain bits — `npd` is a multiple of `p`) and diff it
-            // against the old fully-expanded set. Only segments the
-            // expansion delta touches lose their aligned variant.
-            let mut expanded = FaultSet::new();
-            for node in faults.iter_range(lo, hi) {
-                expanded.add(node);
-                self.expand_tor(&mut expanded, node);
-            }
-            for node in expanded.iter_range(lo, hi) {
-                if !old_expanded.is_faulty(node) {
-                    mark(&mut aligned_dirty, domain, node);
-                }
-            }
-            for node in old_expanded.iter_range(lo, hi) {
-                if !expanded.is_faulty(node) {
-                    mark(&mut aligned_dirty, domain, node);
-                }
-            }
-            for eff in effective.iter_mut().skip(domain + 1) {
-                eff.splice_range(&expanded, lo, hi);
-            }
+            mark_flips(&mut raw_dirty, domain, faults, &old.raw);
+            mark_flips(&mut aligned_dirty, domain, &expanded, &old.expanded);
         }
 
-        // Faults past the last aggregation domain are never ToR-expanded and
-        // own no segment: splice them raw into every effective set.
-        let tail = n_domains * npd;
-        if !faults.range_eq(&old.fingerprint, tail, usize::MAX) {
-            for eff in effective.iter_mut() {
-                eff.splice_range(faults, tail, usize::MAX);
-            }
-        }
-
-        let last = effective.len() - 1;
         let mut segments = Vec::with_capacity(old.segments.len());
         for (seg, cache) in old.segments.iter().enumerate() {
             let (raw_hit, aligned_hit) = (raw_dirty[seg], aligned_dirty[seg]);
@@ -445,12 +396,12 @@ impl FatTreeOrchestrator {
                 .subline_segment(seg % p, seg / p, tors_per_domain)
                 .expect("segment was defined when the old scratch was built");
             let raw = if raw_hit {
-                orchestrate_dcn_free(&nodes, request.k, &effective[0], request.nodes_per_group)
+                orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group)
             } else {
                 cache.raw.clone()
             };
             let aligned = if aligned_hit {
-                orchestrate_dcn_free(&nodes, request.k, &effective[last], request.nodes_per_group)
+                orchestrate_dcn_free(&nodes, request.k, &expanded, request.nodes_per_group)
             } else {
                 cache.aligned.clone()
             };
@@ -461,8 +412,8 @@ impl FatTreeOrchestrator {
             order: Arc::clone(&old.order),
             owner: Arc::clone(&old.owner),
             segments,
-            effective,
-            fingerprint: faults.clone(),
+            raw: faults.clone(),
+            expanded,
         };
         (scratch, stats)
     }
@@ -472,7 +423,7 @@ impl FatTreeOrchestrator {
     /// memoized placements, the residual pass streams the cached deployment
     /// order through the linear-scan kernel, and no fault set is cloned.
     /// Bit-identical to the uncached path (pinned by the memoization
-    /// invariance test).
+    /// invariance test and the chained-patch proptest).
     pub(crate) fn placement_with_constraints_cached(
         &self,
         request: &OrchestrationRequest,
@@ -484,8 +435,17 @@ impl FatTreeOrchestrator {
         let constrained = n_constraints.min(n_segments).min(scratch.segments.len());
         let aligned_domains = n_constraints
             .saturating_sub(n_segments)
-            .min(scratch.effective.len() - 1);
-        let effective = &scratch.effective[aligned_domains];
+            .min(self.alignment_constraints());
+        // The alignment prefix: the first `aligned_domains` domains see the
+        // ToR-expanded faults, everything from the cutoff on the raw ones.
+        let cutoff = aligned_domains * self.fat_tree.nodes_per_aggregation_domain();
+        let is_faulty = |n: NodeId| {
+            if n.index() < cutoff {
+                scratch.expanded.is_faulty(n)
+            } else {
+                scratch.raw.is_faulty(n)
+            }
+        };
 
         let mut scheme = PlacementScheme::new();
         for (seg, cache) in scratch.segments.iter().enumerate().take(constrained) {
@@ -505,7 +465,7 @@ impl FatTreeOrchestrator {
                 .copied()
                 .filter(|n| scratch.owner[n.index()] >= constrained),
             request.k,
-            |n| effective.is_faulty(*n),
+            |n| is_faulty(*n),
             &mut cutter,
         );
         scheme.extend(cutter.scheme);
@@ -554,8 +514,8 @@ impl FatTreeOrchestrator {
     ) -> Result<PlacementScheme> {
         request.validate()?;
         // Everything probe-invariant is computed once: the deployment order,
-        // the segment-ownership mask, the ToR-expanded fault set per
-        // aligned-domain count, and both placement variants of every segment.
+        // the segment-ownership mask, the raw and ToR-expanded fault sets,
+        // and both placement variants of every segment.
         // Each probe then only assembles memoized segments and scans its
         // residual line.
         let scratch = self.search_scratch(request, faults);
@@ -695,8 +655,8 @@ mod tests {
         let cold = orch.search_scratch(req, faults);
         assert_eq!(*patched.order, *cold.order);
         assert_eq!(*patched.owner, *cold.owner);
-        assert_eq!(patched.effective, cold.effective);
-        assert_eq!(patched.fingerprint, cold.fingerprint);
+        assert_eq!(patched.raw, cold.raw);
+        assert_eq!(patched.expanded, cold.expanded);
         assert_eq!(patched.segments.len(), cold.segments.len());
         for (seg, (p, c)) in patched.segments.iter().zip(&cold.segments).enumerate() {
             assert_eq!(p.raw, c.raw, "segment {seg} raw placement");
@@ -910,15 +870,15 @@ mod tests {
         let (mid, _) = orch.patch_scratch(&req, &origin, &occupied);
         assert_matches_cold_rebuild(&orch, &req, &mid, &occupied);
         let (back, _) = orch.patch_scratch(&req, &mid, &base);
-        assert_eq!(back.fingerprint, origin.fingerprint);
+        assert_eq!(back.raw, origin.raw);
         assert_matches_cold_rebuild(&orch, &req, &back, &base);
     }
 
     #[test]
     fn tail_faults_beyond_the_domains_are_patched_raw() {
-        // Ids past the last aggregation domain (out-of-cluster trace ids) sit
-        // in the unexpanded tail of every effective set; a delta there must
-        // splice raw bits and reuse every segment.
+        // Ids past the last aggregation domain (out-of-cluster trace ids) are
+        // never ToR-expanded and own no segment: a delta there patches no
+        // domain and reuses every segment.
         let orch = orchestrator();
         let req = request(360);
         let faults = FaultSet::from_nodes([NodeId(3), NodeId(550)]);
@@ -937,7 +897,12 @@ mod tests {
 
         /// The incremental-publish pin: chained patches over random delta
         /// sequences stay bit-identical to cold rebuilds — scratch fields,
-        /// search answers and probe counts alike, for 1 and 4 threads.
+        /// search answers and probe counts alike, for 1 and 4 threads — and
+        /// every probe against a patched scratch places exactly like the
+        /// uncached oracle, which pins the cutoff view independently of the
+        /// scratch layout. The second layout adds a trailing partial rack:
+        /// its nodes own no segment, so only there does a fully aligned
+        /// probe's residual scan read across the cutoff.
         #[test]
         fn chained_patches_match_cold_rebuilds_over_random_deltas(
             initial in proptest::collection::vec(0usize..600, 0..40),
@@ -946,33 +911,43 @@ mod tests {
                 1..5,
             ),
         ) {
-            let orch = orchestrator();
-            let req = request(360);
-            let mut live = FaultSet::from_nodes(initial.into_iter().map(NodeId));
-            let mut scratch = orch.search_scratch(&req, &live);
-            for delta in deltas {
-                for (id, flag) in delta {
-                    if flag == 1 {
-                        live.add(NodeId(id));
-                    } else {
-                        live.remove(NodeId(id));
+            let partial_rack = FatTreeOrchestrator::new(FatTree::new(520, 16, 8).unwrap()).unwrap();
+            for orch in [orchestrator(), partial_rack] {
+                let req = request(360);
+                let mut live = FaultSet::from_nodes(initial.iter().map(|&id| NodeId(id)));
+                let mut scratch = orch.search_scratch(&req, &live);
+                for delta in &deltas {
+                    for &(id, flag) in delta {
+                        if flag == 1 {
+                            live.add(NodeId(id));
+                        } else {
+                            live.remove(NodeId(id));
+                        }
                     }
+                    let (patched, stats) = orch.patch_scratch(&req, &scratch, &live);
+                    prop_assert_eq!(
+                        stats.segments_reused + stats.segments_reorchestrated,
+                        scratch.segments.len()
+                    );
+                    let cold = assert_matches_cold_rebuild(&orch, &req, &patched, &live);
+                    for n in 0..=orch.segment_constraints() + orch.alignment_constraints() {
+                        prop_assert_eq!(
+                            orch.placement_with_constraints_cached(&req, &patched, n),
+                            orch.placement_with_constraints(&req, &live, n),
+                            "constraint count {}",
+                            n
+                        );
+                    }
+                    for threads in [1usize, 4] {
+                        let (fast, fast_probes) =
+                            orch.orchestrate_with_scratch(&req, &patched, threads);
+                        let (slow, slow_probes) =
+                            orch.orchestrate_with_scratch(&req, &cold, threads);
+                        prop_assert_eq!(fast, slow, "threads {}", threads);
+                        prop_assert_eq!(fast_probes, slow_probes, "threads {}", threads);
+                    }
+                    scratch = patched;
                 }
-                let (patched, stats) = orch.patch_scratch(&req, &scratch, &live);
-                prop_assert_eq!(
-                    stats.segments_reused + stats.segments_reorchestrated,
-                    scratch.segments.len()
-                );
-                let cold = assert_matches_cold_rebuild(&orch, &req, &patched, &live);
-                for threads in [1usize, 4] {
-                    let (fast, fast_probes) =
-                        orch.orchestrate_with_scratch(&req, &patched, threads);
-                    let (slow, slow_probes) =
-                        orch.orchestrate_with_scratch(&req, &cold, threads);
-                    prop_assert_eq!(fast, slow, "threads {}", threads);
-                    prop_assert_eq!(fast_probes, slow_probes, "threads {}", threads);
-                }
-                scratch = patched;
             }
         }
     }

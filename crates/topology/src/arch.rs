@@ -232,44 +232,6 @@ impl FaultSet {
         true
     }
 
-    /// Overwrites the node ids in `lo..hi` of `self` with the corresponding
-    /// bits of `src`, leaving every id outside the range untouched — the
-    /// word-splice primitive the incremental publish path uses to patch one
-    /// aggregation domain of an effective fault set without rebuilding the
-    /// rest. `len` is adjusted by the masked popcount delta, O(words
-    /// touched).
-    pub fn splice_range(&mut self, src: &FaultSet, lo: usize, hi: usize) {
-        if lo >= hi {
-            return;
-        }
-        let hi = hi.min(self.words.len().max(src.words.len()) * WORD_BITS);
-        if lo >= hi {
-            return;
-        }
-        let (lo_word, lo_bit) = (lo / WORD_BITS, lo % WORD_BITS);
-        let hi_word = (hi - 1) / WORD_BITS;
-        if hi_word >= self.words.len() {
-            self.words.resize(hi_word + 1, 0);
-        }
-        for w in lo_word..=hi_word {
-            let mut mask = !0u64;
-            if w == lo_word {
-                mask &= !0u64 << lo_bit;
-            }
-            if w == hi_word {
-                let hi_bit = hi - hi_word * WORD_BITS;
-                if hi_bit < WORD_BITS {
-                    mask &= !0u64 >> (WORD_BITS - hi_bit);
-                }
-            }
-            let incoming = src.word_at(w) & mask;
-            let slot = &mut self.words[w];
-            let outgoing = *slot & mask;
-            self.len = self.len - outgoing.count_ones() as usize + incoming.count_ones() as usize;
-            *slot = (*slot & !mask) | incoming;
-        }
-    }
-
     /// Iterates over the faulty nodes with ids in `lo..hi` in ascending
     /// order, touching only the words covering the range.
     pub fn iter_range(&self, lo: usize, hi: usize) -> impl Iterator<Item = NodeId> + '_ {
@@ -299,13 +261,6 @@ impl FaultSet {
                 })
                 .map(move |v| NodeId(i * WORD_BITS + v.trailing_zeros() as usize))
             })
-    }
-
-    /// Capacity of the stored words in node ids. Ranges at or beyond this
-    /// bound are all-healthy in `self`; the incremental publish path uses it
-    /// to size the tail region it must compare and splice.
-    pub fn capacity(&self) -> usize {
-        self.words.len() * WORD_BITS
     }
 
     /// Adds every faulty node of `other` to `self` — a word-wise OR,
@@ -595,40 +550,6 @@ mod tests {
         let narrow = FaultSet::from_nodes([NodeId(70)]);
         assert!(wide.range_eq(&narrow, 0, 4096));
         assert!(narrow.range_eq(&wide, 0, 4096));
-    }
-
-    #[test]
-    fn splice_range_overwrites_only_the_range() {
-        let src = FaultSet::from_nodes([0, 5, 63, 64, 100, 130].map(NodeId));
-        let mut dst = FaultSet::from_nodes([2, 63, 70, 200].map(NodeId));
-        dst.splice_range(&src, 63, 101);
-        // Inside [63, 101): src's bits {63, 64, 100}. Outside: dst's {2, 200}.
-        let expect = FaultSet::from_nodes([2, 63, 64, 100, 200].map(NodeId));
-        assert_eq!(dst, expect);
-        assert_eq!(dst.len(), 5);
-        // Splicing a range past both capacities is a no-op.
-        let before = dst.clone();
-        dst.splice_range(&src, 5000, 6000);
-        assert_eq!(dst, before);
-        // Splicing in a longer source grows the destination.
-        let tall = FaultSet::from_nodes([NodeId(900)]);
-        dst.splice_range(&tall, 256, 1024);
-        assert!(dst.is_faulty(NodeId(900)));
-        assert_eq!(dst.len(), 6);
-        // Sub-word splice keeps neighbours on both sides of the same word.
-        let mut w = FaultSet::from_nodes([16, 20, 24].map(NodeId));
-        w.splice_range(&FaultSet::from_nodes([NodeId(21)]), 18, 23);
-        assert_eq!(w, FaultSet::from_nodes([16, 21, 24].map(NodeId)));
-    }
-
-    #[test]
-    fn splice_full_range_reproduces_the_source() {
-        let src = FaultSet::from_nodes([0, 5, 63, 64, 100, 130].map(NodeId));
-        let mut dst = FaultSet::from_nodes([2, 63, 70, 200].map(NodeId));
-        let hi = src.capacity().max(dst.capacity());
-        dst.splice_range(&src, 0, hi);
-        assert_eq!(dst, src);
-        assert_eq!(dst.len(), src.len());
     }
 
     #[test]

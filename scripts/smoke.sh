@@ -16,6 +16,11 @@ cargo test -q
 echo "==> cargo check --examples --benches"
 cargo check --examples --benches
 
+echo "==> cargo check perfbench (separate workspace)"
+# perfbench/ is its own Cargo workspace, so nothing above compiles it; this
+# catches a library API change that would break the benchmark.
+CARGO_TARGET_DIR=target/perfbench cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
