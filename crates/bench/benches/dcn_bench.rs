@@ -18,7 +18,7 @@ fn scenario(nodes: usize) -> (DcnNetwork, Vec<infinitehbd::dcn::Flow>) {
         nodes_per_group: 8,
         k: 2,
     };
-    let placement = orchestrator.orchestrate(&request, &faults).unwrap();
+    let placement = orchestrator.orchestrate_par(&request, &faults, 1).unwrap();
     let network =
         DcnNetwork::new(tree, NetworkParams::non_blocking(16, 4).oversubscribed(2.0)).unwrap();
     let flows = dp_ring_flows(&placement, &TrafficSpec::paper_dp_allreduce());

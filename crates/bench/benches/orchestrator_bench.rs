@@ -97,7 +97,7 @@ fn bench_orchestration(c: &mut Criterion) {
             k: 2,
         };
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
-            b.iter(|| black_box(orch.orchestrate(&request, &faults).unwrap().len()))
+            b.iter(|| black_box(orch.orchestrate_par(&request, &faults, 1).unwrap().len()))
         });
     }
     group.finish();
@@ -126,7 +126,7 @@ fn bench_cross_tor_accounting(c: &mut Criterion) {
         nodes_per_group: 8,
         k: 2,
     };
-    let placement = orch.orchestrate(&request, &faults).unwrap();
+    let placement = orch.orchestrate_par(&request, &faults, 1).unwrap();
     c.bench_function("cross_tor_rate_2048_nodes", |b| {
         b.iter(|| {
             black_box(cross_tor_rate(

@@ -110,12 +110,12 @@ fn bench_scratch_materialization(c: &mut Criterion) {
                 &width,
                 |b, _| {
                     let service = PlacementService::new(Arc::clone(&store));
-                    let _ = service.place(&probe, 1);
+                    let _ = service.place(&probe);
                     b.iter(|| {
                         store.publish_delta(&occupy);
-                        black_box(service.place(&probe, 1).is_ok());
+                        black_box(service.place(&probe).is_ok());
                         store.publish_delta(&release);
-                        black_box(service.place(&probe, 1).is_ok())
+                        black_box(service.place(&probe).is_ok())
                     })
                 },
             );
@@ -126,10 +126,10 @@ fn bench_scratch_materialization(c: &mut Criterion) {
                     b.iter(|| {
                         store.publish_delta(&occupy);
                         let fresh = PlacementService::new(Arc::clone(&store));
-                        black_box(fresh.place(&probe, 1).is_ok());
+                        black_box(fresh.place(&probe).is_ok());
                         store.publish_delta(&release);
                         let fresh = PlacementService::new(Arc::clone(&store));
-                        black_box(fresh.place(&probe, 1).is_ok())
+                        black_box(fresh.place(&probe).is_ok())
                     })
                 },
             );

@@ -32,7 +32,7 @@ fn bench_trace_replay(c: &mut Criterion) {
     let trace = generator.generate(&mut StdRng::seed_from_u64(2));
     let ring = KHopRing::new(720, 4, 3).unwrap();
     c.bench_function("waste_over_trace_348_samples", |b| {
-        b.iter(|| black_box(waste_over_trace(&ring, &trace, 32, 348).len()))
+        b.iter(|| black_box(waste_over_trace_par(&ring, &trace, 32, 348, 1).len()))
     });
 }
 

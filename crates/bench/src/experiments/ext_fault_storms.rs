@@ -194,14 +194,16 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         let offered = queries.len();
 
         let client = RetryingClient::new(client_config());
-        let report = client.run_session(
-            &service,
-            ModeledLatency::for_cluster(NODES),
-            &queries,
-            &publishes,
-            &marks,
-            ctx.threads,
-        );
+        let report = client
+            .run_session(
+                &service,
+                ModeledLatency::for_cluster(NODES),
+                &queries,
+                &publishes,
+                &marks,
+                ctx.threads,
+            )
+            .expect("query ids are unique");
 
         let (answered, degraded, exhausted) = report.outcome_counts();
         let max_staleness = report

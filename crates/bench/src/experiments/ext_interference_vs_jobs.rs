@@ -9,6 +9,7 @@
 
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
+use infinitehbd::dcn::jobmix::satisfied_jobs;
 use infinitehbd::dcn::{greedy_place_mix, place_mix, replay_mix_par, JobTraffic, MixJob};
 use infinitehbd::prelude::*;
 
@@ -46,27 +47,21 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             .map(|i| MixJob::new(format!("job{i}"), request))
             .collect();
 
-        let optimized = place_mix(&orchestrator, &requests, &faults, ctx.threads)
-            .expect("mix fits")
-            .into_iter()
-            .map(|p| (p.name, p.scheme))
-            .collect::<Vec<_>>();
+        let optimized =
+            place_mix(&orchestrator, &requests, &faults, ctx.threads).expect("mix fits");
         // Drop greedy shortfall jobs (partial placements cannot be lowered
         // into the fixed DP2×PP4 shape, and they have no optimized analogue).
-        let greedy: Vec<(String, PlacementScheme)> =
-            greedy_place_mix(nodes, &requests, &faults, &mut rng)
-                .into_iter()
-                .zip(&requests)
-                .filter(|(p, job)| p.scheme.nodes_placed() >= job.request.job_nodes)
-                .map(|(p, _)| (p.name, p.scheme))
-                .collect();
+        let (greedy, _) = satisfied_jobs(
+            greedy_place_mix(nodes, &requests, &faults, &mut rng),
+            &requests,
+        );
 
         for (label, placements) in [("optimized", optimized), ("greedy", greedy)] {
             let jobs: Vec<JobTraffic> = placements
                 .iter()
-                .map(|(name, scheme)| {
+                .map(|p| {
                     matrix
-                        .lower(scheme, name.clone(), 4)
+                        .lower(&p.scheme, p.name.clone(), 4)
                         .expect("shape matches the placement")
                 })
                 .collect();

@@ -10,6 +10,7 @@
 
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
+use infinitehbd::dcn::jobmix::satisfied_jobs;
 use infinitehbd::dcn::{greedy_place_mix, place_mix, replay_mix_par, MixJob};
 use infinitehbd::prelude::*;
 
@@ -51,13 +52,10 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     // packer returns partial placements when the node pool runs out; only
     // fully satisfied jobs are comparable to the optimized mix, so shortfall
     // jobs are dropped rather than lowered into a mismatched shape.
-    let greedy: Vec<(String, PlacementScheme)> =
-        greedy_place_mix(nodes, &requests, &faults, &mut rng)
-            .into_iter()
-            .zip(&requests)
-            .filter(|(p, job)| p.scheme.nodes_placed() >= job.request.job_nodes)
-            .map(|(p, _)| (p.name, p.scheme))
-            .collect();
+    let (greedy, _) = satisfied_jobs(
+        greedy_place_mix(nodes, &requests, &faults, &mut rng),
+        &requests,
+    );
 
     let lower = |name: &str, scheme: &PlacementScheme| {
         let &(_, _, dp, pp) = JOBS
@@ -87,19 +85,10 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     ];
     let mut per_job_rows = Vec::new();
     let mut mix_rows = Vec::new();
-    for (label, placements) in [
-        (
-            "optimized",
-            optimized
-                .iter()
-                .map(|p| (p.name.clone(), p.scheme.clone()))
-                .collect::<Vec<_>>(),
-        ),
-        ("greedy", greedy),
-    ] {
+    for (label, placements) in [("optimized", optimized), ("greedy", greedy)] {
         let jobs: Vec<_> = placements
             .iter()
-            .map(|(name, scheme)| lower(name, scheme))
+            .map(|p| lower(&p.name, &p.scheme))
             .collect();
         let outcome = replay_mix_par(&network, &jobs, ctx.threads).expect("replay");
         for job in &outcome.jobs {

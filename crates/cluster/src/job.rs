@@ -14,18 +14,9 @@ pub fn max_supported_job(arch: &dyn HbdArchitecture, faults: &FaultSet, tp_size:
 
 /// The worst-case (minimum) job scale supported at any sampled instant of a
 /// fault trace — the quantity plotted in Fig 15 ("maximal job scale supported").
-pub fn max_job_over_trace(
-    arch: &dyn HbdArchitecture,
-    trace: &FaultTrace,
-    tp_size: usize,
-    samples: usize,
-) -> usize {
-    max_job_over_trace_par(arch, trace, tp_size, samples, 1)
-}
-
-/// Parallel version of [`max_job_over_trace`]: sampled instants are
-/// independent, so they fan out over up to `threads` scoped threads with a
-/// result identical for any thread count.
+///
+/// Sampled instants are independent, so they fan out over up to `threads`
+/// scoped threads with a result identical for any thread count.
 pub fn max_job_over_trace_par(
     arch: &dyn HbdArchitecture,
     trace: &FaultTrace,
@@ -45,19 +36,8 @@ pub fn max_job_over_trace_par(
 
 /// Fraction of the trace during which a job of `job_gpus` GPUs cannot run
 /// because the usable capacity has dropped below the job size — the
-/// fault-waiting rate of Fig 16.
-pub fn fault_waiting_rate(
-    arch: &dyn HbdArchitecture,
-    trace: &FaultTrace,
-    tp_size: usize,
-    job_gpus: usize,
-    samples: usize,
-) -> f64 {
-    fault_waiting_rate_par(arch, trace, tp_size, job_gpus, samples, 1)
-}
-
-/// Parallel version of [`fault_waiting_rate`], fanning the sampled instants
-/// out over up to `threads` scoped threads.
+/// fault-waiting rate of Fig 16. The sampled instants fan out over up to
+/// `threads` scoped threads.
 pub fn fault_waiting_rate_par(
     arch: &dyn HbdArchitecture,
     trace: &FaultTrace,
@@ -111,14 +91,14 @@ mod tests {
     fn max_job_over_trace_reflects_the_worst_instant() {
         let trace = trace_720();
         let ring = KHopRing::new(720, 4, 3).unwrap();
-        let worst = max_job_over_trace(&ring, &trace, 32, 100);
+        let worst = max_job_over_trace_par(&ring, &trace, 32, 100, 1);
         assert!(worst <= 2880);
         assert!(
             worst >= 2880 - 64 * 4,
             "InfiniteHBD should lose little capacity: {worst}"
         );
         let sip = SipRing::new(720, 4, 32).unwrap();
-        let sip_worst = max_job_over_trace(&sip, &trace, 32, 100);
+        let sip_worst = max_job_over_trace_par(&sip, &trace, 32, 100, 1);
         assert!(sip_worst < worst);
     }
 
@@ -126,8 +106,8 @@ mod tests {
     fn fault_waiting_rate_grows_with_job_size() {
         let trace = trace_720();
         let ring = KHopRing::new(720, 4, 2).unwrap();
-        let small = fault_waiting_rate(&ring, &trace, 32, 2048, 200);
-        let large = fault_waiting_rate(&ring, &trace, 32, 2880, 200);
+        let small = fault_waiting_rate_par(&ring, &trace, 32, 2048, 200, 1);
+        let large = fault_waiting_rate_par(&ring, &trace, 32, 2880, 200, 1);
         assert!(small <= large);
         assert!(
             small < 0.05,
@@ -141,8 +121,8 @@ mod tests {
         let job = 2688; // 84 groups of TP-32.
         let ring = KHopRing::new(720, 4, 3).unwrap();
         let sip = SipRing::new(720, 4, 32).unwrap();
-        let ring_wait = fault_waiting_rate(&ring, &trace, 32, job, 150);
-        let sip_wait = fault_waiting_rate(&sip, &trace, 32, job, 150);
+        let ring_wait = fault_waiting_rate_par(&ring, &trace, 32, job, 150, 1);
+        let sip_wait = fault_waiting_rate_par(&sip, &trace, 32, job, 150, 1);
         assert!(ring_wait <= sip_wait);
     }
 
@@ -151,14 +131,13 @@ mod tests {
         let trace = trace_720();
         let ring = KHopRing::new(720, 4, 2).unwrap();
         assert_eq!(
-            max_job_over_trace(&ring, &trace, 32, 80),
+            max_job_over_trace_par(&ring, &trace, 32, 80, 1),
             max_job_over_trace_par(&ring, &trace, 32, 80, 4)
         );
         assert_eq!(
-            fault_waiting_rate(&ring, &trace, 32, 2688, 80),
+            fault_waiting_rate_par(&ring, &trace, 32, 2688, 80, 1),
             fault_waiting_rate_par(&ring, &trace, 32, 2688, 80, 4)
         );
-        // And the parallel path is invariant in the thread count itself.
         assert_eq!(
             max_job_over_trace_par(&ring, &trace, 32, 80, 1),
             max_job_over_trace_par(&ring, &trace, 32, 80, 8)
@@ -176,6 +155,6 @@ mod tests {
         )
         .unwrap();
         let ring = KHopRing::new(4, 4, 2).unwrap();
-        assert_eq!(fault_waiting_rate(&ring, &trace, 8, 8, 10), 1.0);
+        assert_eq!(fault_waiting_rate_par(&ring, &trace, 8, 8, 10, 1), 1.0);
     }
 }

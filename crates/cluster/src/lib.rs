@@ -22,16 +22,10 @@ pub mod lifecycle;
 pub mod theory;
 pub mod waste;
 
-pub use job::{
-    fault_waiting_rate, fault_waiting_rate_par, max_job_over_trace, max_job_over_trace_par,
-    max_supported_job,
-};
+pub use job::{fault_waiting_rate_par, max_job_over_trace_par, max_supported_job};
 pub use lifecycle::{
     simulate, JobArrival, JobRecord, JobSpec, JobStatus, JobTemplate, LifecycleConfig,
     LifecycleOutcome, PlacementLatencyModel, Workload,
 };
 pub use theory::waste_ratio_upper_bound;
-pub use waste::{
-    waste_over_trace, waste_over_trace_par, waste_ratio, waste_vs_fault_ratio,
-    waste_vs_fault_ratio_par, WastePoint,
-};
+pub use waste::{waste_over_trace_par, waste_ratio, waste_vs_fault_ratio_par, WastePoint};

@@ -24,9 +24,8 @@
 //! placement-latency percentiles, fragmentation over time and goodput.
 //! Placement latency is *modeled* (a deterministic function of groups placed,
 //! retries and failover commands), never wall-clock, so every derived table
-//! is bit-stable in the seed and invariant in the thread count — `threads`
-//! only fans out the constraint search, which returns identical placements
-//! for every value.
+//! is bit-stable in the seed. Each placement is one lazily evaluated query
+//! against the placement service, so no thread count enters the run.
 
 use control::{FailoverPlanner, RingPlan};
 use dcn::jobmix::ExclusionLedger;
@@ -229,8 +228,9 @@ pub struct LifecycleConfig {
     pub latency: PlacementLatencyModel,
     /// Simulation horizon; events after it are not processed.
     pub horizon: Seconds,
-    /// Worker threads for the placement kernel's constraint search (results
-    /// are identical for every value).
+    /// Ignored: each placement is one lazily evaluated service query, which
+    /// takes no thread count. Kept for source compatibility with existing
+    /// configurations.
     pub threads: usize,
     /// TP group size of the fragmentation probe (the "reference job" whose
     /// placeability defines usable capacity).
@@ -499,7 +499,7 @@ impl SimState<'_> {
             self.ledger.excluded(),
             "snapshot fell behind the ledger: a transition skipped sync_snapshot"
         );
-        self.service.place(request, self.config.threads)
+        self.service.place(request)
     }
 
     /// Closes the time integral segment `[last_t, t)`.
@@ -731,8 +731,8 @@ fn node_set(scheme: &PlacementScheme) -> BTreeSet<NodeId> {
 /// Runs the lifecycle simulation: `workload` arrivals and `fault_events`
 /// (from [`fault::sim_events`]) against one shared Fat-Tree cluster.
 ///
-/// Deterministic in `(orchestrator, workload, fault_events, config)` and
-/// invariant in `config.threads`.
+/// Deterministic in `(orchestrator, workload, fault_events, config)`;
+/// `config.threads` is ignored.
 pub fn simulate(
     orchestrator: &FatTreeOrchestrator,
     workload: &Workload,
@@ -749,9 +749,9 @@ pub fn simulate(
     if not_positive(config.horizon.value()) {
         return Err(HbdError::invalid_config("horizon must be positive"));
     }
-    if config.threads == 0 || config.frag_probe_group == 0 || config.frag_probe_k == 0 {
+    if config.frag_probe_group == 0 || config.frag_probe_k == 0 {
         return Err(HbdError::invalid_config(
-            "threads, frag_probe_group and frag_probe_k must be positive",
+            "frag_probe_group and frag_probe_k must be positive",
         ));
     }
     let horizon = config.horizon.value();

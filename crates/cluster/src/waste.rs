@@ -1,10 +1,9 @@
 //! GPU waste-ratio computation: single fault sets, fault-ratio sweeps and
 //! trace replay.
 
-use fault::{FaultTrace, IidFaultModel};
+use fault::FaultTrace;
 use hbd_types::par::par_map;
 use hbd_types::{NodeId, Seconds};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use topology::{FaultSet, HbdArchitecture};
 
@@ -26,41 +25,12 @@ pub fn waste_ratio(arch: &dyn HbdArchitecture, faults: &FaultSet, tp_size: usize
 /// Sweep of the waste ratio against the node-fault ratio (Figs 14 / 22): for
 /// each requested ratio, `trials` random fault sets are drawn from the i.i.d.
 /// model and the waste ratios averaged.
-pub fn waste_vs_fault_ratio<R: Rng + ?Sized>(
-    arch: &dyn HbdArchitecture,
-    tp_size: usize,
-    fault_ratios: &[f64],
-    trials: usize,
-    rng: &mut R,
-) -> Vec<WastePoint> {
-    assert!(trials > 0, "need at least one trial per point");
-    fault_ratios
-        .iter()
-        .map(|&ratio| {
-            let model = IidFaultModel::new(arch.nodes(), ratio);
-            let mean: f64 = (0..trials)
-                .map(|_| {
-                    let faults = FaultSet::from_nodes(model.sample_exact(rng));
-                    waste_ratio(arch, &faults, tp_size)
-                })
-                .sum::<f64>()
-                / trials as f64;
-            WastePoint {
-                x: ratio,
-                waste_ratio: mean,
-            }
-        })
-        .collect()
-}
-
-/// Parallel version of [`waste_vs_fault_ratio`]: fans the `(ratio, trial)`
-/// Monte-Carlo grid out over up to `threads` scoped threads, with one
-/// deterministic RNG stream per shard derived from `master_seed`.
 ///
-/// Unlike the sequential variant (which threads a single caller-owned RNG
-/// through the whole grid), the result here depends only on `master_seed` —
-/// never on the thread count — so `threads = 1` and `threads = N` produce
-/// byte-identical curves.
+/// The `(ratio, trial)` Monte-Carlo grid fans out over up to `threads` scoped
+/// threads, with one deterministic RNG stream per shard derived from
+/// `master_seed`. The result depends only on `master_seed`, never on the
+/// thread count, so `threads = 1` and `threads = N` produce byte-identical
+/// curves.
 pub fn waste_vs_fault_ratio_par(
     arch: &dyn HbdArchitecture,
     tp_size: usize,
@@ -93,19 +63,10 @@ pub fn waste_vs_fault_ratio_par(
 /// Replays a fault trace against an architecture, sampling the waste ratio at
 /// `samples` evenly spaced instants (Figs 13 / 20 / 21). The trace must cover
 /// at least as many nodes as the architecture; extra trace nodes are ignored.
-pub fn waste_over_trace(
-    arch: &dyn HbdArchitecture,
-    trace: &FaultTrace,
-    tp_size: usize,
-    samples: usize,
-) -> Vec<WastePoint> {
-    waste_over_trace_par(arch, trace, tp_size, samples, 1)
-}
-
-/// Parallel version of [`waste_over_trace`]: the sampled instants are
-/// independent, so they fan out over up to `threads` scoped threads. The trace
-/// query itself is deterministic (no RNG), so the result is identical for any
-/// thread count.
+///
+/// The sampled instants are independent, so they fan out over up to `threads`
+/// scoped threads. The trace query itself is deterministic (no RNG), so the
+/// result is identical for any thread count.
 pub fn waste_over_trace_par(
     arch: &dyn HbdArchitecture,
     trace: &FaultTrace,
@@ -145,7 +106,7 @@ pub fn waste_cdf(points: &[WastePoint]) -> Vec<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fault::{GeneratorConfig, TraceGenerator};
+    use fault::{GeneratorConfig, IidFaultModel, TraceGenerator};
     use hbd_types::NodeId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -164,9 +125,8 @@ mod tests {
         // Fig 14b: NVL-36/72 waste hovers around the ~11% fragmentation floor
         // regardless of the fault ratio (faults mostly consume GPUs that were
         // already stranded by fragmentation).
-        let mut rng = StdRng::seed_from_u64(3);
         let nvl = Nvl::new(720, 4, NvlVariant::Nvl72);
-        let points = waste_vs_fault_ratio(&nvl, 32, &[0.0, 0.05, 0.10], 5, &mut rng);
+        let points = waste_vs_fault_ratio_par(&nvl, 32, &[0.0, 0.05, 0.10], 5, 3, 1);
         assert_eq!(points.len(), 3);
         assert!((points[0].waste_ratio - 8.0 / 72.0).abs() < 1e-9);
         for point in &points {
@@ -181,9 +141,8 @@ mod tests {
 
     #[test]
     fn infinitehbd_stays_near_zero_across_the_sweep() {
-        let mut rng = StdRng::seed_from_u64(4);
         let ring = KHopRing::new(720, 4, 3).unwrap();
-        let points = waste_vs_fault_ratio(&ring, 32, &[0.02, 0.05, 0.07], 5, &mut rng);
+        let points = waste_vs_fault_ratio_par(&ring, 32, &[0.02, 0.05, 0.07], 5, 4, 1);
         for point in points {
             assert!(
                 point.waste_ratio < 0.02,
@@ -198,11 +157,10 @@ mod tests {
     fn paper_ranking_holds_on_the_fault_model() {
         // At a 5% node fault ratio with TP-32, the ordering of Fig 14b:
         // InfiniteHBD(K=3) < NVL-576 < NVL-72 < TPUv4 / SiP-Ring.
-        let mut rng = StdRng::seed_from_u64(5);
         let archs = paper_architectures(720, 4, 32);
         let mut measured = std::collections::HashMap::new();
         for arch in &archs {
-            let points = waste_vs_fault_ratio(arch.as_ref(), 32, &[0.05], 8, &mut rng);
+            let points = waste_vs_fault_ratio_par(arch.as_ref(), 32, &[0.05], 8, 5, 1);
             measured.insert(arch.name().to_string(), points[0].waste_ratio);
         }
         assert!(measured["InfiniteHBD(K=3)"] < measured["NVL-576"]);
@@ -224,7 +182,7 @@ mod tests {
         .unwrap();
         let trace = generator.generate(&mut StdRng::seed_from_u64(6));
         let ring = KHopRing::new(720, 4, 2).unwrap();
-        let points = waste_over_trace(&ring, &trace, 32, 50);
+        let points = waste_over_trace_par(&ring, &trace, 32, 50, 1);
         assert_eq!(points.len(), 50);
         let mean: f64 = points.iter().map(|p| p.waste_ratio).sum::<f64>() / 50.0;
         assert!(mean < 0.02, "K=2 mean waste over the trace: {mean}");
@@ -244,7 +202,7 @@ mod tests {
         .unwrap();
         let trace = generator.generate(&mut StdRng::seed_from_u64(8));
         let ring = KHopRing::new(720, 4, 2).unwrap();
-        let seq = waste_over_trace(&ring, &trace, 32, 40);
+        let seq = waste_over_trace_par(&ring, &trace, 32, 40, 1);
         let par = waste_over_trace_par(&ring, &trace, 32, 40, 4);
         assert_eq!(seq, par);
     }
@@ -256,14 +214,6 @@ mod tests {
         let one = waste_vs_fault_ratio_par(&ring, 32, &ratios, 6, 42, 1);
         let four = waste_vs_fault_ratio_par(&ring, 32, &ratios, 6, 42, 4);
         assert_eq!(one, four);
-        // Same fault model, same trial count: the parallel sweep tracks the
-        // sequential one statistically (exact fault counts, different draws).
-        let mut rng = StdRng::seed_from_u64(42);
-        let seq = waste_vs_fault_ratio(&ring, 32, &ratios, 6, &mut rng);
-        for (p, s) in one.iter().zip(&seq) {
-            assert_eq!(p.x, s.x);
-            assert!((p.waste_ratio - s.waste_ratio).abs() < 0.05);
-        }
     }
 
     #[test]
@@ -271,7 +221,7 @@ mod tests {
     fn undersized_trace_is_rejected() {
         let trace = fault::FaultTrace::new(10, Seconds(100.0), vec![]).unwrap();
         let ring = KHopRing::new(720, 4, 2).unwrap();
-        let _ = waste_over_trace(&ring, &trace, 32, 5);
+        let _ = waste_over_trace_par(&ring, &trace, 32, 5, 1);
     }
 
     #[test]

@@ -228,18 +228,10 @@ struct JobState {
 /// Replays several jobs' epoch cycles concurrently and reports per-job
 /// interference against their isolated runs.
 ///
-/// Deterministic: each replay is a pure fluid computation — identical inputs
-/// give bit-identical outcomes regardless of thread count. Single-threaded
-/// convenience wrapper over [`replay_mix_par`].
-pub fn replay_mix(network: &DcnNetwork, jobs: &[JobTraffic]) -> Result<MixOutcome> {
-    replay_mix_par(network, jobs, 1)
-}
-
-/// [`replay_mix`] with the per-job isolated baseline replays fanned out over
-/// up to `threads` worker threads ([`hbd_types::par`]).
-///
-/// The isolated replays are independent by construction, so the outcome is
-/// byte-identical for any thread count; only wall-clock changes.
+/// The shared replay and the per-job isolated baseline replays fan out over
+/// up to `threads` worker threads ([`hbd_types::par`]). Each replay is a pure
+/// fluid computation and the replays are independent by construction, so the
+/// outcome is byte-identical for any thread count; only wall-clock changes.
 pub fn replay_mix_par(
     network: &DcnNetwork,
     jobs: &[JobTraffic],
@@ -589,7 +581,7 @@ mod tests {
         ];
         let sim = FlowSimulation::run(&net, flows.clone()).unwrap();
         let report = sim.report(&net);
-        let outcome = replay_mix(&net, &[job("solo", flows, 1)]).unwrap();
+        let outcome = replay_mix_par(&net, &[job("solo", flows, 1)], 1).unwrap();
         assert!((outcome.makespan.value() - report.max_completion.value()).abs() < 1e-9);
         assert!(
             (outcome.jobs[0].slowdown - 1.0).abs() < 1e-12,
@@ -609,7 +601,7 @@ mod tests {
         ];
         let sim = FlowSimulation::run(&net, flows.clone()).unwrap();
         let one_shot = sim.report(&net).max_completion.value();
-        let outcome = replay_mix(&net, &[job("refill", flows, 1)]).unwrap();
+        let outcome = replay_mix_par(&net, &[job("refill", flows, 1)], 1).unwrap();
         assert!(
             outcome.makespan.value() < one_shot - 1e-9,
             "refill must beat the one-shot bound: {} vs {one_shot}",
@@ -630,7 +622,7 @@ mod tests {
             vec![Flow::new(NodeId(4), NodeId(5), Bytes::from_gib(4.0))],
             2,
         );
-        let outcome = replay_mix(&net, &[a, b]).unwrap();
+        let outcome = replay_mix_par(&net, &[a, b], 1).unwrap();
         for job in &outcome.jobs {
             assert!((job.slowdown - 1.0).abs() < 1e-9, "{job:?}");
             assert!((job.p99_stretch - 1.0).abs() < 1e-9);
@@ -655,7 +647,7 @@ mod tests {
             ],
             1,
         );
-        let outcome = replay_mix(&net, &[traffic]).unwrap();
+        let outcome = replay_mix_par(&net, &[traffic], 1).unwrap();
         assert_eq!(outcome.stats.events, 2, "{:?}", outcome.stats);
         assert_eq!(outcome.stats.full_solves, 1, "{:?}", outcome.stats);
         assert_eq!(outcome.stats.skipped_solves, 1, "{:?}", outcome.stats);
@@ -679,7 +671,7 @@ mod tests {
             vec![Flow::new(NodeId(2), NodeId(0), Bytes::from_gib(1.0))],
             3,
         );
-        let outcome = replay_mix(&net, &[a, b]).unwrap();
+        let outcome = replay_mix_par(&net, &[a, b], 1).unwrap();
         assert!(outcome.max_slowdown() > 1.5, "{outcome:?}");
         assert!(outcome.jobs.iter().all(|j| j.p99_stretch > 1.0));
         // The shared down-link saturated.
@@ -706,7 +698,7 @@ mod tests {
             ),
         ];
         let traffic = JobTraffic::new("barriers", epochs, 2);
-        let outcome = replay_mix(&net, &[traffic]).unwrap();
+        let outcome = replay_mix_par(&net, &[traffic], 1).unwrap();
         assert_eq!(outcome.jobs[0].epoch_times.len(), 4);
         let node_bw = net.params().node_bandwidth.value() * 1e9;
         let per_epoch = Bytes::from_gib(1.0).value() / node_bw;
@@ -726,7 +718,7 @@ mod tests {
             2,
         );
         let empty = JobTraffic::new("empty", Vec::new(), 3);
-        let outcome = replay_mix(&net, &[local, empty]).unwrap();
+        let outcome = replay_mix_par(&net, &[local, empty], 1).unwrap();
         assert_eq!(outcome.makespan, Seconds::ZERO);
         for job in &outcome.jobs {
             assert_eq!(job.shared_time, Seconds::ZERO);
@@ -770,7 +762,7 @@ mod tests {
             ],
             2,
         );
-        let outcome = replay_mix(&net, &[a]).unwrap();
+        let outcome = replay_mix_par(&net, &[a], 1).unwrap();
         let stats = outcome.stats;
         assert_eq!(stats.events, stats.full_solves + stats.skipped_solves);
         assert!(stats.full_solves >= 1);
@@ -784,7 +776,7 @@ mod tests {
         // Zero jobs: no panic, no division by zero — the degenerate mix is a
         // legal input with neutral aggregates.
         let net = network();
-        let outcome = replay_mix(&net, &[]).unwrap();
+        let outcome = replay_mix_par(&net, &[], 1).unwrap();
         assert!(outcome.jobs.is_empty());
         assert_eq!(outcome.makespan, Seconds::ZERO);
         assert_eq!(outcome.mean_slowdown(), 1.0);
@@ -821,7 +813,7 @@ mod tests {
             vec![Flow::new(NodeId(2), NodeId(0), Bytes(0.0))],
             2,
         );
-        let outcome = replay_mix(&net, &[mixed, zero_bytes]).unwrap();
+        let outcome = replay_mix_par(&net, &[mixed, zero_bytes], 1).unwrap();
         for job in &outcome.jobs {
             assert!(job.slowdown.is_finite(), "{job:?}");
             assert!(job.mean_stretch.is_finite(), "{job:?}");

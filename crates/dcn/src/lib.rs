@@ -27,12 +27,12 @@
 //! 5. [`simulator::FlowSimulation`] reports completion times, link
 //!    utilisation, and the slowdown relative to an uncongested network for a
 //!    single flow set, and
-//! 6. [`engine::replay_mix`] replays **several jobs' epoch cycles
+//! 6. [`engine::replay_mix_par`] replays **several jobs' epoch cycles
 //!    concurrently** (placed by [`jobmix::place_mix`]) and reports per-job
 //!    interference — slowdown vs. the isolated run, p99 epoch stretch, and
 //!    the link hot-spot profile — plus the engine's own cost counters
-//!    ([`engine::ReplayStats`]); [`engine::replay_mix_par`] fans the
-//!    independent isolated baselines out over `hbd_types::par`.
+//!    ([`engine::ReplayStats`]), fanning the independent isolated baselines
+//!    out over `hbd_types::par`.
 //!
 //! The result is an end-to-end ablation path: orchestration quality → cross-ToR
 //! flows → congestion → exposed DP time — now including the multi-job
@@ -49,7 +49,7 @@ pub mod network;
 pub mod simulator;
 pub mod traffic;
 
-pub use engine::{replay_mix, replay_mix_par, JobInterference, MixOutcome, ReplayStats};
+pub use engine::{replay_mix_par, JobInterference, MixOutcome, ReplayStats};
 pub use flow::{Flow, Route};
 pub use jobmix::{greedy_place_mix, place_mix, MixJob, PlacedJob};
 pub use maxmin::{max_min_rates, MaxMinSolver};

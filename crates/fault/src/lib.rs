@@ -32,7 +32,6 @@
 pub mod convert;
 pub mod event;
 pub mod generator;
-pub mod io;
 pub mod model;
 pub mod montecarlo;
 pub mod sim_events;
@@ -43,7 +42,6 @@ pub mod trace;
 pub use convert::convert_8gpu_to_4gpu;
 pub use event::FaultEvent;
 pub use generator::{GeneratorConfig, TraceGenerator};
-pub use io::{from_csv, from_json, to_csv, to_json};
 pub use model::IidFaultModel;
 pub use montecarlo::{shards, sweep_means, Shard};
 pub use sim_events::{generate_events, trace_events, NodeEvent, NodeEventKind};

@@ -3,14 +3,13 @@
 //! paper's headline numbers without assembling the crates by hand.
 
 use cluster::{fault_waiting_rate_par, max_job_over_trace_par, waste_over_trace_par};
-use control::{ClusterManager, ControlLatencies};
 use fault::{FaultTrace, GeneratorConfig, TraceGenerator};
 use hbd_types::par::par_map;
-use hbd_types::{ClusterConfig, HbdError, Microseconds, Result, Seconds};
+use hbd_types::{ClusterConfig, HbdError, Result, Seconds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use topology::{paper_architectures, HbdArchitecture, KHopRing};
+use topology::{paper_architectures, HbdArchitecture};
 
 /// A cluster-level fault-resilience study comparing every architecture the
 /// paper evaluates on the same synthetic fault trace.
@@ -94,13 +93,10 @@ impl ClusterStudy {
 
     /// Runs the study over every architecture of the paper's comparison, using
     /// `samples` evenly spaced instants of the trace.
-    pub fn run(&self, samples: usize) -> Vec<StudyReport> {
-        self.run_par(samples, 1)
-    }
-
-    /// [`run`](Self::run) with the per-architecture trace replays fanned out
-    /// over up to `threads` scoped threads. The replay is deterministic (no
-    /// RNG), so the reports are identical for every thread count.
+    ///
+    /// The per-architecture trace replays fan out over up to `threads` scoped
+    /// threads. The replay is deterministic (no RNG), so the reports are
+    /// identical for every thread count.
     pub fn run_par(&self, samples: usize, threads: usize) -> Vec<StudyReport> {
         let archs = paper_architectures(
             self.config.nodes,
@@ -135,163 +131,6 @@ impl ClusterStudy {
     }
 }
 
-/// A control-plane study: replay a fault trace through the §5.2 cluster
-/// manager and summarise what the control plane had to do.
-///
-/// Where [`ClusterStudy`] asks "how many GPUs stay usable", this asks "what
-/// does keeping them usable cost the control plane": reconfiguration commands,
-/// OCSTrx switching time, end-to-end recovery latency, and how often the ring
-/// actually partitions.
-#[derive(Debug, Clone)]
-pub struct FailoverStudy {
-    ring: KHopRing,
-    latencies: ControlLatencies,
-    trace: FaultTrace,
-    tp_size: usize,
-}
-
-/// Aggregate control-plane cost of replaying one fault trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FailoverSummary {
-    /// Fault events replayed.
-    pub faults_handled: usize,
-    /// Repair events replayed.
-    pub repairs_handled: usize,
-    /// Total reconfiguration commands issued over the whole trace.
-    pub total_commands: usize,
-    /// Mean commands per fault/repair event.
-    pub mean_commands_per_event: f64,
-    /// Largest number of nodes reconfigured by a single event.
-    pub max_nodes_reconfigured: usize,
-    /// Cumulative OCSTrx switching time over the whole trace.
-    pub total_switching_time: Microseconds,
-    /// Mean end-to-end recovery time per event.
-    pub mean_recovery: Seconds,
-    /// Worst-case end-to-end recovery time.
-    pub max_recovery: Seconds,
-    /// Events after which the ring was left partitioned (more than one healthy
-    /// segment).
-    pub partition_events: usize,
-    /// Smallest usable-GPU count observed right after any event, for the
-    /// study's TP size.
-    pub min_usable_gpus: usize,
-}
-
-impl FailoverStudy {
-    /// Creates a study on the paper's 2,880-GPU cluster (720 × 4-GPU nodes)
-    /// wired with the given `k`, replaying a synthetic production-calibrated
-    /// trace of `days` days.
-    pub fn paper_cluster(k: usize, tp_size: usize, days: f64, seed: u64) -> Result<Self> {
-        let config = ClusterConfig::paper_2880_gpu();
-        let ring = KHopRing::new(config.nodes, config.node_size.gpus(), k)?;
-        let generator = TraceGenerator::new(GeneratorConfig {
-            nodes: config.nodes,
-            duration: Seconds::from_days(days),
-            steady_state_fault_ratio: 0.0117,
-            mean_time_to_repair: Seconds::from_hours(12.0),
-        })?;
-        let trace = generator.generate(&mut StdRng::seed_from_u64(seed));
-        Self::new(
-            ring,
-            ControlLatencies::production_defaults(),
-            trace,
-            tp_size,
-        )
-    }
-
-    /// Creates a study from explicit parts.
-    pub fn new(
-        ring: KHopRing,
-        latencies: ControlLatencies,
-        trace: FaultTrace,
-        tp_size: usize,
-    ) -> Result<Self> {
-        if tp_size == 0 || !tp_size.is_multiple_of(ring.gpus_per_node()) {
-            return Err(HbdError::invalid_config(format!(
-                "TP size {tp_size} must be a positive multiple of the node size {}",
-                ring.gpus_per_node()
-            )));
-        }
-        Ok(FailoverStudy {
-            ring,
-            latencies,
-            trace,
-            tp_size,
-        })
-    }
-
-    /// The fault trace being replayed.
-    pub fn trace(&self) -> &FaultTrace {
-        &self.trace
-    }
-
-    /// Replays the whole trace in event order and summarises the control-plane
-    /// cost.
-    pub fn run(&self) -> Result<FailoverSummary> {
-        let mut manager = ClusterManager::new(self.ring.clone(), self.latencies)?;
-        // Expand the trace into time-ordered fault/repair edges.
-        let mut edges: Vec<(Seconds, usize, bool)> = Vec::new();
-        for event in self.trace.events() {
-            if event.node.index() >= self.ring.nodes() {
-                continue;
-            }
-            edges.push((event.start, event.node.index(), true));
-            edges.push((event.end, event.node.index(), false));
-        }
-        edges.sort_by(|a, b| a.0.value().total_cmp(&b.0.value()));
-
-        let mut summary = FailoverSummary {
-            faults_handled: 0,
-            repairs_handled: 0,
-            total_commands: 0,
-            mean_commands_per_event: 0.0,
-            max_nodes_reconfigured: 0,
-            total_switching_time: Microseconds::ZERO,
-            mean_recovery: Seconds::ZERO,
-            max_recovery: Seconds::ZERO,
-            partition_events: 0,
-            min_usable_gpus: self.ring.total_gpus(),
-        };
-        let mut recovery_sum = Seconds::ZERO;
-        let mut events = 0usize;
-        for (at, node, is_fault) in edges {
-            let node = hbd_types::NodeId(node);
-            // Skip edges that would be redundant (overlapping events on the
-            // same node in the generated trace).
-            let already_faulty = manager.faults().is_faulty(node);
-            if is_fault == already_faulty {
-                continue;
-            }
-            let report = if is_fault {
-                summary.faults_handled += 1;
-                manager.inject_fault(node, at)?
-            } else {
-                summary.repairs_handled += 1;
-                manager.repair_node(node, at)?
-            };
-            events += 1;
-            summary.total_commands += report.commands;
-            summary.max_nodes_reconfigured = summary
-                .max_nodes_reconfigured
-                .max(report.nodes_reconfigured);
-            recovery_sum += report.total_recovery;
-            summary.max_recovery = summary.max_recovery.max(report.total_recovery);
-            if report.segments > 1 {
-                summary.partition_events += 1;
-            }
-            summary.min_usable_gpus = summary
-                .min_usable_gpus
-                .min(manager.usable_gpus(self.tp_size));
-        }
-        summary.total_switching_time = manager.timeline().total_switching_time();
-        if events > 0 {
-            summary.mean_commands_per_event = summary.total_commands as f64 / events as f64;
-            summary.mean_recovery = Seconds(recovery_sum.value() / events as f64);
-        }
-        Ok(summary)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,7 +152,7 @@ mod tests {
             7,
         )
         .unwrap();
-        let reports = study.run(30);
+        let reports = study.run_par(30, 1);
         assert_eq!(reports.len(), 8);
         let infinite = reports
             .iter()
@@ -334,59 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn failover_study_replays_a_trace_and_stays_consistent() {
-        let study = FailoverStudy::paper_cluster(3, 32, 30.0, 5).expect("valid study");
-        let summary = study.run().expect("replay succeeds");
-        // A 30-day window on a 720-node cluster sees plenty of events.
-        assert!(summary.faults_handled > 10, "{summary:?}");
-        // Every repair corresponds to an earlier fault (some faults may still
-        // be open at the end of the window).
-        assert!(summary.repairs_handled <= summary.faults_handled);
-        // Node-level explosion radius: a single event never reconfigures more
-        // than the fault's K-hop neighbourhood (2K neighbours plus the node
-        // itself on a repair).
-        assert!(summary.max_nodes_reconfigured <= 2 * 3 + 2, "{summary:?}");
-        assert!(summary.mean_commands_per_event > 0.0);
-        // K = 3 bypasses the ~1.17% steady-state fault ratio essentially
-        // always, so the usable capacity never collapses.
-        assert!(summary.min_usable_gpus > 2880 * 9 / 10, "{summary:?}");
-        assert!(summary.total_switching_time > Microseconds::ZERO);
-        assert!(summary.max_recovery >= summary.mean_recovery);
-    }
-
-    #[test]
-    fn failover_study_is_deterministic_and_validates_tp() {
-        assert!(FailoverStudy::paper_cluster(2, 30, 10.0, 1).is_err());
-        let a = FailoverStudy::paper_cluster(2, 32, 10.0, 9)
-            .unwrap()
-            .run()
-            .unwrap();
-        let b = FailoverStudy::paper_cluster(2, 32, 10.0, 9)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn hardware_only_latencies_bound_recovery_by_the_switch_window() {
-        let ring = KHopRing::new(64, 4, 2).unwrap();
-        let generator = TraceGenerator::new(GeneratorConfig {
-            nodes: 64,
-            duration: Seconds::from_days(5.0),
-            steady_state_fault_ratio: 0.02,
-            mean_time_to_repair: Seconds::from_hours(6.0),
-        })
-        .unwrap();
-        let trace = generator.generate(&mut StdRng::seed_from_u64(2));
-        let study = FailoverStudy::new(ring, ControlLatencies::hardware_only(), trace, 16).unwrap();
-        let summary = study.run().unwrap();
-        // With zero software latency every recovery is a single parallel OCSTrx
-        // switch: at most 80 us.
-        assert!(summary.max_recovery <= Seconds(80e-6), "{summary:?}");
-    }
-
-    #[test]
     fn parallel_study_matches_sequential() {
         let study = ClusterStudy::new(
             ClusterConfig::new(90, NodeSize::Four, 16, 4).unwrap(),
@@ -395,7 +181,7 @@ mod tests {
             3,
         )
         .unwrap();
-        assert_eq!(study.run(10), study.run_par(10, 4));
+        assert_eq!(study.run_par(10, 1), study.run_par(10, 4));
     }
 
     #[test]
@@ -407,7 +193,7 @@ mod tests {
             3,
         )
         .unwrap()
-        .run(10);
+        .run_par(10, 1);
         let b = ClusterStudy::new(
             ClusterConfig::new(90, NodeSize::Four, 16, 4).unwrap(),
             16,
@@ -415,7 +201,7 @@ mod tests {
             3,
         )
         .unwrap()
-        .run(10);
+        .run_par(10, 1);
         assert_eq!(a, b);
     }
 }

@@ -57,11 +57,10 @@ pub mod experiment;
 
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use crate::experiment::{ClusterStudy, FailoverStudy, FailoverSummary, StudyReport};
+    pub use crate::experiment::{ClusterStudy, StudyReport};
     pub use cluster::{
-        fault_waiting_rate, fault_waiting_rate_par, max_job_over_trace_par, max_supported_job,
-        waste_over_trace, waste_over_trace_par, waste_ratio, waste_vs_fault_ratio,
-        waste_vs_fault_ratio_par,
+        fault_waiting_rate_par, max_job_over_trace_par, max_supported_job, waste_over_trace_par,
+        waste_ratio, waste_vs_fault_ratio_par,
     };
     pub use collective::{
         AllToAllAlgorithm, AlphaBeta, FastSwitchAllToAll, HierarchicalAllReduce, RingAllReduce,
@@ -72,9 +71,9 @@ pub mod prelude {
     };
     pub use cost::{aggregate_cost, AggregateCostInput, ArchitectureBom, NormalizedCost};
     pub use dcn::{
-        dp_ring_flows, greedy_place_mix, place_mix, replay_mix, replay_mix_par, CongestionReport,
-        DcnNetwork, Flow, FlowSimulation, JobInterference, JobTraffic, LogicalShape, MaxMinSolver,
-        MixJob, MixOutcome, NetworkParams, PlacedJob, ReplayStats, TrafficEpoch, TrafficMatrix,
+        dp_ring_flows, greedy_place_mix, place_mix, replay_mix_par, CongestionReport, DcnNetwork,
+        Flow, FlowSimulation, JobInterference, JobTraffic, LogicalShape, MaxMinSolver, MixJob,
+        MixOutcome, NetworkParams, PlacedJob, ReplayStats, TrafficEpoch, TrafficMatrix,
         TrafficProfile, TrafficSpec,
     };
     pub use fault::{
@@ -96,8 +95,8 @@ pub mod prelude {
         SnapshotDelta, SnapshotStore, TrafficModel,
     };
     pub use topology::{
-        paper_architectures, BigSwitch, BinaryHopRing, DojoMesh, FatTree, FaultSet,
-        HbdArchitecture, KHopRing, Nvl, NvlVariant, SipRing, TpuV4, UtilizationReport,
+        paper_architectures, BigSwitch, BinaryHopRing, FatTree, FaultSet, HbdArchitecture,
+        KHopRing, Nvl, NvlVariant, SipRing, TpuV4, UtilizationReport,
     };
 }
 

@@ -24,15 +24,14 @@
 //!   ambient temperature, calibrated to the paper's measurements (Figs 10a, 11
 //!   and 12),
 //! * [`power`] — core-module and peripheral power (Fig 10b),
-//! * [`controller`] — the fast-switch controller with preloaded sessions,
-//! * [`bundle`] — the OCSTrx *bundle* abstraction used by the topology crate
-//!   (one bundle per GPU pair on the UBB 2.0 baseboard).
+//! * [`bundle`] — the OCSTrx *bundle* abstraction driven by the control
+//!   plane's fabric managers (one bundle per GPU pair on the UBB 2.0
+//!   baseboard).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bundle;
-pub mod controller;
 pub mod matrix;
 pub mod mzi;
 pub mod optics;
@@ -41,7 +40,6 @@ pub mod power;
 pub mod transceiver;
 
 pub use bundle::{Bundle, BundleState};
-pub use controller::{FastSwitchController, SessionId};
 pub use matrix::MziSwitchMatrix;
 pub use mzi::{MziElement, MziState};
 pub use optics::{BerModel, InsertionLossModel, OpticalConditions};

@@ -30,7 +30,7 @@ use crate::service::{
 };
 use hbd_types::epoch::Versioned;
 use hbd_types::robust::{BackoffSchedule, BreakerConfig, BreakerState, CircuitBreaker};
-use hbd_types::{EventQueue, Seconds};
+use hbd_types::{EventQueue, HbdError, Result, Seconds};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -219,8 +219,11 @@ impl RetryingClient {
     /// Runs one deterministic session: `queries` arrive at their instants,
     /// `publishes` mutate the store at theirs, and each `marks` instant
     /// starts a recovery stopwatch (used by the fault-storm experiment to
-    /// measure time-to-healthy per storm). Query ids must be unique.
-    /// Deterministic in the inputs; invariant in `threads`.
+    /// measure time-to-healthy per storm). Deterministic in the inputs;
+    /// invariant in `threads`.
+    ///
+    /// Returns [`HbdError::InvalidConfig`] if two queries share an id; the
+    /// check runs before any event is scheduled.
     pub fn run_session(
         &self,
         service: &PlacementService,
@@ -229,7 +232,16 @@ impl RetryingClient {
         publishes: &[StorePublish],
         marks: &[f64],
         threads: usize,
-    ) -> ClientReport {
+    ) -> Result<ClientReport> {
+        let mut index_of = BTreeMap::new();
+        for (idx, query) in queries.iter().enumerate() {
+            if index_of.insert(query.id, idx).is_some() {
+                return Err(HbdError::invalid_config(format!(
+                    "query id {} appears more than once in the session",
+                    query.id
+                )));
+            }
+        }
         let mut session = Session {
             service,
             config: &self.config,
@@ -237,19 +249,19 @@ impl RetryingClient {
             breaker: CircuitBreaker::new(self.config.breaker),
             healthy: service.store().load(),
             events: EventQueue::new(),
-            states: Vec::with_capacity(queries.len()),
-            index_of: BTreeMap::new(),
+            states: queries
+                .iter()
+                .map(|_| QueryState {
+                    attempts: 0,
+                    outcome: None,
+                })
+                .collect(),
+            index_of,
             retries: 0,
             awaiting_recovery: Vec::new(),
             recovery_us: vec![None; marks.len()],
         };
         for (idx, query) in queries.iter().enumerate() {
-            session.states.push(QueryState {
-                attempts: 0,
-                outcome: None,
-            });
-            let previous = session.index_of.insert(query.id, idx);
-            assert!(previous.is_none(), "query ids must be unique");
             session.schedule(SessionEvent::Submit {
                 idx,
                 attempt: 0,
@@ -292,7 +304,7 @@ impl RetryingClient {
             }
         }
 
-        ClientReport {
+        Ok(ClientReport {
             outcomes: queries
                 .iter()
                 .zip(&mut session.states)
@@ -305,7 +317,7 @@ impl RetryingClient {
             breaker_transitions: session.breaker.transitions().to_vec(),
             admission: session.controller.stats(),
             recovery_us: session.recovery_us,
-        }
+        })
     }
 }
 
@@ -571,14 +583,16 @@ mod tests {
         let client = RetryingClient::new(config(64, 3, 3, Seconds(0.001)));
         let queries: Vec<ClientQuery> =
             (0..4).map(|i| place_query(i, i as f64 * 1_000.0)).collect();
-        let report = client.run_session(
-            &service,
-            ModeledLatency::for_cluster(128),
-            &queries,
-            &[],
-            &[],
-            1,
-        );
+        let report = client
+            .run_session(
+                &service,
+                ModeledLatency::for_cluster(128),
+                &queries,
+                &[],
+                &[],
+                1,
+            )
+            .unwrap();
         assert_eq!(report.outcome_counts(), (4, 0, 0));
         assert_eq!(report.retries, 0);
         assert!(report.breaker_transitions.is_empty());
@@ -601,14 +615,16 @@ mod tests {
         let service = service();
         let client = RetryingClient::new(config(0, 2, 100, Seconds(1.0)));
         let queries = vec![place_query(0, 0.0), place_query(1, 10.0)];
-        let report = client.run_session(
-            &service,
-            ModeledLatency::for_cluster(128),
-            &queries,
-            &[],
-            &[],
-            1,
-        );
+        let report = client
+            .run_session(
+                &service,
+                ModeledLatency::for_cluster(128),
+                &queries,
+                &[],
+                &[],
+                1,
+            )
+            .unwrap();
         assert_eq!(report.outcome_counts(), (0, 0, 2));
         for outcome in report.outcomes.values() {
             let ClientOutcome::Exhausted { attempts, .. } = outcome else {
@@ -634,14 +650,16 @@ mod tests {
         let mut delta = SnapshotDelta::new();
         delta.faulted.add(NodeId(3));
         let publishes = vec![StorePublish { at_us: 5.0, delta }];
-        let report = client.run_session(
-            &service,
-            ModeledLatency::for_cluster(128),
-            &queries,
-            &publishes,
-            &[],
-            1,
-        );
+        let report = client
+            .run_session(
+                &service,
+                ModeledLatency::for_cluster(128),
+                &queries,
+                &publishes,
+                &[],
+                1,
+            )
+            .unwrap();
         assert_eq!(report.outcome_counts(), (0, 1, 1));
         let ClientOutcome::Degraded {
             staleness_epochs,
@@ -671,14 +689,16 @@ mod tests {
         let client = RetryingClient::new(config(1, 6, 2, Seconds(0.001)));
         let queries: Vec<ClientQuery> = (0..4).map(|i| place_query(i, i as f64)).collect();
         let marks = vec![3.0];
-        let report = client.run_session(
-            &service,
-            ModeledLatency::for_cluster(128),
-            &queries,
-            &[],
-            &marks,
-            1,
-        );
+        let report = client
+            .run_session(
+                &service,
+                ModeledLatency::for_cluster(128),
+                &queries,
+                &[],
+                &marks,
+                1,
+            )
+            .unwrap();
         // Everything eventually answers within the generous budget.
         assert_eq!(report.outcome_counts(), (4, 0, 0));
         assert!(report.retries > 0);
@@ -702,5 +722,24 @@ mod tests {
         // Conservation at the admission queue: offers resolve exactly once.
         let stats = report.admission;
         assert_eq!(stats.offered, stats.answered + stats.shed());
+    }
+
+    #[test]
+    fn duplicate_query_ids_are_rejected_before_anything_runs() {
+        let service = service();
+        let client = RetryingClient::new(config(64, 3, 3, Seconds(0.001)));
+        let queries = vec![place_query(7, 0.0), max_job_query(7, 10.0)];
+        let err = client
+            .run_session(
+                &service,
+                ModeledLatency::for_cluster(128),
+                &queries,
+                &[],
+                &[],
+                1,
+            )
+            .unwrap_err();
+        assert!(matches!(err, HbdError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("query id 7"), "{err}");
     }
 }

@@ -479,18 +479,6 @@ impl FatTreeOrchestrator {
     /// job scale. Returns the placement truncated to the job's group count, or
     /// an error if even the fully relaxed placement cannot satisfy the job.
     ///
-    /// Equivalent to [`orchestrate_par`](Self::orchestrate_par) with one
-    /// thread (and guaranteed to return the same placement).
-    pub fn orchestrate(
-        &self,
-        request: &OrchestrationRequest,
-        faults: &FaultSet,
-    ) -> Result<PlacementScheme> {
-        self.orchestrate_par(request, faults, 1)
-    }
-
-    /// [`orchestrate`](Self::orchestrate) with a parallel constraint search.
-    ///
     /// The paper's binary search probes one constraint count per round; this
     /// implementation is a *multisection* search that probes
     /// [`SEARCH_PROBES`](Self::SEARCH_PROBES) evenly spaced constraint counts
@@ -690,7 +678,9 @@ mod tests {
     #[test]
     fn healthy_cluster_satisfies_large_jobs_with_full_constraints() {
         let orch = orchestrator();
-        let placement = orch.orchestrate(&request(384), &FaultSet::new()).unwrap();
+        let placement = orch
+            .orchestrate_par(&request(384), &FaultSet::new(), 1)
+            .unwrap();
         assert!(placement.nodes_placed() >= 384);
         assert!(placement.validate(8, &BTreeSet::new()).is_ok());
     }
@@ -699,7 +689,7 @@ mod tests {
     fn orchestrated_placement_has_near_zero_cross_tor_traffic() {
         let orch = orchestrator();
         let faults = FaultSet::from_nodes((0..10).map(|i| NodeId(i * 37)));
-        let placement = orch.orchestrate(&request(400), &faults).unwrap();
+        let placement = orch.orchestrate_par(&request(400), &faults, 1).unwrap();
         let rate = cross_tor_rate(&placement, orch.fat_tree(), &TrafficModel::paper_tp32());
         assert!(
             rate < 0.02,
@@ -725,14 +715,16 @@ mod tests {
     #[test]
     fn oversized_jobs_are_rejected() {
         let orch = orchestrator();
-        assert!(orch.orchestrate(&request(1000), &FaultSet::new()).is_err());
+        assert!(orch
+            .orchestrate_par(&request(1000), &FaultSet::new(), 1)
+            .is_err());
         // Invalid request parameters are rejected too.
         let bad = OrchestrationRequest {
             job_nodes: 0,
             nodes_per_group: 8,
             k: 2,
         };
-        assert!(orch.orchestrate(&bad, &FaultSet::new()).is_err());
+        assert!(orch.orchestrate_par(&bad, &FaultSet::new(), 1).is_err());
     }
 
     #[test]
@@ -740,7 +732,7 @@ mod tests {
         let orch = orchestrator();
         let faults = FaultSet::from_nodes((0..24).map(|i| NodeId(i * 17)));
         let req = request(400);
-        let seq = orch.orchestrate(&req, &faults).unwrap();
+        let seq = orch.orchestrate_par(&req, &faults, 1).unwrap();
         let par = orch.orchestrate_par(&req, &faults, 4).unwrap();
         assert_eq!(seq, par);
         let wide = orch.orchestrate_par(&req, &faults, 16).unwrap();
@@ -956,7 +948,7 @@ mod tests {
     fn placement_never_uses_faulty_nodes() {
         let orch = orchestrator();
         let faults = FaultSet::from_nodes((0..40).map(|i| NodeId(i * 11)));
-        let placement = orch.orchestrate(&request(300), &faults).unwrap();
+        let placement = orch.orchestrate_par(&request(300), &faults, 1).unwrap();
         let faulty: BTreeSet<NodeId> = faults.iter().collect();
         assert!(placement.validate(8, &faulty).is_ok());
     }
@@ -964,7 +956,9 @@ mod tests {
     #[test]
     fn groups_respect_the_requested_size() {
         let orch = orchestrator();
-        let placement = orch.orchestrate(&request(128), &FaultSet::new()).unwrap();
+        let placement = orch
+            .orchestrate_par(&request(128), &FaultSet::new(), 1)
+            .unwrap();
         assert!(placement.groups.iter().all(|g| g.len() == 8));
         assert_eq!(placement.len(), 16);
     }

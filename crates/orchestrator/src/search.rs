@@ -67,7 +67,7 @@ pub fn max_orchestratable_job(
                 .orchestrate_with_scratch(&request, scratch, 1)
                 .0
                 .ok(),
-            None => orchestrator.orchestrate(&request, faults).ok(),
+            None => orchestrator.orchestrate_par(&request, faults, 1).ok(),
         }
     };
     max_job_search(total_groups, nodes_per_group, threads, try_groups)
@@ -202,7 +202,7 @@ mod tests {
             nodes_per_group: 8,
             k: 2,
         };
-        assert!(orch.orchestrate(&request, &faults).is_err());
+        assert!(orch.orchestrate_par(&request, &faults, 1).is_err());
     }
 
     #[test]

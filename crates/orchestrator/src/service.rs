@@ -511,10 +511,8 @@ impl PlacementService {
     /// deterministic function of `(shape, epoch state)`, so the replay is
     /// exact). A memo miss evaluates its probes lazily (inner search
     /// threading of 1) so the memoized probe count stays canonical for every
-    /// caller; `threads` is accepted for signature stability and does not
-    /// change the answer.
-    pub fn place(&self, request: &OrchestrationRequest, threads: usize) -> Result<PlacementScheme> {
-        let _ = threads;
+    /// caller.
+    pub fn place(&self, request: &OrchestrationRequest) -> Result<PlacementScheme> {
         request.validate()?;
         let snapshot = self.store.load();
         let memo_key = (request.k, request.nodes_per_group, request.job_nodes);
@@ -857,7 +855,7 @@ mod tests {
         for job_nodes in [64usize, 256, 480, 1000] {
             let req = request(job_nodes);
             assert_eq!(
-                service.place(&req, 1),
+                service.place(&req),
                 orch.orchestrate_par(&req, &faults, 1),
                 "job_nodes {job_nodes}"
             );

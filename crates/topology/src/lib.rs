@@ -10,8 +10,6 @@
 //! * [`nvl`] — switch-centric NVLink domains (NVL-36 / NVL-72 / NVL-576).
 //! * [`tpuv4`] — the switch-GPU hybrid: 4³ TPU cubes joined by centralized OCS.
 //! * [`sip_ring`] — GPU-centric fixed-size static rings (SiP-Ring).
-//! * [`dojo`] — a GPU-centric 2-D mesh (Dojo / TPUv3 style), the other
-//!   GPU-centric extreme of Table 1.
 //! * [`binary_hop`] — the Appendix-G.3 ±2^i rewiring used for Binary Exchange
 //!   AllToAll (Expert Parallelism).
 //! * [`fat_tree`] — the Fat-Tree DCN used for cross-ToR traffic accounting.
@@ -27,11 +25,9 @@
 pub mod arch;
 pub mod big_switch;
 pub mod binary_hop;
-pub mod dojo;
 pub mod fat_tree;
 pub mod graph;
 pub mod khop_ring;
-pub mod node;
 pub mod nvl;
 pub mod runscan;
 pub mod sip_ring;
@@ -40,11 +36,9 @@ pub mod tpuv4;
 pub use arch::{ArchitectureKind, FaultSet, HbdArchitecture, UtilizationReport};
 pub use big_switch::BigSwitch;
 pub use binary_hop::BinaryHopRing;
-pub use dojo::DojoMesh;
 pub use fat_tree::{FatTree, NetworkDistance};
 pub use graph::NodeGraph;
 pub use khop_ring::{KHopRing, RingSegment};
-pub use node::Node;
 pub use nvl::{Nvl, NvlVariant};
 pub use runscan::{scan_khop_runs, RunCounter, RunSink};
 pub use sip_ring::SipRing;

@@ -32,7 +32,7 @@ fn main() -> Result<()> {
     };
 
     let baseline = greedy_placement(nodes, &faults, 8, request.job_nodes, &mut rng);
-    let optimized = orchestrator.orchestrate(&request, &faults)?;
+    let optimized = orchestrator.orchestrate_par(&request, &faults, 1)?;
 
     // A 2:1 oversubscribed fabric — the regime where placement starts to
     // matter for wall-clock time, not just for traffic accounting.

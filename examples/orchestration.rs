@@ -23,7 +23,7 @@ fn main() -> Result<()> {
         k: 2,
     };
 
-    let optimized = orchestrator.orchestrate(&request, &faults)?;
+    let optimized = orchestrator.orchestrate_par(&request, &faults, 1)?;
     let baseline = greedy_placement(
         config.nodes,
         &faults,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local mirror of the CI gate: tier-1 verify plus the examples/benches smoke
-# check and lints. Run from the repo root before pushing.
+# Local mirror of the CI gate: tier-1 verify plus lints (clippy also checks
+# the examples and benches). Run from the repo root before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,9 +12,6 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> cargo check --examples --benches"
-cargo check --examples --benches
 
 echo "==> cargo check perfbench (separate workspace)"
 # perfbench/ is its own Cargo workspace, so nothing above compiles it; this
@@ -74,51 +71,6 @@ else
     --md target/smoke/EXPERIMENTS.full.md --out target/smoke/bench_results.full.json
 fi
 diff -u EXPERIMENTS.md target/smoke/EXPERIMENTS.full.md
-
-echo "==> lifecycle simulator smoke gate"
-# The three lifecycle experiments replay the online cluster simulator at
-# smoke scale across both thread counts; the partial run prints to stdout
-# and writes no files. Seed-stability and threads-invariance of the same
-# runs are asserted bit-for-bit by tests/integration_determinism.rs.
-cargo run --release --bin experiments -- \
-  --only ext_lifecycle --scale 0.05 --threads 2 > /dev/null
-
-echo "==> placement-service throughput smoke gate"
-# Drives the open-loop query stream of the service-layer experiment at smoke
-# scale across a multi-threaded fan-out; bit-stability of the same run in the
-# seed and the thread count is asserted by tests/integration_determinism.rs,
-# and the batched answers themselves are pinned to the single-query oracle by
-# crates/orchestrator/tests/service_oracle.rs.
-cargo run --release --bin experiments -- \
-  --only ext_service_throughput --scale 0.05 --threads 2 > /dev/null
-
-echo "==> incremental-publish smoke gate"
-# Drives the delta-published epoch chain of the incremental-publish
-# experiment at smoke scale across a multi-threaded fan-out; the patched
-# scratches it exercises are pinned bit-for-bit to cold rebuilds by
-# crates/orchestrator/tests/service_delta.rs and the fat_tree patch
-# properties, and seed/thread bit-stability of the run itself is asserted by
-# tests/integration_determinism.rs.
-cargo run --release --bin experiments -- \
-  --only ext_incremental_publish --scale 0.05 --threads 2 > /dev/null
-
-echo "==> overload-shedding smoke gate"
-# Drives the offered-load sweep past saturation at smoke scale across a
-# multi-threaded fan-out. The load points self-calibrate against a
-# back-to-back run, so this gate keeps working as the modeled cost model
-# evolves; the bounded-p99-vs-collapse acceptance criterion itself is pinned
-# by the experiment's unit test, and seed/thread bit-stability by
-# tests/integration_determinism.rs.
-cargo run --release --bin experiments -- \
-  --only ext_overload_shedding --scale 0.05 --threads 2 > /dev/null
-
-echo "==> fault-storm survival smoke gate"
-# Replays the correlated fault-storm sweep (storm generator -> ledger deltas
-# -> retrying breaker-guarded client) at smoke scale; conservation of query
-# outcomes is pinned by the experiment's unit test and the admission oracle
-# proptests, and seed/thread bit-stability by tests/integration_determinism.rs.
-cargo run --release --bin experiments -- \
-  --only ext_fault_storms --scale 0.05 --threads 2 > /dev/null
 
 echo "==> control-plane sim seed replay gate"
 # Replays the two regression seeds pinned in crates/control/src/sim.rs

@@ -29,7 +29,9 @@ fn scenario(
 fn optimized_placement_keeps_the_fabric_uncongested() {
     let (tree, faults, request, mut rng) = scenario(512, 0.05, 7);
     let orchestrator = FatTreeOrchestrator::new(tree.clone()).expect("orchestrator");
-    let optimized = orchestrator.orchestrate(&request, &faults).expect("fits");
+    let optimized = orchestrator
+        .orchestrate_par(&request, &faults, 1)
+        .expect("fits");
     let baseline = greedy_placement(512, &faults, 8, request.job_nodes, &mut rng);
 
     let network = DcnNetwork::new(tree, NetworkParams::non_blocking(16, 4).oversubscribed(4.0))
@@ -71,7 +73,9 @@ fn optimized_placement_keeps_the_fabric_uncongested() {
 fn non_blocking_fabric_makes_placement_irrelevant_for_slowdown() {
     let (tree, faults, request, mut rng) = scenario(256, 0.03, 21);
     let orchestrator = FatTreeOrchestrator::new(tree.clone()).expect("orchestrator");
-    let optimized = orchestrator.orchestrate(&request, &faults).expect("fits");
+    let optimized = orchestrator
+        .orchestrate_par(&request, &faults, 1)
+        .expect("fits");
     let baseline = greedy_placement(256, &faults, 8, request.job_nodes, &mut rng);
 
     // Fully non-blocking network: cross-ToR traffic is no longer a problem, so
@@ -137,13 +141,13 @@ fn multijob_mix_is_confined_by_the_optimized_placement() {
         .iter()
         .map(|p| matrix.lower(&p.scheme, p.name.clone(), 2).expect("lower"))
         .collect();
-    let optimized_outcome = replay_mix(&network, &optimized_jobs).expect("replay");
+    let optimized_outcome = replay_mix_par(&network, &optimized_jobs, 1).expect("replay");
 
     let greedy_jobs: Vec<JobTraffic> = greedy_place_mix(512, &mix, &faults, &mut rng)
         .iter()
         .map(|p| matrix.lower(&p.scheme, p.name.clone(), 2).expect("lower"))
         .collect();
-    let greedy_outcome = replay_mix(&network, &greedy_jobs).expect("replay");
+    let greedy_outcome = replay_mix_par(&network, &greedy_jobs, 1).expect("replay");
 
     assert!(
         optimized_outcome.max_slowdown() <= greedy_outcome.max_slowdown() + 1e-9,
@@ -169,7 +173,9 @@ fn multijob_mix_is_confined_by_the_optimized_placement() {
 fn cross_tor_byte_fraction_tracks_the_orchestrator_metric() {
     let (tree, faults, request, _) = scenario(512, 0.05, 3);
     let orchestrator = FatTreeOrchestrator::new(tree.clone()).expect("orchestrator");
-    let optimized = orchestrator.orchestrate(&request, &faults).expect("fits");
+    let optimized = orchestrator
+        .orchestrate_par(&request, &faults, 1)
+        .expect("fits");
 
     let network =
         DcnNetwork::new(tree.clone(), NetworkParams::non_blocking(16, 4)).expect("network");

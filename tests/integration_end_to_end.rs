@@ -15,7 +15,7 @@ fn cluster_study_reproduces_the_architecture_ranking() {
         99,
     )
     .unwrap();
-    let reports = study.run(60);
+    let reports = study.run_par(60, 1);
     let waste = |name: &str| {
         reports
             .iter()
@@ -115,7 +115,7 @@ proptest! {
         );
         let request = OrchestrationRequest { job_nodes: 384, nodes_per_group: 8, k: 2 };
         let faulty: std::collections::BTreeSet<NodeId> = faults.iter().collect();
-        if let Ok(placement) = orch.orchestrate(&request, &faults) {
+        if let Ok(placement) = orch.orchestrate_par(&request, &faults, 1) {
             prop_assert!(placement.validate(8, &faulty).is_ok());
             prop_assert!(placement.nodes_placed() >= 384);
         }

@@ -26,7 +26,7 @@ fn infinitehbd_waste_is_an_order_of_magnitude_below_nvl_and_tpuv4() {
     let nvl = Nvl::new(720, 4, NvlVariant::Nvl72);
     let tpu = TpuV4::new(720, 4);
     let mean = |arch: &dyn HbdArchitecture| {
-        let points = waste_over_trace(arch, &trace, 32, 90);
+        let points = waste_over_trace_par(arch, &trace, 32, 90, 1);
         points.iter().map(|p| p.waste_ratio).sum::<f64>() / points.len() as f64
     };
     let ring_waste = mean(&ring);
@@ -51,7 +51,7 @@ fn k2_and_k3_are_nearly_identical_at_production_fault_rates() {
     let k2 = KHopRing::new(720, 4, 2).unwrap();
     let k3 = KHopRing::new(720, 4, 3).unwrap();
     let mean = |arch: &dyn HbdArchitecture| {
-        let points = waste_over_trace(arch, &trace, 32, 90);
+        let points = waste_over_trace_par(arch, &trace, 32, 90, 1);
         points.iter().map(|p| p.waste_ratio).sum::<f64>() / points.len() as f64
     };
     assert!((mean(&k2) - mean(&k3)).abs() < 0.01);
@@ -75,10 +75,13 @@ fn eight_to_four_gpu_conversion_preserves_total_fault_mass() {
 fn max_job_and_fault_waiting_are_consistent() {
     let trace = trace(360, 60.0, 17);
     let ring = KHopRing::new(360, 4, 2).unwrap();
-    let worst_job = infinitehbd::cluster::max_job_over_trace(&ring, &trace, 32, 60);
+    let worst_job = infinitehbd::cluster::max_job_over_trace_par(&ring, &trace, 32, 60, 1);
     // A job at the worst-case capacity never waits; a job above it sometimes does.
-    assert_eq!(fault_waiting_rate(&ring, &trace, 32, worst_job, 60), 0.0);
+    assert_eq!(
+        fault_waiting_rate_par(&ring, &trace, 32, worst_job, 60, 1),
+        0.0
+    );
     if worst_job + 32 <= 1440 {
-        assert!(fault_waiting_rate(&ring, &trace, 32, worst_job + 32, 60) > 0.0);
+        assert!(fault_waiting_rate_par(&ring, &trace, 32, worst_job + 32, 60, 1) > 0.0);
     }
 }

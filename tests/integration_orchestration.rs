@@ -21,7 +21,7 @@ fn optimized_orchestration_beats_the_greedy_baseline() {
         nodes_per_group: 8,
         k: 2,
     };
-    let optimized = orch.orchestrate(&request, &faults).unwrap();
+    let optimized = orch.orchestrate_par(&request, &faults, 1).unwrap();
     let baseline = greedy_placement(1024, &faults, 8, 870, &mut rng);
     let model = TrafficModel::paper_tp32();
     let optimized_rate = cross_tor_rate(&optimized, &tree, &model);
@@ -55,7 +55,7 @@ fn orchestration_is_insensitive_to_cluster_size() {
             nodes_per_group: 8,
             k: 2,
         };
-        let placement = orch.orchestrate(&request, &faults).unwrap();
+        let placement = orch.orchestrate_par(&request, &faults, 1).unwrap();
         rates.push(cross_tor_rate(
             &placement,
             &tree,
@@ -86,7 +86,7 @@ fn cross_tor_traffic_degrades_gracefully_with_fault_ratio() {
     for (i, ratio) in [0.01, 0.04, 0.08].into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(100 + i as u64);
         let faults = FaultSet::from_nodes(IidFaultModel::new(1024, ratio).sample_exact(&mut rng));
-        match orch.orchestrate(&request, &faults) {
+        match orch.orchestrate_par(&request, &faults, 1) {
             Ok(placement) => {
                 let rate = cross_tor_rate(&placement, &tree, &model);
                 assert!(rate <= 0.12, "rate {rate} at fault ratio {ratio}");
@@ -114,7 +114,7 @@ fn placements_always_respect_group_size_and_faults() {
         nodes_per_group: 8,
         k: 3,
     };
-    let placement = orch.orchestrate(&request, &faults).unwrap();
+    let placement = orch.orchestrate_par(&request, &faults, 1).unwrap();
     let faulty: std::collections::BTreeSet<NodeId> = faults.iter().collect();
     assert!(placement.validate(8, &faulty).is_ok());
     assert!(placement.nodes_placed() >= 400);
