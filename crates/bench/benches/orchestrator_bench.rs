@@ -85,7 +85,7 @@ fn bench_dcn_free_kernel(c: &mut Criterion) {
 fn bench_orchestration(c: &mut Criterion) {
     let mut group = c.benchmark_group("fat_tree_orchestration");
     group.sample_size(20);
-    for nodes in [512usize, 2048, 8192] {
+    for nodes in [512usize, 2048, 8192, 16384] {
         let tree = FatTree::new(nodes, 16, 8).unwrap();
         let orch = FatTreeOrchestrator::new(tree).unwrap();
         let faults = FaultSet::from_nodes(
@@ -98,6 +98,23 @@ fn bench_orchestration(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
             b.iter(|| black_box(orch.orchestrate_par(&request, &faults, 1).unwrap().len()))
+        });
+    }
+    group.finish();
+}
+
+/// The largest-job search (`MaxJob` queries of the placement service) on
+/// the same 5 %-faulty clusters as `fat_tree_orchestration`.
+fn bench_max_job(c: &mut Criterion) {
+    let mut group = c.benchmark_group("max_orchestratable_job");
+    group.sample_size(20);
+    for nodes in [2048usize, 8192, 16384] {
+        let orch = FatTreeOrchestrator::new(FatTree::new(nodes, 16, 8).unwrap()).unwrap();
+        let faults = FaultSet::from_nodes(
+            IidFaultModel::new(nodes, 0.05).sample_exact(&mut StdRng::seed_from_u64(1)),
+        );
+        group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
+            b.iter(|| black_box(max_orchestratable_job(&orch, 8, 2, &faults, 1).job_nodes))
         });
     }
     group.finish();
@@ -142,6 +159,7 @@ criterion_group!(
     benches,
     bench_dcn_free_kernel,
     bench_orchestration,
+    bench_max_job,
     bench_greedy_baseline,
     bench_cross_tor_accounting
 );

@@ -61,6 +61,41 @@ impl RunSink<NodeId> for GroupCutter {
     }
 }
 
+/// The counting twin of [`GroupCutter`]: the same run semantics, but it only
+/// tallies the nodes the cutter would place — `⌊run / m⌋ · m` per run — and
+/// builds no group.
+pub(crate) struct GroupCounter {
+    nodes_per_group: usize,
+    current: usize,
+    /// Nodes placed in complete groups so far.
+    pub(crate) placed: usize,
+}
+
+impl GroupCounter {
+    pub(crate) fn new(nodes_per_group: usize) -> Self {
+        assert!(nodes_per_group > 0, "TP groups need at least one node");
+        GroupCounter {
+            nodes_per_group,
+            current: 0,
+            placed: 0,
+        }
+    }
+}
+
+impl<T> RunSink<T> for GroupCounter {
+    fn healthy(&mut self, _: T) {
+        self.current += 1;
+        if self.current == self.nodes_per_group {
+            self.placed += self.nodes_per_group;
+            self.current = 0;
+        }
+    }
+
+    fn cut(&mut self) {
+        self.current = 0;
+    }
+}
+
 /// Runs Algorithm 2 over an explicit node ordering.
 ///
 /// * `order` — the nodes in HBD (deployment) order; adjacent elements are HBD
@@ -261,6 +296,19 @@ mod tests {
             let fast = orchestrate_dcn_free(&order, k, &faults, m);
             let oracle = orchestrate_dcn_free_graph_oracle(&order, k, &faults, m);
             prop_assert_eq!(fast, oracle);
+        }
+
+        /// The counting sink places exactly as many nodes as the cutter.
+        #[test]
+        fn group_counter_matches_the_cutter(
+            (order, faults, k, m) in arbitrary_instance()
+        ) {
+            let mut counter = GroupCounter::new(m);
+            scan_khop_runs(order.iter().copied(), k, |n| faults.is_faulty(*n), &mut counter);
+            prop_assert_eq!(
+                counter.placed,
+                orchestrate_dcn_free(&order, k, &faults, m).nodes_placed()
+            );
         }
 
         /// Dense fault runs around the `K` threshold are the interesting

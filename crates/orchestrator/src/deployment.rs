@@ -84,22 +84,32 @@ impl DeploymentStrategy {
     }
 
     /// The segment of sub-line `subline` that lies inside aggregation-switch
-    /// domain `domain`, given `tors_per_domain` racks per domain.
+    /// domain `domain`, given `tors_per_domain` racks per domain. Equal to
+    /// `subline(subline)?[start..end]`, generated without building the whole
+    /// sub-line.
     pub fn subline_segment(
         &self,
         subline: usize,
         domain: usize,
         tors_per_domain: usize,
     ) -> Result<Vec<NodeId>> {
-        let full = self.subline(subline)?;
+        if subline >= self.sublines() {
+            return Err(HbdError::unknown_entity(format!(
+                "sub-line {subline} of a {}-sub-line deployment",
+                self.sublines()
+            )));
+        }
+        let len = self.subline_length();
         let start = domain * tors_per_domain;
-        let end = ((domain + 1) * tors_per_domain).min(full.len());
-        if start >= full.len() {
+        let end = ((domain + 1) * tors_per_domain).min(len);
+        if start >= len {
             return Err(HbdError::unknown_entity(format!(
                 "domain {domain} of sub-line {subline}"
             )));
         }
-        Ok(full[start..end].to_vec())
+        Ok((start..end)
+            .map(|j| NodeId(subline + j * self.nodes_per_tor))
+            .collect())
     }
 
     /// The HBD neighbours (main links) of a node: `n ± p`.
@@ -169,6 +179,32 @@ mod tests {
         let segment = deploy.subline_segment(2, 1, 2).unwrap();
         assert_eq!(segment, vec![NodeId(10), NodeId(14)]);
         assert!(deploy.subline_segment(2, 9, 2).is_err());
+    }
+
+    #[test]
+    fn segments_slice_their_full_sublines() {
+        // The 512-node layout and the 520-node one with a trailing partial
+        // rack, 16 nodes per ToR, 8 ToRs per aggregation domain (and 5, so
+        // the last domain is cut short); out-of-range sub-lines and domains
+        // must fail exactly where slicing would.
+        for (nodes, tors) in [(512usize, 8usize), (520, 8), (520, 5)] {
+            let deploy = DeploymentStrategy::new(nodes, 16).unwrap();
+            for subline in 0..=deploy.sublines() {
+                for domain in 0..9 {
+                    let segment = deploy.subline_segment(subline, domain, tors);
+                    let sliced = deploy.subline(subline).ok().and_then(|full| {
+                        let start = domain * tors;
+                        (start < full.len())
+                            .then(|| full[start..(start + tors).min(full.len())].to_vec())
+                    });
+                    assert_eq!(
+                        segment.ok(),
+                        sliced,
+                        "{nodes} nodes, {tors} ToRs per domain, ({subline}, {domain})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

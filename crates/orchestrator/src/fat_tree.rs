@@ -19,13 +19,13 @@
 //! ordering ("first relaxes the TP Group alignment constraints ... then relaxes
 //! the TP Group crossing constraints").
 
-use crate::dcn_free::{orchestrate_dcn_free, GroupCutter};
+use crate::dcn_free::{orchestrate_dcn_free, GroupCounter, GroupCutter};
 use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use topology::runscan::scan_khop_runs;
+use topology::runscan::{scan_khop_runs, RunSink};
 use topology::{FatTree, FaultSet};
 
 /// What the job needs from the orchestrator.
@@ -96,11 +96,25 @@ pub(crate) struct SearchScratch {
 }
 
 /// The two placements a sub-line segment can contribute, depending only on
-/// whether its aggregation domain is alignment-constrained.
+/// whether its aggregation domain is alignment-constrained, plus their
+/// `nodes_placed()` so a count-only probe never walks the groups.
 #[derive(Debug)]
 struct SegmentCache {
     raw: PlacementScheme,
     aligned: PlacementScheme,
+    raw_nodes: usize,
+    aligned_nodes: usize,
+}
+
+impl SegmentCache {
+    fn new(raw: PlacementScheme, aligned: PlacementScheme) -> Self {
+        SegmentCache {
+            raw_nodes: raw.nodes_placed(),
+            aligned_nodes: aligned.nodes_placed(),
+            raw,
+            aligned,
+        }
+    }
 }
 
 /// What one `FatTreeOrchestrator::patch_scratch` call re-derived versus
@@ -302,15 +316,10 @@ impl FatTreeOrchestrator {
             for node in &nodes {
                 owner[node.index()] = seg;
             }
-            segments.push(Arc::new(SegmentCache {
-                raw: orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group),
-                aligned: orchestrate_dcn_free(
-                    &nodes,
-                    request.k,
-                    &expanded,
-                    request.nodes_per_group,
-                ),
-            }));
+            segments.push(Arc::new(SegmentCache::new(
+                orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group),
+                orchestrate_dcn_free(&nodes, request.k, &expanded, request.nodes_per_group),
+            )));
         }
 
         SearchScratch {
@@ -405,7 +414,7 @@ impl FatTreeOrchestrator {
             } else {
                 cache.aligned.clone()
             };
-            segments.push(Arc::new(SegmentCache { raw, aligned }));
+            segments.push(Arc::new(SegmentCache::new(raw, aligned)));
         }
 
         let scratch = SearchScratch {
@@ -431,22 +440,7 @@ impl FatTreeOrchestrator {
         n_constraints: usize,
     ) -> PlacementScheme {
         let p = self.deployment.sublines();
-        let n_segments = self.segment_constraints();
-        let constrained = n_constraints.min(n_segments).min(scratch.segments.len());
-        let aligned_domains = n_constraints
-            .saturating_sub(n_segments)
-            .min(self.alignment_constraints());
-        // The alignment prefix: the first `aligned_domains` domains see the
-        // ToR-expanded faults, everything from the cutoff on the raw ones.
-        let cutoff = aligned_domains * self.fat_tree.nodes_per_aggregation_domain();
-        let is_faulty = |n: NodeId| {
-            if n.index() < cutoff {
-                scratch.expanded.is_faulty(n)
-            } else {
-                scratch.raw.is_faulty(n)
-            }
-        };
-
+        let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
         let mut scheme = PlacementScheme::new();
         for (seg, cache) in scratch.segments.iter().enumerate().take(constrained) {
             let placed = if seg / p < aligned_domains {
@@ -458,6 +452,77 @@ impl FatTreeOrchestrator {
         }
 
         let mut cutter = GroupCutter::new(request.nodes_per_group);
+        self.scan_residual(request, scratch, constrained, aligned_domains, &mut cutter);
+        scheme.extend(cutter.scheme);
+
+        self.assign_dp_ranks(&mut scheme);
+        scheme
+    }
+
+    /// `placement_with_constraints_cached(request, scratch, n).nodes_placed()`
+    /// without building the placement: the constrained segments contribute
+    /// their memoized counts and the residual scan feeds the same kernel a
+    /// [`GroupCounter`] instead of a [`GroupCutter`]. This is what a search
+    /// probe evaluates (pinned to the placement by proptests).
+    pub(crate) fn placed_count_cached(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        n_constraints: usize,
+    ) -> usize {
+        let p = self.deployment.sublines();
+        let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
+        let segments: usize = scratch
+            .segments
+            .iter()
+            .enumerate()
+            .take(constrained)
+            .map(|(seg, cache)| {
+                if seg / p < aligned_domains {
+                    cache.aligned_nodes
+                } else {
+                    cache.raw_nodes
+                }
+            })
+            .sum();
+
+        let mut counter = GroupCounter::new(request.nodes_per_group);
+        self.scan_residual(request, scratch, constrained, aligned_domains, &mut counter);
+        segments + counter.placed
+    }
+
+    /// How a probe of `n_constraints` splits over the scratch: the number of
+    /// constrained segments and of aligned aggregation domains.
+    fn probe_split(&self, scratch: &SearchScratch, n_constraints: usize) -> (usize, usize) {
+        let n_segments = self.segment_constraints();
+        let constrained = n_constraints.min(n_segments).min(scratch.segments.len());
+        let aligned_domains = n_constraints
+            .saturating_sub(n_segments)
+            .min(self.alignment_constraints());
+        (constrained, aligned_domains)
+    }
+
+    /// The residual pass of a probe: every node not owned by one of the first
+    /// `constrained` segments, in deployment order, through the linear-scan
+    /// kernel into `sink`.
+    fn scan_residual<S: RunSink<NodeId>>(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        constrained: usize,
+        aligned_domains: usize,
+        sink: &mut S,
+    ) {
+        // The alignment prefix: the first `aligned_domains` domains see the
+        // ToR-expanded faults, everything from the cutoff on the raw ones.
+        let cutoff = aligned_domains * self.fat_tree.nodes_per_aggregation_domain();
+        let is_faulty = |n: NodeId| {
+            if n.index() < cutoff {
+                scratch.expanded.is_faulty(n)
+            } else {
+                scratch.raw.is_faulty(n)
+            }
+        };
         scan_khop_runs(
             scratch
                 .order
@@ -466,12 +531,8 @@ impl FatTreeOrchestrator {
                 .filter(|n| scratch.owner[n.index()] >= constrained),
             request.k,
             |n| is_faulty(*n),
-            &mut cutter,
+            sink,
         );
-        scheme.extend(cutter.scheme);
-
-        self.assign_dp_ranks(&mut scheme);
-        scheme
     }
 
     /// `Orchestration-Fat-Tree` (Algorithms 1 and 5): search the number of
@@ -482,8 +543,8 @@ impl FatTreeOrchestrator {
     /// The paper's binary search probes one constraint count per round; this
     /// implementation is a *multisection* search that probes
     /// [`SEARCH_PROBES`](Self::SEARCH_PROBES) evenly spaced constraint counts
-    /// per round and fans the (independent, expensive) placement evaluations
-    /// out over up to `threads` scoped threads. The probe ladder is fixed —
+    /// per round and fans the independent probe evaluations out over up to
+    /// `threads` scoped threads. The probe ladder is fixed —
     /// `threads` only changes how the probes are *evaluated*, never which
     /// probes are chosen — so the resulting placement is identical for every
     /// thread count, and with one thread the probes are evaluated lazily from
@@ -503,8 +564,8 @@ impl FatTreeOrchestrator {
         request.validate()?;
         // Everything probe-invariant is computed once: the deployment order,
         // the segment-ownership mask, the raw and ToR-expanded fault sets,
-        // and both placement variants of every segment.
-        // Each probe then only assembles memoized segments and scans its
+        // and both placement variants (and node counts) of every segment.
+        // Each probe then only sums memoized segment counts and counts its
         // residual line.
         let scratch = self.search_scratch(request, faults);
         self.orchestrate_with_scratch(request, &scratch, threads).0
@@ -517,11 +578,16 @@ impl FatTreeOrchestrator {
     /// only on `(k, nodes_per_group, faults)` — never on `job_nodes` — so one
     /// scratch serves every job size of a `(k, nodes_per_group)` key.
     ///
+    /// A probe asks only whether a constraint count still places enough
+    /// nodes, so it is a node count ([`placed_count_cached`](Self::placed_count_cached)),
+    /// not a placement; the placement is built once, for the most constrained
+    /// feasible count, after the search ends.
+    ///
     /// The caller must have validated `request` and built `scratch` for the
     /// same `k` / `nodes_per_group`. Returns the search outcome plus the
-    /// number of probe placements evaluated (the search's dominant cost; with
-    /// `threads == 1` the lazy evaluation makes this count exact, with more
-    /// threads every probe of a round is evaluated eagerly).
+    /// number of probes evaluated (with `threads == 1` the lazy evaluation
+    /// makes this count exact, with more threads every probe of a round is
+    /// evaluated eagerly).
     pub(crate) fn orchestrate_with_scratch(
         &self,
         request: &OrchestrationRequest,
@@ -530,42 +596,38 @@ impl FatTreeOrchestrator {
     ) -> (Result<PlacementScheme>, usize) {
         let job_groups = request.job_nodes.div_ceil(request.nodes_per_group);
         let needed_nodes = job_groups * request.nodes_per_group;
-        let feasible = |placement: &PlacementScheme| placement.nodes_placed() >= needed_nodes;
+        let feasible = |n: usize| self.placed_count_cached(request, scratch, n) >= needed_nodes;
         let mut evaluated = 0usize;
 
         let mut low = 0usize;
         let mut high = self.segment_constraints() + self.alignment_constraints();
-        let mut best: Option<PlacementScheme> = None;
+        let mut best: Option<usize> = None;
         while low <= high {
             let probes = Self::probe_ladder(low, high);
             // Find the most constrained feasible probe and the least
             // constrained infeasible probe directly above it.
             let hit = if threads > 1 {
                 evaluated += probes.len();
-                let placements = hbd_types::par::par_map(threads, &probes, |_, &n| {
-                    self.placement_with_constraints_cached(request, scratch, n)
-                });
+                let verdicts = hbd_types::par::par_map(threads, &probes, |_, &n| feasible(n));
                 probes
                     .iter()
-                    .zip(placements)
+                    .zip(verdicts)
                     .rev()
-                    .find(|(_, placement)| feasible(placement))
-                    .map(|(&n, placement)| (n, placement))
+                    .find_map(|(&n, ok)| ok.then_some(n))
             } else {
-                probes.iter().rev().find_map(|&n| {
+                probes.iter().rev().copied().find(|&n| {
                     evaluated += 1;
-                    let placement = self.placement_with_constraints_cached(request, scratch, n);
-                    feasible(&placement).then_some((n, placement))
+                    feasible(n)
                 })
             };
             match hit {
-                Some((n, placement)) => {
+                Some(n) => {
                     // Everything above `n` up to the next probe is still open;
                     // everything from the next probe on is ruled out.
                     if let Some(&next) = probes.iter().find(|&&p| p > n) {
                         high = next - 1;
                     }
-                    best = Some(placement);
+                    best = Some(n);
                     low = n + 1;
                 }
                 None => {
@@ -578,16 +640,16 @@ impl FatTreeOrchestrator {
             }
         }
 
-        let outcome = best
-            .ok_or_else(|| {
-                HbdError::infeasible(format!(
-                    "job needs {needed_nodes} nodes but the cluster cannot provide them under the current fault pattern"
-                ))
-            })
-            .map(|mut placement| {
+        let outcome = match best {
+            Some(n) => {
+                let mut placement = self.placement_with_constraints_cached(request, scratch, n);
                 placement.truncate(job_groups);
-                placement
-            });
+                Ok(placement)
+            }
+            None => Err(HbdError::infeasible(format!(
+                "job needs {needed_nodes} nodes but the cluster cannot provide them under the current fault pattern"
+            ))),
+        };
         (outcome, evaluated)
     }
 
@@ -887,6 +949,36 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
+        /// A search probe's count is the node count of the placement it
+        /// stands for, at every constraint count, for random faults and
+        /// geometries, on the 512-node layout and on the 520-node one with a
+        /// trailing partial rack.
+        #[test]
+        fn placed_count_matches_the_placement(
+            faulty in proptest::collection::vec(0usize..600, 0..80),
+            m in 1usize..17,
+            k in 1usize..5,
+        ) {
+            let faults = FaultSet::from_nodes(faulty.iter().map(|&id| NodeId(id)));
+            let req = OrchestrationRequest {
+                job_nodes: m,
+                nodes_per_group: m,
+                k,
+            };
+            let partial_rack = FatTreeOrchestrator::new(FatTree::new(520, 16, 8).unwrap()).unwrap();
+            for orch in [orchestrator(), partial_rack] {
+                let scratch = orch.search_scratch(&req, &faults);
+                for n in 0..=orch.segment_constraints() + orch.alignment_constraints() {
+                    prop_assert_eq!(
+                        orch.placed_count_cached(&req, &scratch, n),
+                        orch.placement_with_constraints_cached(&req, &scratch, n).nodes_placed(),
+                        "constraint count {}",
+                        n
+                    );
+                }
+            }
+        }
+
         /// The incremental-publish pin: chained patches over random delta
         /// sequences stay bit-identical to cold rebuilds — scratch fields,
         /// search answers and probe counts alike, for 1 and 4 threads — and
@@ -923,8 +1015,15 @@ mod tests {
                     );
                     let cold = assert_matches_cold_rebuild(&orch, &req, &patched, &live);
                     for n in 0..=orch.segment_constraints() + orch.alignment_constraints() {
+                        let placement = orch.placement_with_constraints_cached(&req, &patched, n);
                         prop_assert_eq!(
-                            orch.placement_with_constraints_cached(&req, &patched, n),
+                            orch.placed_count_cached(&req, &patched, n),
+                            placement.nodes_placed(),
+                            "constraint count {}",
+                            n
+                        );
+                        prop_assert_eq!(
+                            placement,
                             orch.placement_with_constraints(&req, &live, n),
                             "constraint count {}",
                             n

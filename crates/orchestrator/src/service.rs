@@ -239,8 +239,10 @@ pub enum QueryKind {
 pub struct QueryCost {
     /// The query kind.
     pub kind: QueryKind,
-    /// Search probes spent: constraint placements evaluated for `Place` /
-    /// `WhatIf`, full feasibility searches for `MaxJob`.
+    /// Search probes spent: constraint counts evaluated for `Place` /
+    /// `WhatIf` (each probe counts the nodes a constraint count places; the
+    /// answer's placement is built once, after the search), job sizes probed
+    /// for `MaxJob`.
     pub probes: usize,
     /// Whether the query built its own private scratch (what-if overlays
     /// always do; shared-state queries never do — theirs is accounted at the
@@ -299,9 +301,11 @@ pub struct BatchReport {
 pub struct ModeledLatency {
     /// Flat modeled dispatch overhead per query, in microseconds.
     pub query_overhead_us: f64,
-    /// Modeled cost of one constraint-placement probe (`Place` / `WhatIf`).
+    /// Modeled cost of one constraint-count probe (`Place` / `WhatIf`).
     pub probe_us: f64,
-    /// Modeled cost of one max-job feasibility search.
+    /// Modeled cost of one max-job job-size probe, priced as a full
+    /// constraint search (the real probe is one comparison against a
+    /// capacity counted once per search).
     pub search_us: f64,
     /// Modeled cost of one scratch build (shared or private).
     pub build_us: f64,
@@ -637,13 +641,9 @@ impl PlacementService {
                 }
                 WorkItem::MaxJob(k, nodes_per_group) => {
                     let scratch = &scratches[&(k, nodes_per_group)];
-                    let report = max_job_with_scratch(orchestrator, nodes_per_group, k, scratch);
-                    (
-                        PlacementAnswer::MaxJob {
-                            job_nodes: report.job_nodes,
-                        },
-                        report.probes,
-                    )
+                    let (job_nodes, probes) =
+                        max_job_with_scratch(orchestrator, nodes_per_group, k, scratch);
+                    (PlacementAnswer::MaxJob { job_nodes }, probes)
                 }
             }
         });

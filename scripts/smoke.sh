@@ -13,10 +13,18 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo check perfbench (separate workspace)"
-# perfbench/ is its own Cargo workspace, so nothing above compiles it; this
-# catches a library API change that would break the benchmark.
-CARGO_TARGET_DIR=target/perfbench cargo check --offline --locked --manifest-path perfbench/Cargo.toml
+echo "==> perfbench build + correctness runs (separate workspace)"
+# perfbench/ is its own Cargo workspace, so nothing above compiles it. Every
+# run first checks a reference prefix of answers against the orchestrator's
+# oracles and exits non-zero on a wrong one, so one short run per
+# BENCHMARK.json workload gates the serving path's correctness. Runs happen
+# under target/smoke/ so their .bench_out/ lands there.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+perfbench="$PWD/target/perfbench/release/perfbench"
+mkdir -p target/smoke/perfbench
+for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  (cd target/smoke/perfbench && "$perfbench" --workload "$workload" --seed 7 --seconds 1 --trace 0 > /dev/null)
+done
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
