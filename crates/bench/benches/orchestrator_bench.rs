@@ -127,7 +127,11 @@ fn bench_greedy_baseline(c: &mut Criterion) {
         );
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(3);
-            black_box(greedy_placement(2048, &faults, 8, 1740, &mut rng).len())
+            black_box(
+                greedy_placement(2048, &faults, 8, 1740, &mut rng)
+                    .unwrap()
+                    .len(),
+            )
         })
     });
 }

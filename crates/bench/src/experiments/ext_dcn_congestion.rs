@@ -25,7 +25,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     let optimized = orchestrator
         .orchestrate_par(&request, &faults, ctx.threads)
         .expect("job fits");
-    let baseline = greedy_placement(nodes, &faults, 8, request.job_nodes, &mut rng);
+    let baseline = greedy_placement(nodes, &faults, 8, request.job_nodes, &mut rng)
+        .expect("positive group size");
     let spec = TrafficSpec::paper_dp_allreduce();
 
     let header = [

@@ -52,7 +52,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         // Drop greedy shortfall jobs (partial placements cannot be lowered
         // into the fixed DP2×PP4 shape, and they have no optimized analogue).
         let (greedy, _) = satisfied_jobs(
-            greedy_place_mix(nodes, &requests, &faults, &mut rng),
+            greedy_place_mix(nodes, &requests, &faults, &mut rng).expect("positive group sizes"),
             &requests,
         );
 

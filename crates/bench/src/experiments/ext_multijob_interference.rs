@@ -53,7 +53,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     // fully satisfied jobs are comparable to the optimized mix, so shortfall
     // jobs are dropped rather than lowered into a mismatched shape.
     let (greedy, _) = satisfied_jobs(
-        greedy_place_mix(nodes, &requests, &faults, &mut rng),
+        greedy_place_mix(nodes, &requests, &faults, &mut rng).expect("positive group sizes"),
         &requests,
     );
 

@@ -21,7 +21,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             k: 2,
         };
         let model = TrafficModel::paper_tp32();
-        let baseline = greedy_placement(nodes, &faults, 8, request.job_nodes, &mut rng);
+        let baseline = greedy_placement(nodes, &faults, 8, request.job_nodes, &mut rng)
+            .expect("positive group size");
         let optimized = orch
             .orchestrate_par(&request, &faults, ctx.threads)
             .expect("job fits");

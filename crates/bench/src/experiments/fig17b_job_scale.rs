@@ -22,7 +22,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             nodes_per_group: 8,
             k: 2,
         };
-        let baseline = greedy_placement(config.nodes, &faults, 8, request.job_nodes, &mut rng);
+        let baseline = greedy_placement(config.nodes, &faults, 8, request.job_nodes, &mut rng)
+            .expect("positive group size");
         let optimized = match orch.orchestrate_par(&request, &faults, ctx.threads) {
             Ok(p) => fmt(cross_tor_rate(&p, &tree, &model) * 100.0, 2),
             Err(_) => "wait".to_string(),

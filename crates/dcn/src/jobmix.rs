@@ -306,13 +306,14 @@ pub fn satisfied_jobs(placed: Vec<PlacedJob>, jobs: &[MixJob]) -> (Vec<PlacedJob
 /// nodes (the §6.4 baseline), and — like the optimized path — each placement
 /// is folded into the next job's exclusion set. Jobs the shuffle cannot
 /// satisfy keep whatever partial placement the node pool allowed, matching
-/// [`greedy_placement`]'s semantics.
+/// [`greedy_placement`]'s semantics. A job with a zero group size is an
+/// [`HbdError::InvalidConfig`](hbd_types::HbdError::InvalidConfig).
 pub fn greedy_place_mix<R: Rng + ?Sized>(
     total_nodes: usize,
     jobs: &[MixJob],
     faults: &FaultSet,
     rng: &mut R,
-) -> Vec<PlacedJob> {
+) -> Result<Vec<PlacedJob>> {
     let mut ledger = ExclusionLedger::with_faults(faults);
     let mut placed = Vec::with_capacity(jobs.len());
     for job in jobs {
@@ -322,14 +323,14 @@ pub fn greedy_place_mix<R: Rng + ?Sized>(
             job.request.nodes_per_group,
             job.request.job_nodes,
             rng,
-        );
+        )?;
         ledger.place(&scheme);
         placed.push(PlacedJob {
             name: job.name.clone(),
             scheme,
         });
     }
-    placed
+    Ok(placed)
 }
 
 #[cfg(test)]
@@ -398,7 +399,7 @@ mod tests {
         use rand::SeedableRng;
         let faults = FaultSet::from_nodes((0..4).map(NodeId));
         let jobs = vec![MixJob::new("a", request(16)), MixJob::new("b", request(16))];
-        let placed = greedy_place_mix(64, &jobs, &faults, &mut StdRng::seed_from_u64(9));
+        let placed = greedy_place_mix(64, &jobs, &faults, &mut StdRng::seed_from_u64(9)).unwrap();
         assert_eq!(placed.len(), 2);
         let mut seen: BTreeSet<NodeId> = BTreeSet::new();
         for job in &placed {
@@ -543,12 +544,30 @@ mod tests {
     }
 
     #[test]
+    fn greedy_mix_rejects_a_zero_group_size() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let zero = OrchestrationRequest {
+            nodes_per_group: 0,
+            ..request(8)
+        };
+        let jobs = vec![MixJob::new("a", request(8)), MixJob::new("b", zero)];
+        let err = greedy_place_mix(64, &jobs, &FaultSet::new(), &mut StdRng::seed_from_u64(5))
+            .unwrap_err();
+        assert!(
+            matches!(err, hbd_types::HbdError::InvalidConfig { .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn satisfied_jobs_drops_short_placements() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         // 10 healthy nodes cannot satisfy a 16-node job after an 8-node job.
         let jobs = vec![MixJob::new("a", request(8)), MixJob::new("b", request(16))];
-        let placed = greedy_place_mix(12, &jobs, &FaultSet::new(), &mut StdRng::seed_from_u64(5));
+        let placed =
+            greedy_place_mix(12, &jobs, &FaultSet::new(), &mut StdRng::seed_from_u64(5)).unwrap();
         let (kept, dropped) = satisfied_jobs(placed, &jobs);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].name, "a");

@@ -63,7 +63,8 @@ impl RunSink<NodeId> for GroupCutter {
 
 /// The counting twin of [`GroupCutter`]: the same run semantics, but it only
 /// tallies the nodes the cutter would place — `⌊run / m⌋ · m` per run — and
-/// builds no group.
+/// builds no group. The oracle of [`RunSummary`].
+#[cfg(test)]
 pub(crate) struct GroupCounter {
     nodes_per_group: usize,
     current: usize,
@@ -71,6 +72,7 @@ pub(crate) struct GroupCounter {
     pub(crate) placed: usize,
 }
 
+#[cfg(test)]
 impl GroupCounter {
     pub(crate) fn new(nodes_per_group: usize) -> Self {
         assert!(nodes_per_group > 0, "TP groups need at least one node");
@@ -82,6 +84,7 @@ impl GroupCounter {
     }
 }
 
+#[cfg(test)]
 impl<T> RunSink<T> for GroupCounter {
     fn healthy(&mut self, _: T) {
         self.current += 1;
@@ -94,6 +97,142 @@ impl<T> RunSink<T> for GroupCounter {
     fn cut(&mut self) {
         self.current = 0;
     }
+}
+
+/// The whole effect of one piece of a K-Hop line on a group count, in a form
+/// that composes: the summary of a line is the [`then`](Self::then)-fold of
+/// its pieces' summaries, so a count over a long line made of cached pieces
+/// costs one O(1) step per piece instead of one per node.
+///
+/// A piece's healthy nodes fall into runs separated by `K` or more
+/// consecutive faults. Only its first and last runs can merge with a
+/// neighbouring piece; every run strictly between them is complete and
+/// contributes `⌊run / m⌋ · m` placed nodes. The faults at either edge
+/// decide whether a neighbour's run merges or is cut off. All fields are
+/// counts for one fixed `(K, m)`; the empty piece is `Default`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RunSummary {
+    /// Faulty positions before the first healthy one (the whole piece when
+    /// it has no healthy node).
+    lead: usize,
+    /// Healthy nodes of the first run; zero exactly when the piece has no
+    /// healthy node.
+    first: usize,
+    /// Whether `K` or more consecutive faults separate the first run from
+    /// the last.
+    cut: bool,
+    /// Nodes placed by the complete runs strictly between the first and the
+    /// last run.
+    inner: usize,
+    /// Healthy nodes of the last run (equal to `first` without a cut).
+    last: usize,
+    /// Faulty positions after the last healthy one.
+    trail: usize,
+}
+
+impl RunSummary {
+    /// Summarizes `items`, classified by `faulty`, in one pass: the summary
+    /// of the same K-Hop run structure [`scan_khop_runs`] walks.
+    pub(crate) fn scan<T, I, F>(items: I, k: usize, nodes_per_group: usize, mut faulty: F) -> Self
+    where
+        I: IntoIterator<Item = T>,
+        F: FnMut(&T) -> bool,
+    {
+        let mut summary = RunSummary::default();
+        let (mut gap, mut run, mut seen_healthy) = (0usize, 0usize, false);
+        for item in items {
+            if faulty(&item) {
+                gap += 1;
+                continue;
+            }
+            if !seen_healthy {
+                summary.lead = gap;
+                seen_healthy = true;
+            } else if gap >= k {
+                if summary.cut {
+                    summary.inner += in_groups(run, nodes_per_group);
+                } else {
+                    summary.first = run;
+                    summary.cut = true;
+                }
+                run = 0;
+            }
+            gap = 0;
+            run += 1;
+        }
+        if !seen_healthy {
+            summary.lead = gap;
+        } else if !summary.cut {
+            summary.first = run;
+        }
+        summary.last = run;
+        summary.trail = gap;
+        summary
+    }
+
+    /// The summary of `self` followed directly by `next` on one line.
+    pub(crate) fn then(self, next: RunSummary, k: usize, nodes_per_group: usize) -> Self {
+        let placed = |run: usize| in_groups(run, nodes_per_group);
+        if self.first == 0 {
+            // No healthy node: `self`'s faults only lengthen `next`'s edges.
+            let trail = if next.first == 0 {
+                self.trail + next.trail
+            } else {
+                next.trail
+            };
+            return RunSummary {
+                lead: self.lead + next.lead,
+                trail,
+                ..next
+            };
+        }
+        if next.first == 0 {
+            return RunSummary {
+                trail: self.trail + next.trail,
+                ..self
+            };
+        }
+        let severed = self.trail + next.lead >= k;
+        let (first, last, inner) = if severed {
+            // The gap between the pieces cuts the line: `self`'s last run
+            // and `next`'s first run both end there.
+            let closed = |cut: bool, run: usize| if cut { placed(run) } else { 0 };
+            let inner = self.inner
+                + next.inner
+                + closed(self.cut, self.last)
+                + closed(next.cut, next.first);
+            (self.first, next.last, inner)
+        } else {
+            // The gap is bypassed: the two edge runs merge into one.
+            let mid = self.last + next.first;
+            let inner =
+                self.inner + next.inner + if self.cut && next.cut { placed(mid) } else { 0 };
+            let first = if self.cut { self.first } else { mid };
+            let last = if next.cut { next.last } else { mid };
+            (first, last, inner)
+        };
+        RunSummary {
+            lead: self.lead,
+            first,
+            cut: self.cut || next.cut || severed,
+            inner,
+            last,
+            trail: next.trail,
+        }
+    }
+
+    /// Nodes a [`GroupCutter`] scanning this summary's line from a fresh
+    /// state places in complete groups.
+    pub(crate) fn placed(&self, nodes_per_group: usize) -> usize {
+        let last = if self.cut { self.last } else { 0 };
+        in_groups(self.first, nodes_per_group) + self.inner + in_groups(last, nodes_per_group)
+    }
+}
+
+/// Nodes of a `run`-node healthy run that complete groups of
+/// `nodes_per_group`: `⌊run / m⌋ · m`.
+fn in_groups(run: usize, nodes_per_group: usize) -> usize {
+    run - run % nodes_per_group
 }
 
 /// Runs Algorithm 2 over an explicit node ordering.
@@ -309,6 +448,34 @@ mod tests {
                 counter.placed,
                 orchestrate_dcn_free(&order, k, &faults, m).nodes_placed()
             );
+        }
+
+        /// The concatenation law behind the O(p) probe: cutting a random
+        /// line at random points (empty and all-faulty pieces included),
+        /// summarizing each piece and folding the summaries left to right
+        /// counts exactly what a `GroupCounter` counts over the whole line.
+        /// The fold of every piece is also the summary of the whole line.
+        #[test]
+        fn folded_run_summaries_count_like_the_whole_line(
+            line in proptest::collection::vec(0usize..3, 0..80),
+            cuts in proptest::collection::vec(0usize..81, 0..8),
+            k in 1usize..5,
+            m in 1usize..17,
+        ) {
+            // Two in three positions faulty, so long fault runs, all-faulty
+            // pieces and severed lines are common.
+            let faulty: Vec<bool> = line.iter().map(|&v| v != 0).collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(faulty.len())).collect();
+            bounds.extend([0, faulty.len()]);
+            bounds.sort_unstable();
+            let pieces = bounds.windows(2).map(|w| &faulty[w[0]..w[1]]);
+            let summarize = |piece: &[bool]| RunSummary::scan(piece, k, m, |&&f| f);
+            let folded = pieces.fold(RunSummary::default(), |acc, piece| acc.then(summarize(piece), k, m));
+
+            let mut counter = GroupCounter::new(m);
+            scan_khop_runs(faulty.iter(), k, |&&f| f, &mut counter);
+            prop_assert_eq!(folded.placed(m), counter.placed);
+            prop_assert_eq!(folded, summarize(&faulty));
         }
 
         /// Dense fault runs around the `K` threshold are the interesting

@@ -19,7 +19,7 @@
 //! ordering ("first relaxes the TP Group alignment constraints ... then relaxes
 //! the TP Group crossing constraints").
 
-use crate::dcn_free::{orchestrate_dcn_free, GroupCounter, GroupCutter};
+use crate::dcn_free::{orchestrate_dcn_free, GroupCutter, RunSummary};
 use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
 use hbd_types::{HbdError, NodeId, Result};
@@ -68,7 +68,14 @@ pub struct FatTreeOrchestrator {
 /// [`FatTreeOrchestrator::orchestrate_par`] call): everything the probe
 /// ladder would otherwise recompute per probe, built once and shared
 /// immutably across the probe-evaluation threads.
-#[derive(Debug)]
+///
+/// Besides both placement variants of every sub-line segment it holds the
+/// tables that make a probe O(p) (p = nodes per ToR = sub-lines): prefix sums
+/// of the segments' node counts for the constrained part, and per-sub-line
+/// suffix folds of the segments' [`RunSummary`]s plus summaries of the
+/// trailing partial rack for the residual line (see
+/// [`FatTreeOrchestrator::placed_count_cached`]).
+#[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
     /// The deployment order (Algorithm 3). Layout-only (fault-independent),
     /// so patched scratches share it by `Arc`.
@@ -93,26 +100,45 @@ pub(crate) struct SearchScratch {
     /// probe with `a` aligned domains reads this set below the cutoff
     /// `a × nodes_per_aggregation_domain` and `raw` from the cutoff on.
     expanded: FaultSet,
+    /// `raw_prefix[s]`: `raw_nodes` summed over the first `s` segments.
+    raw_prefix: Vec<usize>,
+    /// `aligned_prefix[s]`: `aligned_nodes` summed over the first `s`
+    /// segments.
+    aligned_prefix: Vec<usize>,
+    /// For sub-line `i` and domain `q`, `suffix[i * (domains + 1) + q]` is
+    /// the fold of the raw summaries of sub-line `i`'s segments in domains
+    /// `q..domains` (`domains = segments.len() / p`); the last entry of each
+    /// sub-line is the empty summary.
+    suffix: Vec<RunSummary>,
+    /// Summary of the trailing partial rack (the end of `order` past the
+    /// sub-lines, owned by no segment) under `raw`.
+    tail_raw: RunSummary,
+    /// The same under `expanded`.
+    tail_expanded: RunSummary,
 }
 
 /// The two placements a sub-line segment can contribute, depending only on
 /// whether its aggregation domain is alignment-constrained, plus their
-/// `nodes_placed()` so a count-only probe never walks the groups.
+/// `nodes_placed()` so a count-only probe never walks the groups, and the
+/// run summary of the segment's raw faults for the residual line of an
+/// unaligned probe.
 #[derive(Debug)]
 struct SegmentCache {
     raw: PlacementScheme,
     aligned: PlacementScheme,
     raw_nodes: usize,
     aligned_nodes: usize,
+    summary: RunSummary,
 }
 
 impl SegmentCache {
-    fn new(raw: PlacementScheme, aligned: PlacementScheme) -> Self {
+    fn new(raw: PlacementScheme, aligned: PlacementScheme, summary: RunSummary) -> Self {
         SegmentCache {
             raw_nodes: raw.nodes_placed(),
             aligned_nodes: aligned.nodes_placed(),
             raw,
             aligned,
+            summary,
         }
     }
 }
@@ -281,8 +307,9 @@ impl FatTreeOrchestrator {
 
     /// Builds the per-search scratch shared by every probe of one constraint
     /// search: the deployment order, the segment-ownership mask, the raw and
-    /// the ToR-expanded fault sets, and both placement variants of every
-    /// sub-line segment.
+    /// the ToR-expanded fault sets, both placement variants and the raw run
+    /// summary of every sub-line segment, and the probe tables derived from
+    /// them.
     ///
     /// A segment's placement depends only on the segment and on whether its
     /// own aggregation domain is aligned: ToRs never straddle domains
@@ -319,16 +346,66 @@ impl FatTreeOrchestrator {
             segments.push(Arc::new(SegmentCache::new(
                 orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group),
                 orchestrate_dcn_free(&nodes, request.k, &expanded, request.nodes_per_group),
+                RunSummary::scan(&nodes, request.k, request.nodes_per_group, |n| {
+                    faults.is_faulty(**n)
+                }),
             )));
         }
 
-        SearchScratch {
+        let mut scratch = SearchScratch {
             order: Arc::new(self.deployment.deployment_order()),
             owner: Arc::new(owner),
             segments,
             raw: faults.clone(),
             expanded,
+            ..SearchScratch::default()
+        };
+        self.derive_probe_tables(request, &mut scratch, |_| true);
+        scratch
+    }
+
+    /// Fills the probe tables of `scratch` from its segments and fault sets:
+    /// refolds the suffix summaries of every sub-line `refold` selects (a
+    /// fresh scratch's empty `suffix` is sized first, so a cold build selects
+    /// all), and rebuilds the segment prefix sums and the trailing-rack
+    /// summaries, both O(segments + p).
+    fn derive_probe_tables(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &mut SearchScratch,
+        refold: impl Fn(usize) -> bool,
+    ) {
+        let (k, m) = (request.k, request.nodes_per_group);
+        let p = self.deployment.sublines();
+        let domains = scratch.segments.len() / p;
+        scratch
+            .suffix
+            .resize(p * (domains + 1), RunSummary::default());
+        for (subline, folds) in scratch.suffix.chunks_mut(domains + 1).enumerate() {
+            if !refold(subline) {
+                continue;
+            }
+            for domain in (0..domains).rev() {
+                let segment = &scratch.segments[domain * p + subline];
+                folds[domain] = segment.summary.then(folds[domain + 1], k, m);
+            }
         }
+
+        let prefix = |count: fn(&SegmentCache) -> usize| {
+            std::iter::once(0)
+                .chain(scratch.segments.iter().scan(0, |sum, cache| {
+                    *sum += count(cache);
+                    Some(*sum)
+                }))
+                .collect::<Vec<usize>>()
+        };
+        scratch.raw_prefix = prefix(|cache| cache.raw_nodes);
+        scratch.aligned_prefix = prefix(|cache| cache.aligned_nodes);
+
+        let tail = &scratch.order[self.deployment.subline_length() * p..];
+        let summarize = |faults: &FaultSet| RunSummary::scan(tail, k, m, |n| faults.is_faulty(**n));
+        scratch.tail_raw = summarize(&scratch.raw);
+        scratch.tail_expanded = summarize(&scratch.expanded);
     }
 
     /// Derives the scratch for `faults` from a scratch previously built (or
@@ -348,7 +425,10 @@ impl FatTreeOrchestrator {
     ///   crosses a domain boundary;
     /// * inside a dirty domain, only segments whose own nodes' raw (resp.
     ///   expanded) bits flipped re-orchestrate their raw (resp. aligned)
-    ///   variant; every other variant is carried over.
+    ///   variant; every other variant is carried over;
+    /// * only raw-dirty segments re-summarize their runs, and only their
+    ///   sub-lines refold their suffix summaries; the segment prefix sums
+    ///   and the trailing-rack summaries are rebuilt (O(segments + p)).
     ///
     /// Bit-exactness versus the cold rebuild follows from
     /// `orchestrate_dcn_free` being a deterministic function of the fault
@@ -404,26 +484,40 @@ impl FatTreeOrchestrator {
                 .deployment
                 .subline_segment(seg % p, seg / p, tors_per_domain)
                 .expect("segment was defined when the old scratch was built");
-            let raw = if raw_hit {
-                orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group)
+            let (raw, summary) = if raw_hit {
+                (
+                    orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group),
+                    RunSummary::scan(&nodes, request.k, request.nodes_per_group, |n| {
+                        faults.is_faulty(**n)
+                    }),
+                )
             } else {
-                cache.raw.clone()
+                (cache.raw.clone(), cache.summary)
             };
             let aligned = if aligned_hit {
                 orchestrate_dcn_free(&nodes, request.k, &expanded, request.nodes_per_group)
             } else {
                 cache.aligned.clone()
             };
-            segments.push(Arc::new(SegmentCache::new(raw, aligned)));
+            segments.push(Arc::new(SegmentCache::new(raw, aligned, summary)));
         }
 
-        let scratch = SearchScratch {
+        let mut scratch = SearchScratch {
             order: Arc::clone(&old.order),
             owner: Arc::clone(&old.owner),
             segments,
             raw: faults.clone(),
             expanded,
+            suffix: old.suffix.clone(),
+            ..SearchScratch::default()
         };
+        self.derive_probe_tables(request, &mut scratch, |subline| {
+            raw_dirty
+                .iter()
+                .skip(subline)
+                .step_by(p)
+                .any(|&dirty| dirty)
+        });
         (scratch, stats)
     }
 
@@ -460,11 +554,54 @@ impl FatTreeOrchestrator {
     }
 
     /// `placement_with_constraints_cached(request, scratch, n).nodes_placed()`
-    /// without building the placement: the constrained segments contribute
-    /// their memoized counts and the residual scan feeds the same kernel a
-    /// [`GroupCounter`] instead of a [`GroupCutter`]. This is what a search
-    /// probe evaluates (pinned to the placement by proptests).
+    /// in O(p) without building the placement or scanning a node. This is
+    /// what a search probe evaluates.
+    ///
+    /// The constrained segments contribute their memoized counts, read off
+    /// the prefix sums: aligned ones below segment `a × p`, raw ones above.
+    /// The residual line is counted from run summaries. Segments are numbered
+    /// domain-major while the deployment order is sub-line-major, so with
+    /// `c` constrained segments the residual part of sub-line `i` is its
+    /// suffix from domain `⌈(c − i) / p⌉` on (one cached fold), and the line
+    /// ends with the trailing partial rack. With `a > 0` aligned domains
+    /// every defined segment is constrained and only that rack remains; it
+    /// reads the expanded faults when it lies below the alignment cutoff.
+    /// Pinned to the residual scan [`placed_count_scan`](Self::placed_count_scan)
+    /// and to the placement by proptests.
     pub(crate) fn placed_count_cached(
+        &self,
+        request: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        n_constraints: usize,
+    ) -> usize {
+        let p = self.deployment.sublines();
+        let (k, m) = (request.k, request.nodes_per_group);
+        let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
+        let aligned = (aligned_domains * p).min(constrained);
+        let segments = scratch.aligned_prefix[aligned] + scratch.raw_prefix[constrained]
+            - scratch.raw_prefix[aligned];
+
+        let domains = scratch.segments.len() / p;
+        let mut line = RunSummary::default();
+        for subline in 0..p {
+            let from = constrained.saturating_sub(subline).div_ceil(p);
+            line = line.then(scratch.suffix[subline * (domains + 1) + from], k, m);
+        }
+        let tail_start = self.deployment.subline_length() * p;
+        let tail = if tail_start < aligned_domains * self.fat_tree.nodes_per_aggregation_domain() {
+            scratch.tail_expanded
+        } else {
+            scratch.tail_raw
+        };
+        segments + line.then(tail, k, m).placed(m)
+    }
+
+    /// The residual-scan count [`placed_count_cached`](Self::placed_count_cached)
+    /// replaced: memoized segment counts plus the residual line streamed
+    /// through the linear-scan kernel into a `GroupCounter`. O(nodes); the
+    /// probe's oracle.
+    #[cfg(test)]
+    pub(crate) fn placed_count_scan(
         &self,
         request: &OrchestrationRequest,
         scratch: &SearchScratch,
@@ -486,7 +623,7 @@ impl FatTreeOrchestrator {
             })
             .sum();
 
-        let mut counter = GroupCounter::new(request.nodes_per_group);
+        let mut counter = crate::dcn_free::GroupCounter::new(request.nodes_per_group);
         self.scan_residual(request, scratch, constrained, aligned_domains, &mut counter);
         segments + counter.placed
     }
@@ -502,9 +639,10 @@ impl FatTreeOrchestrator {
         (constrained, aligned_domains)
     }
 
-    /// The residual pass of a probe: every node not owned by one of the first
-    /// `constrained` segments, in deployment order, through the linear-scan
-    /// kernel into `sink`.
+    /// The residual pass of a placement: every node not owned by one of the
+    /// first `constrained` segments, in deployment order, through the
+    /// linear-scan kernel into `sink`. Probes count the same line from run
+    /// summaries instead.
     fn scan_residual<S: RunSink<NodeId>>(
         &self,
         request: &OrchestrationRequest,
@@ -564,9 +702,8 @@ impl FatTreeOrchestrator {
         request.validate()?;
         // Everything probe-invariant is computed once: the deployment order,
         // the segment-ownership mask, the raw and ToR-expanded fault sets,
-        // and both placement variants (and node counts) of every segment.
-        // Each probe then only sums memoized segment counts and counts its
-        // residual line.
+        // both placement variants (and node counts) of every segment, and
+        // the probe tables. Each probe is then O(p) table lookups.
         let scratch = self.search_scratch(request, faults);
         self.orchestrate_with_scratch(request, &scratch, threads).0
     }
@@ -711,8 +848,34 @@ mod tests {
         for (seg, (p, c)) in patched.segments.iter().zip(&cold.segments).enumerate() {
             assert_eq!(p.raw, c.raw, "segment {seg} raw placement");
             assert_eq!(p.aligned, c.aligned, "segment {seg} aligned placement");
+            assert_eq!(p.summary, c.summary, "segment {seg} run summary");
         }
+        assert_eq!(patched.raw_prefix, cold.raw_prefix);
+        assert_eq!(patched.aligned_prefix, cold.aligned_prefix);
+        assert_eq!(patched.suffix, cold.suffix, "sub-line suffix folds");
+        assert_eq!(patched.tail_raw, cold.tail_raw);
+        assert_eq!(patched.tail_expanded, cold.tail_expanded);
         cold
+    }
+
+    /// The O(p) probe count equals the residual-scan oracle at every
+    /// `stride`-th constraint count and at every count with an aligned
+    /// domain.
+    fn assert_probes_match_scan(
+        orch: &FatTreeOrchestrator,
+        req: &OrchestrationRequest,
+        scratch: &SearchScratch,
+        stride: usize,
+    ) {
+        let segments = orch.segment_constraints();
+        let total = segments + orch.alignment_constraints();
+        for n in (0..=total).step_by(stride).chain(segments..=total) {
+            assert_eq!(
+                orch.placed_count_cached(req, scratch, n),
+                orch.placed_count_scan(req, scratch, n),
+                "constraint count {n}"
+            );
+        }
     }
 
     fn orchestrator() -> FatTreeOrchestrator {
@@ -946,13 +1109,43 @@ mod tests {
         assert_matches_cold_rebuild(&orch, &req, &patched, &moved);
     }
 
+    #[test]
+    fn probes_match_the_scan_at_the_serving_geometry() {
+        // 16,384 nodes, 16 per ToR, 8 ToRs per aggregation domain, ~2 %
+        // faults: the layout the placement service is benchmarked on. The
+        // offline oracle its answers are checked against (`orchestrate_par`)
+        // runs this same probe, so only the residual scan can catch a wrong
+        // count; it checks a cold and a patched scratch. A stride coprime to
+        // the 16 sub-lines still meets every residue of the
+        // constrained-segment count.
+        let orch = FatTreeOrchestrator::new(FatTree::new(16_384, 16, 8).unwrap()).unwrap();
+        let faults = FaultSet::from_nodes((0..330).map(|i| NodeId(i * 7_919 % 16_384)));
+        let mut moved = faults.clone();
+        for i in 0..16 {
+            moved.add(NodeId(i * 1_021 + 5));
+        }
+        moved.remove(NodeId(0));
+        for m in [8usize, 16] {
+            let req = OrchestrationRequest {
+                job_nodes: 8_192,
+                nodes_per_group: m,
+                k: 2,
+            };
+            let scratch = orch.search_scratch(&req, &faults);
+            assert_probes_match_scan(&orch, &req, &scratch, 7);
+            let (patched, _) = orch.patch_scratch(&req, &scratch, &moved);
+            assert_matches_cold_rebuild(&orch, &req, &patched, &moved);
+            assert_probes_match_scan(&orch, &req, &patched, 7);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// A search probe's count is the node count of the placement it
-        /// stands for, at every constraint count, for random faults and
-        /// geometries, on the 512-node layout and on the 520-node one with a
-        /// trailing partial rack.
+        /// stands for and the residual-scan count, at every constraint
+        /// count, for random faults and geometries, on the 512-node layout
+        /// and on two 520-node ones with a trailing partial rack.
         #[test]
         fn placed_count_matches_the_placement(
             faulty in proptest::collection::vec(0usize..600, 0..80),
@@ -966,12 +1159,22 @@ mod tests {
                 k,
             };
             let partial_rack = FatTreeOrchestrator::new(FatTree::new(520, 16, 8).unwrap()).unwrap();
-            for orch in [orchestrator(), partial_rack] {
+            // 5 ToRs per domain: the last domain is cut short and also holds
+            // the partial rack.
+            let short_domain = FatTreeOrchestrator::new(FatTree::new(520, 16, 5).unwrap()).unwrap();
+            for orch in [orchestrator(), partial_rack, short_domain] {
                 let scratch = orch.search_scratch(&req, &faults);
                 for n in 0..=orch.segment_constraints() + orch.alignment_constraints() {
+                    let count = orch.placed_count_cached(&req, &scratch, n);
                     prop_assert_eq!(
-                        orch.placed_count_cached(&req, &scratch, n),
+                        count,
                         orch.placement_with_constraints_cached(&req, &scratch, n).nodes_placed(),
+                        "constraint count {}",
+                        n
+                    );
+                    prop_assert_eq!(
+                        count,
+                        orch.placed_count_scan(&req, &scratch, n),
                         "constraint count {}",
                         n
                     );
@@ -1016,9 +1219,11 @@ mod tests {
                     let cold = assert_matches_cold_rebuild(&orch, &req, &patched, &live);
                     for n in 0..=orch.segment_constraints() + orch.alignment_constraints() {
                         let placement = orch.placement_with_constraints_cached(&req, &patched, n);
+                        let count = orch.placed_count_cached(&req, &patched, n);
+                        prop_assert_eq!(count, placement.nodes_placed(), "constraint count {}", n);
                         prop_assert_eq!(
-                            orch.placed_count_cached(&req, &patched, n),
-                            placement.nodes_placed(),
+                            count,
+                            orch.placed_count_scan(&req, &patched, n),
                             "constraint count {}",
                             n
                         );

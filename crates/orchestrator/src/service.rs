@@ -240,7 +240,8 @@ pub struct QueryCost {
     /// The query kind.
     pub kind: QueryKind,
     /// Search probes spent: constraint counts evaluated for `Place` /
-    /// `WhatIf` (each probe counts the nodes a constraint count places; the
+    /// `WhatIf` (each probe counts the nodes a constraint count places, in
+    /// O(nodes per ToR) from the scratch's prefix sums and run summaries; the
     /// answer's placement is built once, after the search), job sizes probed
     /// for `MaxJob`.
     pub probes: usize,

@@ -28,7 +28,7 @@ proptest! {
     ) {
         let faults = FaultSet::from_nodes((0..faulty_prefix.min(total)).map(hbd_types::NodeId));
         let mut rng = StdRng::seed_from_u64(seed);
-        let scheme = greedy_placement(total, &faults, nodes_per_group, job_nodes, &mut rng);
+        let scheme = greedy_placement(total, &faults, nodes_per_group, job_nodes, &mut rng).unwrap();
 
         // Every group is full-size; a zero-node job places zero groups.
         for group in &scheme.groups {

@@ -31,7 +31,7 @@ fn main() -> Result<()> {
         k: 2,
     };
 
-    let baseline = greedy_placement(nodes, &faults, 8, request.job_nodes, &mut rng);
+    let baseline = greedy_placement(nodes, &faults, 8, request.job_nodes, &mut rng)?;
     let optimized = orchestrator.orchestrate_par(&request, &faults, 1)?;
 
     // A 2:1 oversubscribed fabric — the regime where placement starts to

@@ -30,7 +30,7 @@ fn main() -> Result<()> {
         request.nodes_per_group,
         request.job_nodes,
         &mut StdRng::seed_from_u64(7),
-    );
+    )?;
 
     let traffic = TrafficModel::paper_tp32();
     println!(

@@ -32,7 +32,7 @@ fn optimized_placement_keeps_the_fabric_uncongested() {
     let optimized = orchestrator
         .orchestrate_par(&request, &faults, 1)
         .expect("fits");
-    let baseline = greedy_placement(512, &faults, 8, request.job_nodes, &mut rng);
+    let baseline = greedy_placement(512, &faults, 8, request.job_nodes, &mut rng).unwrap();
 
     let network = DcnNetwork::new(tree, NetworkParams::non_blocking(16, 4).oversubscribed(4.0))
         .expect("network");
@@ -76,7 +76,7 @@ fn non_blocking_fabric_makes_placement_irrelevant_for_slowdown() {
     let optimized = orchestrator
         .orchestrate_par(&request, &faults, 1)
         .expect("fits");
-    let baseline = greedy_placement(256, &faults, 8, request.job_nodes, &mut rng);
+    let baseline = greedy_placement(256, &faults, 8, request.job_nodes, &mut rng).unwrap();
 
     // Fully non-blocking network: cross-ToR traffic is no longer a problem, so
     // both placements complete at the access-link bound (each interior node
@@ -144,6 +144,7 @@ fn multijob_mix_is_confined_by_the_optimized_placement() {
     let optimized_outcome = replay_mix_par(&network, &optimized_jobs, 1).expect("replay");
 
     let greedy_jobs: Vec<JobTraffic> = greedy_place_mix(512, &mix, &faults, &mut rng)
+        .unwrap()
         .iter()
         .map(|p| matrix.lower(&p.scheme, p.name.clone(), 2).expect("lower"))
         .collect();

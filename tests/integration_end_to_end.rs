@@ -119,7 +119,7 @@ proptest! {
             prop_assert!(placement.validate(8, &faulty).is_ok());
             prop_assert!(placement.nodes_placed() >= 384);
         }
-        let baseline = greedy_placement(nodes, &faults, 8, 384, &mut StdRng::seed_from_u64(seed));
+        let baseline = greedy_placement(nodes, &faults, 8, 384, &mut StdRng::seed_from_u64(seed)).unwrap();
         prop_assert!(baseline.validate(8, &faulty).is_ok());
     }
 }

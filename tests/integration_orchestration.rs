@@ -22,7 +22,7 @@ fn optimized_orchestration_beats_the_greedy_baseline() {
         k: 2,
     };
     let optimized = orch.orchestrate_par(&request, &faults, 1).unwrap();
-    let baseline = greedy_placement(1024, &faults, 8, 870, &mut rng);
+    let baseline = greedy_placement(1024, &faults, 8, 870, &mut rng).unwrap();
     let model = TrafficModel::paper_tp32();
     let optimized_rate = cross_tor_rate(&optimized, &tree, &model);
     let baseline_rate = cross_tor_rate(&baseline, &tree, &model);
