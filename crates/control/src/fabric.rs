@@ -7,7 +7,7 @@
 //! many reconfigurations it performed and how long the hardware spent
 //! switching.
 
-use crate::plan::{BundleAction, NodeDirective};
+use crate::plan::BundleAction;
 use hbd_types::{HbdError, Microseconds, NodeId, Result};
 use ocstrx::{Bundle, BundleState};
 use serde::{Deserialize, Serialize};
@@ -113,14 +113,7 @@ impl FabricManager {
             .bundles
             .get_mut(bundle)
             .ok_or_else(|| HbdError::unknown_entity(format!("bundle {bundle} on {}", self.node)))?;
-        let already = matches!(
-            (b.state(), action),
-            (BundleState::ActivePrimary, BundleAction::ActivatePrimary)
-                | (BundleState::ActiveBackup, BundleAction::ActivateBackup)
-                | (BundleState::Loopback, BundleAction::Loopback)
-                | (BundleState::Idle, BundleAction::Idle)
-        );
-        if already {
+        if b.state() == action.state() {
             return Ok(Microseconds::ZERO);
         }
         let latency = match action {
@@ -179,16 +172,6 @@ impl FabricManager {
     pub fn stale_commands(&self) -> u64 {
         self.stale_commands
     }
-
-    /// Applies a whole node directive. The bundles switch concurrently, so the
-    /// returned latency is the maximum over the individual switches.
-    pub fn apply_directive(&mut self, directive: &NodeDirective) -> Result<Microseconds> {
-        let mut slowest = Microseconds::ZERO;
-        for (bundle, action) in directive.iter() {
-            slowest = slowest.max(self.apply(bundle, action)?);
-        }
-        Ok(slowest)
-    }
 }
 
 #[cfg(test)]
@@ -241,29 +224,6 @@ mod tests {
         let mut fm = FabricManager::new(NodeId(1), 2).unwrap();
         assert!(fm.apply(2, BundleAction::Loopback).is_err());
         assert!(fm.bundle_state(5).is_err());
-    }
-
-    #[test]
-    fn directive_latency_is_the_slowest_bundle() {
-        let mut fm = FabricManager::new(NodeId(2), 3).unwrap();
-        // Build a directive through the plan API surface: bundle 0 and 1 carry
-        // the distance-1 ring links, bundle 2 stays idle.
-        let plan = {
-            use crate::plan::RingPlan;
-            use crate::wiring::Wiring;
-            use topology::RingSegment;
-            let wiring = Wiring::new(9, 3, true).unwrap();
-            let segment = RingSegment {
-                nodes: (0..9).map(NodeId).collect(),
-                wraps: false,
-            };
-            RingPlan::for_segments(&wiring, &[segment]).unwrap()
-        };
-        let directive = plan.node(NodeId(2));
-        let slowest = fm.apply_directive(&directive).unwrap();
-        assert!(slowest > Microseconds::ZERO);
-        assert!(fm.reconfigurations() >= 2);
-        assert!(fm.switching_time() >= slowest);
     }
 
     #[test]

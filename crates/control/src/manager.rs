@@ -21,7 +21,6 @@ use crate::plan::RingPlan;
 use crate::timeline::{ControlEventKind, Timeline};
 use hbd_types::{HbdError, Microseconds, NodeId, Result, Seconds};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use topology::{FaultSet, HbdArchitecture, KHopRing};
 
 /// Fixed software latencies of the control loop.
@@ -96,7 +95,8 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterManager {
     planner: FailoverPlanner,
-    fabric: BTreeMap<NodeId, FabricManager>,
+    /// The fabric manager of every node, indexed by node.
+    fabric: Vec<FabricManager>,
     faults: FaultSet,
     deployed: RingPlan,
     latencies: ControlLatencies,
@@ -111,10 +111,9 @@ impl ClusterManager {
         let nodes = ring.nodes();
         let k = ring.k();
         let planner = FailoverPlanner::new(ring)?;
-        let mut fabric = BTreeMap::new();
-        for n in 0..nodes {
-            fabric.insert(NodeId(n), FabricManager::new(NodeId(n), k)?);
-        }
+        let fabric = (0..nodes)
+            .map(|n| FabricManager::new(NodeId(n), k))
+            .collect::<Result<_>>()?;
         let mut manager = ClusterManager {
             planner,
             fabric,
@@ -151,7 +150,7 @@ impl ClusterManager {
     /// The fabric manager of one node.
     pub fn fabric(&self, node: NodeId) -> Result<&FabricManager> {
         self.fabric
-            .get(&node)
+            .get(node.index())
             .ok_or_else(|| HbdError::unknown_entity(format!("{node}")))
     }
 
@@ -277,7 +276,7 @@ impl ClusterManager {
         for command in &commands {
             let fm = self
                 .fabric
-                .get_mut(&command.node)
+                .get_mut(command.node.index())
                 .ok_or_else(|| HbdError::unknown_entity(format!("{}", command.node)))?;
             let latency = fm.apply(command.bundle, command.action)?;
             if latency > Microseconds::ZERO {

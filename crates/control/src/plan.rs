@@ -10,9 +10,8 @@
 
 use crate::wiring::{FabricPort, Wiring};
 use hbd_types::{HbdError, NodeId, Result};
-use ocstrx::PathId;
+use ocstrx::{BundleState, PathId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use topology::RingSegment;
 
 /// What a fabric bundle should be doing.
@@ -34,6 +33,16 @@ impl BundleAction {
     pub fn is_active(self) -> bool {
         !matches!(self, BundleAction::Idle)
     }
+
+    /// The bundle state the action realises.
+    pub fn state(self) -> BundleState {
+        match self {
+            BundleAction::ActivatePrimary => BundleState::ActivePrimary,
+            BundleAction::ActivateBackup => BundleState::ActiveBackup,
+            BundleAction::Loopback => BundleState::Loopback,
+            BundleAction::Idle => BundleState::Idle,
+        }
+    }
 }
 
 /// A single (node, bundle) directive.
@@ -47,40 +56,46 @@ pub struct PortDirective {
     pub action: BundleAction,
 }
 
-/// All directives for one node, indexed by bundle.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct NodeDirective {
-    actions: BTreeMap<usize, BundleAction>,
+/// All directives for one node, indexed by bundle: a view of the node's
+/// slots in a [`RingPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NodeDirective<'a> {
+    actions: &'a [Option<BundleAction>],
 }
 
-impl NodeDirective {
+impl NodeDirective<'_> {
     /// The action assigned to `bundle` (idle if the plan never mentions it).
     pub fn action(&self, bundle: usize) -> BundleAction {
         self.actions
-            .get(&bundle)
+            .get(bundle)
             .copied()
+            .flatten()
             .unwrap_or(BundleAction::Idle)
     }
 
     /// Iterates over (bundle, action) pairs in bundle order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, BundleAction)> + '_ {
-        self.actions.iter().map(|(&b, &a)| (b, a))
+        self.actions
+            .iter()
+            .enumerate()
+            .filter_map(|(b, a)| a.map(|a| (b, a)))
     }
 
     /// Number of bundles that carry ring traffic under this directive.
     pub fn active_bundles(&self) -> usize {
-        self.actions.values().filter(|a| a.is_active()).count()
-    }
-
-    fn set(&mut self, bundle: usize, action: BundleAction) {
-        self.actions.insert(bundle, action);
+        self.iter().filter(|(_, a)| a.is_active()).count()
     }
 }
 
 /// The desired configuration of the whole fabric.
+///
+/// The plan holds `k` bundle slots per node, node-major, for every node of
+/// the wiring it was built on. A node the plan never mentions (a faulty one)
+/// has no action in any slot; a mentioned node has one in every slot.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct RingPlan {
-    nodes: BTreeMap<NodeId, NodeDirective>,
+    k: usize,
+    slots: Vec<Option<BundleAction>>,
 }
 
 impl RingPlan {
@@ -98,15 +113,20 @@ impl RingPlan {
     /// covers the entire closed deployment is realised as a cycle (no loopback
     /// needed). Single-node segments simply loop back on bundle 0.
     pub fn for_segments(wiring: &Wiring, segments: &[RingSegment]) -> Result<Self> {
-        let mut plan = RingPlan::empty();
+        let mut plan = RingPlan {
+            k: wiring.k(),
+            slots: vec![None; wiring.nodes() * wiring.k()],
+        };
         for segment in segments {
             plan.add_segment(wiring, segment)?;
         }
         // Every fabric bundle not claimed by a segment goes idle explicitly, so
         // diffs against older plans release stale activations.
-        for node in plan.nodes.values_mut() {
-            for bundle in 0..wiring.k() {
-                node.actions.entry(bundle).or_insert(BundleAction::Idle);
+        for node in plan.slots.chunks_exact_mut(wiring.k()) {
+            if node.iter().any(Option::is_some) {
+                for slot in node.iter_mut().filter(|slot| slot.is_none()) {
+                    *slot = Some(BundleAction::Idle);
+                }
             }
         }
         Ok(plan)
@@ -151,7 +171,7 @@ impl RingPlan {
 
         for chain in chains {
             if chain.len() == 1 {
-                let bundle = self.free_bundle(chain[0], wiring.k());
+                let bundle = self.free_bundle(chain[0]);
                 self.set(chain[0], bundle, BundleAction::Loopback)?;
                 continue;
             }
@@ -162,9 +182,9 @@ impl RingPlan {
             // facing *away* from the chain switches to loopback.
             let head = chain[0];
             let tail = chain[chain.len() - 1];
-            let head_loop = self.free_bundle(head, wiring.k());
+            let head_loop = self.free_bundle(head);
             self.set(head, head_loop, BundleAction::Loopback)?;
-            let tail_loop = self.free_bundle(tail, wiring.k());
+            let tail_loop = self.free_bundle(tail);
             self.set(tail, tail_loop, BundleAction::Loopback)?;
         }
         Ok(())
@@ -187,87 +207,76 @@ impl RingPlan {
     }
 
     /// The lowest-indexed bundle of `node` not yet claimed by this plan.
-    fn free_bundle(&self, node: NodeId, k: usize) -> usize {
-        let directive = self.nodes.get(&node);
-        (0..k)
-            .find(|b| {
-                directive
-                    .map(|d| !d.actions.contains_key(b))
-                    .unwrap_or(true)
-            })
+    fn free_bundle(&self, node: NodeId) -> usize {
+        self.node(node)
+            .actions
+            .iter()
+            .position(Option::is_none)
             .unwrap_or(0)
     }
 
     fn set(&mut self, node: NodeId, bundle: usize, action: BundleAction) -> Result<()> {
-        let directive = self.nodes.entry(node).or_default();
-        if let Some(existing) = directive.actions.get(&bundle) {
-            if *existing != action && existing.is_active() && action.is_active() {
+        let slot = self
+            .slots
+            .get_mut(node.index() * self.k + bundle)
+            .filter(|_| bundle < self.k)
+            .ok_or_else(|| HbdError::unknown_entity(format!("bundle {bundle} of {node}")))?;
+        if let Some(existing) = *slot {
+            if existing != action && existing.is_active() && action.is_active() {
                 return Err(HbdError::invalid_operation(format!(
                     "bundle {bundle} of {node} assigned two conflicting active roles"
                 )));
             }
         }
-        directive.set(bundle, action);
+        *slot = Some(action);
         Ok(())
     }
 
     /// Directive for one node (empty directive if the node is unused).
-    pub fn node(&self, node: NodeId) -> NodeDirective {
-        self.nodes.get(&node).cloned().unwrap_or_default()
-    }
-
-    /// Nodes that have at least one non-idle bundle.
-    pub fn active_nodes(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|(_, d)| d.active_bundles() > 0)
-            .map(|(&n, _)| n)
-            .collect()
+    pub fn node(&self, node: NodeId) -> NodeDirective<'_> {
+        let start = node.index() * self.k;
+        NodeDirective {
+            actions: self.slots.get(start..start + self.k).unwrap_or_default(),
+        }
     }
 
     /// Number of nodes mentioned by the plan.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        // A mentioned node has an action in every slot, bundle 0 included.
+        self.iter().filter(|d| d.bundle == 0).count()
     }
 
     /// Whether the plan mentions no node at all.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.slots.iter().all(Option::is_none)
+    }
+
+    /// The plan's directives in node order, then bundle order.
+    pub fn iter(&self) -> impl Iterator<Item = PortDirective> + '_ {
+        let k = self.k;
+        self.slots.iter().enumerate().filter_map(move |(i, slot)| {
+            slot.map(|action| PortDirective {
+                node: NodeId(i / k),
+                bundle: i % k,
+                action,
+            })
+        })
     }
 
     /// Flattens the plan into individual directives (node order, bundle order).
     pub fn directives(&self) -> Vec<PortDirective> {
-        self.nodes
-            .iter()
-            .flat_map(|(&node, directive)| {
-                directive.iter().map(move |(bundle, action)| PortDirective {
-                    node,
-                    bundle,
-                    action,
-                })
-            })
-            .collect()
+        self.iter().collect()
     }
 
     /// The directives of `new` that differ from `self` — the minimal command
     /// set the cluster manager must push to converge the fabric.
+    ///
+    /// Nodes dropped from the plan entirely (e.g. newly faulty) do not get
+    /// commands: their hardware is unreachable anyway.
     pub fn diff(&self, new: &RingPlan) -> Vec<PortDirective> {
-        let mut commands = Vec::new();
-        for (&node, directive) in &new.nodes {
-            let old = self.node(node);
-            for (bundle, action) in directive.iter() {
-                if old.action(bundle) != action {
-                    commands.push(PortDirective {
-                        node,
-                        bundle,
-                        action,
-                    });
-                }
-            }
-        }
-        // Nodes dropped from the plan entirely (e.g. newly faulty) do not get
-        // commands: their hardware is unreachable anyway.
-        commands
+        new.iter()
+            .filter(|d| self.node(d.node).action(d.bundle) != d.action)
+            .collect()
     }
 }
 
@@ -282,6 +291,8 @@ fn action_for(port: FabricPort) -> BundleAction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FabricManager, FailoverPlanner};
+    use proptest::prelude::*;
     use topology::{FaultSet, KHopRing};
 
     fn plan_for(nodes: usize, k: usize, faults: &[usize]) -> (KHopRing, RingPlan) {
@@ -408,5 +419,80 @@ mod tests {
             assert_eq!(directive.iter().count(), 3, "node {n}");
         }
         assert_eq!(plan.directives().len(), 14 * 3);
+    }
+
+    /// A fault set over `nodes` nodes: every node when `whole` (a whole-ring
+    /// outage), otherwise the drawn ids that fall inside the ring.
+    fn fault_set(nodes: usize, ids: &std::collections::BTreeSet<usize>, whole: bool) -> FaultSet {
+        if whole {
+            FaultSet::from_nodes((0..nodes).map(NodeId))
+        } else {
+            FaultSet::from_nodes(ids.iter().filter(|&&n| n < nodes).map(|&n| NodeId(n)))
+        }
+    }
+
+    proptest! {
+        /// Between the plans of two random fault sets: the directives are
+        /// ordered and complete, the diff is exactly the changed directives,
+        /// and deploying the first plan then the diff realises the second.
+        #[test]
+        fn diff_converges_fabric_from_one_plan_to_the_next(
+            nodes in 16usize..129,
+            k in 2usize..5,
+            closed in prop_oneof![Just(true), Just(false)],
+            before_ids in proptest::collection::btree_set(0usize..128, 0..48),
+            after_ids in proptest::collection::btree_set(0usize..128, 0..48),
+            outage in 0usize..8,
+        ) {
+            let ring = if closed {
+                KHopRing::new(nodes, 4, k).unwrap()
+            } else {
+                KHopRing::line(nodes, 4, k).unwrap()
+            };
+            let planner = FailoverPlanner::new(ring).unwrap();
+            let before_faults = fault_set(nodes, &before_ids, outage == 1);
+            let after_faults = fault_set(nodes, &after_ids, outage == 2);
+            let before = planner.plan(&before_faults).unwrap();
+            let after = planner.plan(&after_faults).unwrap();
+
+            let directives = after.directives();
+            for pair in directives.windows(2) {
+                prop_assert!((pair[0].node, pair[0].bundle) < (pair[1].node, pair[1].bundle));
+            }
+            for n in (0..nodes).map(NodeId) {
+                let expected = if after_faults.is_faulty(n) { 0 } else { k };
+                let bundles: Vec<usize> = directives
+                    .iter()
+                    .filter(|d| d.node == n)
+                    .map(|d| d.bundle)
+                    .collect();
+                prop_assert_eq!(bundles.len(), expected, "node {}", n);
+                prop_assert!(bundles.iter().all(|&b| b < k));
+            }
+
+            let changed: Vec<PortDirective> = directives
+                .iter()
+                .copied()
+                .filter(|d| before.node(d.node).action(d.bundle) != d.action)
+                .collect();
+            let diff = before.diff(&after);
+            prop_assert_eq!(&diff, &changed);
+
+            let mut fabric: Vec<FabricManager> = (0..nodes)
+                .map(|n| FabricManager::new(NodeId(n), k).unwrap())
+                .collect();
+            for d in before.directives().iter().chain(&diff) {
+                fabric[d.node.index()].apply(d.bundle, d.action).unwrap();
+            }
+            for d in &directives {
+                prop_assert_eq!(
+                    fabric[d.node.index()].bundle_state(d.bundle).unwrap(),
+                    d.action.state(),
+                    "node {} bundle {}",
+                    d.node,
+                    d.bundle
+                );
+            }
+        }
     }
 }

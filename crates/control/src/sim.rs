@@ -41,7 +41,6 @@ use crate::plan::{BundleAction, PortDirective, RingPlan};
 use crate::timeline::{ControlEventKind, Timeline};
 use fault::{generate_events, GeneratorConfig, NodeEvent, NodeEventKind};
 use hbd_types::{stream_seed, EventQueue, HbdError, NodeId, Result, Seconds, SimClock};
-use ocstrx::BundleState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -720,7 +719,7 @@ impl Sim {
     }
 
     fn fabric_matches(&self, plan: &RingPlan) -> bool {
-        plan.directives().iter().all(|d| {
+        plan.iter().all(|d| {
             if self.faults.is_faulty(d.node) {
                 // Known-dead node whose removal is still in the planning
                 // window: its hardware is unreachable, its commands were
@@ -734,16 +733,9 @@ impl Sim {
                 // expected transient, reconciled by the pending plan.
                 return true;
             }
-            let Ok(state) = self.fabrics[d.node.index()].bundle_state(d.bundle) else {
-                return false;
-            };
-            matches!(
-                (state, d.action),
-                (BundleState::ActivePrimary, BundleAction::ActivatePrimary)
-                    | (BundleState::ActiveBackup, BundleAction::ActivateBackup)
-                    | (BundleState::Loopback, BundleAction::Loopback)
-                    | (BundleState::Idle, BundleAction::Idle)
-            )
+            self.fabrics[d.node.index()]
+                .bundle_state(d.bundle)
+                .is_ok_and(|state| state == d.action.state())
         })
     }
 

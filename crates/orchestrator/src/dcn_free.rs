@@ -63,7 +63,8 @@ impl RunSink<NodeId> for GroupCutter {
 
 /// The counting twin of [`GroupCutter`]: the same run semantics, but it only
 /// tallies the nodes the cutter would place — `⌊run / m⌋ · m` per run — and
-/// builds no group. The oracle of [`RunSummary`].
+/// builds no group. The oracle of
+/// [`RunSummary`](topology::runscan::RunSummary).
 #[cfg(test)]
 pub(crate) struct GroupCounter {
     nodes_per_group: usize,
@@ -97,142 +98,6 @@ impl<T> RunSink<T> for GroupCounter {
     fn cut(&mut self) {
         self.current = 0;
     }
-}
-
-/// The whole effect of one piece of a K-Hop line on a group count, in a form
-/// that composes: the summary of a line is the [`then`](Self::then)-fold of
-/// its pieces' summaries, so a count over a long line made of cached pieces
-/// costs one O(1) step per piece instead of one per node.
-///
-/// A piece's healthy nodes fall into runs separated by `K` or more
-/// consecutive faults. Only its first and last runs can merge with a
-/// neighbouring piece; every run strictly between them is complete and
-/// contributes `⌊run / m⌋ · m` placed nodes. The faults at either edge
-/// decide whether a neighbour's run merges or is cut off. All fields are
-/// counts for one fixed `(K, m)`; the empty piece is `Default`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct RunSummary {
-    /// Faulty positions before the first healthy one (the whole piece when
-    /// it has no healthy node).
-    lead: usize,
-    /// Healthy nodes of the first run; zero exactly when the piece has no
-    /// healthy node.
-    first: usize,
-    /// Whether `K` or more consecutive faults separate the first run from
-    /// the last.
-    cut: bool,
-    /// Nodes placed by the complete runs strictly between the first and the
-    /// last run.
-    inner: usize,
-    /// Healthy nodes of the last run (equal to `first` without a cut).
-    last: usize,
-    /// Faulty positions after the last healthy one.
-    trail: usize,
-}
-
-impl RunSummary {
-    /// Summarizes `items`, classified by `faulty`, in one pass: the summary
-    /// of the same K-Hop run structure [`scan_khop_runs`] walks.
-    pub(crate) fn scan<T, I, F>(items: I, k: usize, nodes_per_group: usize, mut faulty: F) -> Self
-    where
-        I: IntoIterator<Item = T>,
-        F: FnMut(&T) -> bool,
-    {
-        let mut summary = RunSummary::default();
-        let (mut gap, mut run, mut seen_healthy) = (0usize, 0usize, false);
-        for item in items {
-            if faulty(&item) {
-                gap += 1;
-                continue;
-            }
-            if !seen_healthy {
-                summary.lead = gap;
-                seen_healthy = true;
-            } else if gap >= k {
-                if summary.cut {
-                    summary.inner += in_groups(run, nodes_per_group);
-                } else {
-                    summary.first = run;
-                    summary.cut = true;
-                }
-                run = 0;
-            }
-            gap = 0;
-            run += 1;
-        }
-        if !seen_healthy {
-            summary.lead = gap;
-        } else if !summary.cut {
-            summary.first = run;
-        }
-        summary.last = run;
-        summary.trail = gap;
-        summary
-    }
-
-    /// The summary of `self` followed directly by `next` on one line.
-    pub(crate) fn then(self, next: RunSummary, k: usize, nodes_per_group: usize) -> Self {
-        let placed = |run: usize| in_groups(run, nodes_per_group);
-        if self.first == 0 {
-            // No healthy node: `self`'s faults only lengthen `next`'s edges.
-            let trail = if next.first == 0 {
-                self.trail + next.trail
-            } else {
-                next.trail
-            };
-            return RunSummary {
-                lead: self.lead + next.lead,
-                trail,
-                ..next
-            };
-        }
-        if next.first == 0 {
-            return RunSummary {
-                trail: self.trail + next.trail,
-                ..self
-            };
-        }
-        let severed = self.trail + next.lead >= k;
-        let (first, last, inner) = if severed {
-            // The gap between the pieces cuts the line: `self`'s last run
-            // and `next`'s first run both end there.
-            let closed = |cut: bool, run: usize| if cut { placed(run) } else { 0 };
-            let inner = self.inner
-                + next.inner
-                + closed(self.cut, self.last)
-                + closed(next.cut, next.first);
-            (self.first, next.last, inner)
-        } else {
-            // The gap is bypassed: the two edge runs merge into one.
-            let mid = self.last + next.first;
-            let inner =
-                self.inner + next.inner + if self.cut && next.cut { placed(mid) } else { 0 };
-            let first = if self.cut { self.first } else { mid };
-            let last = if next.cut { next.last } else { mid };
-            (first, last, inner)
-        };
-        RunSummary {
-            lead: self.lead,
-            first,
-            cut: self.cut || next.cut || severed,
-            inner,
-            last,
-            trail: next.trail,
-        }
-    }
-
-    /// Nodes a [`GroupCutter`] scanning this summary's line from a fresh
-    /// state places in complete groups.
-    pub(crate) fn placed(&self, nodes_per_group: usize) -> usize {
-        let last = if self.cut { self.last } else { 0 };
-        in_groups(self.first, nodes_per_group) + self.inner + in_groups(last, nodes_per_group)
-    }
-}
-
-/// Nodes of a `run`-node healthy run that complete groups of
-/// `nodes_per_group`: `⌊run / m⌋ · m`.
-fn in_groups(run: usize, nodes_per_group: usize) -> usize {
-    run - run % nodes_per_group
 }
 
 /// Runs Algorithm 2 over an explicit node ordering.
@@ -320,6 +185,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+    use topology::runscan::RunSummary;
 
     fn order(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()

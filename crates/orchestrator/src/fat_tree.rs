@@ -19,13 +19,13 @@
 //! ordering ("first relaxes the TP Group alignment constraints ... then relaxes
 //! the TP Group crossing constraints").
 
-use crate::dcn_free::{orchestrate_dcn_free, GroupCutter, RunSummary};
+use crate::dcn_free::{orchestrate_dcn_free, GroupCutter};
 use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use topology::runscan::{scan_khop_runs, RunSink};
+use topology::runscan::{scan_khop_runs, RunSink, RunSummary};
 use topology::{FatTree, FaultSet};
 
 /// What the job needs from the orchestrator.

@@ -14,9 +14,14 @@
 //! GPU-level ring over any consecutive run of healthy nodes, so TP groups of
 //! any size that fits in a healthy *segment* can be formed at any position —
 //! which is why fragmentation is near zero.
+//!
+//! The segments are the runs of `runscan::position_runs`, which holds the
+//! bypass rule: [`KHopRing::healthy_segments`] materialises their nodes and
+//! [`KHopRing::usable_gpus`] only sums their healthy counts.
 
 use crate::arch::{ArchitectureKind, FaultSet, HbdArchitecture, UtilizationReport};
 use crate::graph::NodeGraph;
+use crate::runscan::{self, PositionRun};
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
 
@@ -143,100 +148,44 @@ impl KHopRing {
     /// faulty nodes separate them (the backup link at distance `K` bypasses up
     /// to `K − 1` failures). Each returned segment is a maximal run of healthy
     /// nodes satisfying that property; when the ring is closed, a run may wrap
-    /// around the deployment boundary.
+    /// around the deployment boundary, and that segment comes last. The runs
+    /// are those of `runscan::position_runs`.
     pub fn healthy_segments(&self, faults: &FaultSet) -> Vec<RingSegment> {
-        // The linear run scan of `runscan`: a segment breaks exactly where K
-        // or more consecutive faulty nodes sever the line.
-        struct Collector {
-            segments: Vec<RingSegment>,
-            current: Vec<NodeId>,
-        }
-        impl crate::runscan::RunSink<usize> for Collector {
-            fn healthy(&mut self, pos: usize) {
-                self.current.push(NodeId(pos));
-            }
-            fn cut(&mut self) {
-                if !self.current.is_empty() {
-                    self.segments.push(RingSegment {
-                        nodes: std::mem::take(&mut self.current),
-                        wraps: false,
-                    });
+        self.runs(faults)
+            .into_iter()
+            .map(|run| {
+                let mut nodes = Vec::with_capacity(run.healthy);
+                nodes.extend(
+                    run.span(self.nodes)
+                        .map(NodeId)
+                        .filter(|&n| !faults.is_faulty(n)),
+                );
+                RingSegment {
+                    nodes,
+                    wraps: run.wraps,
                 }
-            }
-        }
-        let mut sink = Collector {
-            segments: Vec::new(),
-            current: Vec::new(),
-        };
-        crate::runscan::scan_khop_runs(
-            0..self.nodes,
-            self.k,
-            |&n| faults.is_faulty(NodeId(n)),
-            &mut sink,
-        );
-        let Collector {
-            mut segments,
-            current,
-        } = sink;
-        if !current.is_empty() {
-            segments.push(RingSegment {
-                nodes: current,
-                wraps: false,
-            });
-        }
-
-        // Wraparound merge: if the ring is closed and the gap from the last
-        // healthy node over the boundary to the first healthy node is <= K,
-        // the first and last segments are really one segment.
-        if self.closed && segments.len() > 1 {
-            let first = segments.first().expect("len > 1").nodes[0].index();
-            let last = segments
-                .last()
-                .expect("len > 1")
-                .nodes
-                .last()
-                .expect("segments are non-empty")
-                .index();
-            let boundary_gap = self.nodes - last + first;
-            if boundary_gap <= self.k {
-                let tail = segments.pop().expect("len > 1");
-                let head = segments.remove(0);
-                let mut nodes = tail.nodes;
-                nodes.extend(head.nodes);
-                segments.push(RingSegment { nodes, wraps: true });
-            }
-        }
-        segments
+            })
+            .collect()
     }
 
     /// Total number of usable GPUs under `faults` for TP groups of `tp_size`.
     ///
     /// Fast path of [`healthy_segments`](Self::healthy_segments): only the
-    /// per-segment healthy-node counts matter for capacity, so the run scan
-    /// counts them without materialising any segment.
+    /// per-segment healthy-node counts matter for capacity, so it sums the
+    /// counts of the same runs without materialising any segment.
     pub fn usable_gpus(&self, faults: &FaultSet, tp_size: usize) -> usize {
         assert!(tp_size > 0, "TP size must be positive");
-        let mut counter = crate::runscan::RunCounter::new();
-        crate::runscan::scan_khop_runs(
-            0..self.nodes,
-            self.k,
-            |&n| faults.is_faulty(NodeId(n)),
-            &mut counter,
-        );
-        counter.finish();
-        let mut runs = counter.runs;
-        if self.closed && runs.len() > 1 {
-            let first = counter.first_healthy.expect("runs are non-empty");
-            let boundary_gap = self.nodes - counter.last_healthy + first;
-            if boundary_gap <= self.k {
-                // The first and last runs merge over the deployment boundary.
-                let tail = runs.pop().expect("len > 1");
-                runs[0] += tail;
-            }
-        }
-        runs.iter()
-            .map(|&healthy| (healthy * self.gpus_per_node / tp_size) * tp_size)
+        self.runs(faults)
+            .iter()
+            .map(|run| (run.healthy * self.gpus_per_node / tp_size) * tp_size)
             .sum()
+    }
+
+    /// The healthy runs of the deployment under `faults`.
+    fn runs(&self, faults: &FaultSet) -> Vec<PositionRun> {
+        runscan::position_runs(self.nodes, self.k, self.closed, |n| {
+            faults.is_faulty(NodeId(n))
+        })
     }
 }
 

@@ -40,7 +40,7 @@ pub use fat_tree::{FatTree, NetworkDistance};
 pub use graph::NodeGraph;
 pub use khop_ring::{KHopRing, RingSegment};
 pub use nvl::{Nvl, NvlVariant};
-pub use runscan::{scan_khop_runs, RunCounter, RunSink};
+pub use runscan::{scan_khop_runs, RunSink};
 pub use sip_ring::SipRing;
 pub use tpuv4::TpuV4;
 

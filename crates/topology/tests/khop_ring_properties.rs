@@ -6,6 +6,7 @@ use hbd_types::NodeId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 use topology::{FaultSet, HbdArchitecture, KHopRing};
 
 /// A random fault set over `nodes` nodes with roughly `ratio` density,
@@ -66,7 +67,8 @@ proptest! {
     /// The healthy segments partition the healthy nodes: every healthy node
     /// appears in exactly one segment, no faulty node appears anywhere, and
     /// consecutive nodes inside a segment are at most K apart (the backup-link
-    /// bypass reach), while distinct segments are separated by more than K.
+    /// bypass reach). That the segments are also maximal is the graph
+    /// oracle's job (`segments_are_the_components_of_the_healthy_graph`).
     #[test]
     fn segments_partition_healthy_nodes(
         nodes in 2usize..300,
@@ -97,6 +99,50 @@ proptest! {
         }
         let healthy = nodes - faults.len();
         prop_assert_eq!(seen.len(), healthy, "segments must cover every healthy node");
+    }
+
+    /// Graph oracle: the healthy segments are exactly the connected
+    /// components of the K-Hop graph induced on the healthy nodes (the DFS
+    /// formulation of Algorithm 2), on closed rings and lines alike, with a
+    /// wrapping segment only where the ring closes over a bypassable gap.
+    #[test]
+    fn segments_are_the_components_of_the_healthy_graph(
+        nodes in 2usize..301,
+        k in 1usize..5,
+        ratio in 0.0f64..0.7,
+        seed in 0u64..10_000,
+    ) {
+        let faults = random_faults(nodes, ratio, seed);
+        for ring in [
+            KHopRing::new(nodes, 4, k).unwrap(),
+            KHopRing::line(nodes, 4, k).unwrap(),
+        ] {
+            let healthy: Vec<NodeId> = (0..nodes)
+                .map(NodeId)
+                .filter(|&n| !faults.is_faulty(n))
+                .collect();
+            let components: BTreeSet<Vec<NodeId>> = ring
+                .graph()
+                .induced_subgraph(|n| !faults.is_faulty(n))
+                .connected_components(&healthy)
+                .into_iter()
+                .collect();
+            let segments = ring.healthy_segments(&faults);
+            let as_sets: BTreeSet<Vec<NodeId>> = segments
+                .iter()
+                .map(|segment| {
+                    let mut nodes = segment.nodes.clone();
+                    nodes.sort();
+                    nodes
+                })
+                .collect();
+            prop_assert_eq!(as_sets.len(), segments.len(), "duplicate segment");
+            prop_assert_eq!(&as_sets, &components, "closed: {}", ring.is_closed());
+            // Only the last segment may wrap, and only on a closed ring.
+            for (i, segment) in segments.iter().enumerate() {
+                prop_assert!(!segment.wraps || (ring.is_closed() && i + 1 == segments.len()));
+            }
+        }
     }
 
     /// Ring symmetry: rotating the fault pattern by any offset only rotates
