@@ -350,17 +350,18 @@ impl AdmissionController {
     }
 
     /// Serves every remaining queued ticket (the end-of-stream flush),
-    /// appending the dispositions to `out`.
+    /// appending the dispositions to `out`: `run_until` with no horizon.
+    /// The loop terminates because every batch pops at least the front
+    /// ticket — served or shed — since its start is `≥ front.arrival_us`
+    /// (with finite modeled instants, every start is before the infinite
+    /// horizon).
     pub fn drain(
         &mut self,
         service: &PlacementService,
         threads: usize,
         out: &mut Vec<Disposition>,
     ) {
-        while let Some(front) = self.pending.front() {
-            let start = self.free_at_us.max(front.arrival_us);
-            self.serve_one_batch(service, start, threads, out);
-        }
+        self.run_until(service, f64::INFINITY, threads, out);
     }
 
     fn serve_one_batch(

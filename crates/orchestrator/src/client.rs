@@ -349,7 +349,6 @@ impl Session<'_> {
 
     fn submit(&mut self, queries: &[ClientQuery], idx: usize, attempt: u32, now_us: f64) {
         let query = &queries[idx];
-        let budget = self.config.retry.max_attempts.max(1);
         self.states[idx].attempts = attempt + 1;
         if self.breaker.allow(sec(now_us)) {
             let deadline_us = now_us + self.config.deadline_us;
@@ -380,29 +379,44 @@ impl Session<'_> {
             });
             return;
         }
-        if attempt + 1 < budget {
-            let reopen_us = self.breaker.retry_at(sec(now_us)).value() * 1_000_000.0;
+        let reopen_us = self.breaker.retry_at(sec(now_us)).value() * 1_000_000.0;
+        self.retry_or_exhaust(queries, idx, now_us, reopen_us - now_us, now_us);
+    }
+
+    /// Spends the failed attempt `states[idx].attempts` of query `idx`,
+    /// which failed at `at_us`: within the retry budget, schedules the next
+    /// attempt after the larger of `hint_us` (the shed's `retry_after_us`,
+    /// or the wait until the breaker re-probes) and the seeded backoff, but
+    /// never before `not_before_us`; past the budget, records the query as
+    /// exhausted at `at_us`.
+    fn retry_or_exhaust(
+        &mut self,
+        queries: &[ClientQuery],
+        idx: usize,
+        at_us: f64,
+        hint_us: f64,
+        not_before_us: f64,
+    ) {
+        let attempts = self.states[idx].attempts;
+        if attempts < self.config.retry.max_attempts.max(1) {
             let backoff_us = self
                 .config
                 .retry
                 .backoff
-                .delay(attempt, queries[idx].id)
+                .delay(attempts - 1, queries[idx].id)
                 .value()
                 * 1_000_000.0;
             // A strictly positive floor keeps the loop live even with a
             // degenerate zero-delay schedule.
-            let wake = now_us + (reopen_us - now_us).max(backoff_us).max(1.0);
+            let wake = (at_us + hint_us.max(backoff_us).max(1.0)).max(not_before_us);
             self.retries += 1;
             self.schedule(SessionEvent::Submit {
                 idx,
-                attempt: attempt + 1,
+                attempt: attempts,
                 at_us: wake,
             });
         } else {
-            self.states[idx].outcome = Some(ClientOutcome::Exhausted {
-                attempts: attempt + 1,
-                at_us: now_us,
-            });
+            self.states[idx].outcome = Some(ClientOutcome::Exhausted { attempts, at_us });
         }
     }
 
@@ -434,30 +448,13 @@ impl Session<'_> {
                 }
                 Disposition::Shed(shed) => {
                     self.breaker.on_failure(sec(shed.at_us));
-                    let attempts = self.states[idx].attempts;
-                    let budget = self.config.retry.max_attempts.max(1);
-                    if attempts < budget {
-                        let backoff_us = self
-                            .config
-                            .retry
-                            .backoff
-                            .delay(attempts - 1, queries[idx].id)
-                            .value()
-                            * 1_000_000.0;
-                        let delay = shed.retry_after_us.max(backoff_us).max(1.0);
-                        let wake = (shed.at_us + delay).max(learned_us);
-                        self.retries += 1;
-                        self.schedule(SessionEvent::Submit {
-                            idx,
-                            attempt: attempts,
-                            at_us: wake,
-                        });
-                    } else {
-                        self.states[idx].outcome = Some(ClientOutcome::Exhausted {
-                            attempts,
-                            at_us: shed.at_us,
-                        });
-                    }
+                    self.retry_or_exhaust(
+                        queries,
+                        idx,
+                        shed.at_us,
+                        shed.retry_after_us,
+                        learned_us,
+                    );
                 }
             }
         }

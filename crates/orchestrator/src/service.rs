@@ -19,16 +19,20 @@
 //!
 //! # Determinism
 //!
-//! Every answer is produced by the same code path as the single-query oracle
-//! — [`FatTreeOrchestrator::orchestrate_par`] for placements,
-//! [`max_orchestratable_job`] for
-//! max-job queries — evaluated sequentially per query against a scratch that
-//! is bit-identical to the one the oracle would build (pinned by the
-//! `service_oracle` property suite). The thread count only decides how
-//! queries are *fanned out*, never how any one query is *answered*, and the
-//! set of scratch keys built for a batch is derived from the batch contents
-//! alone; so answers **and** cost counters are byte-identical for any thread
-//! count.
+//! Every query is routed once, from its contents alone: rejected, a shared
+//! work item, a degenerate max-job, or a what-if. Every answer is produced by
+//! the same code path as the single-query oracle —
+//! [`FatTreeOrchestrator::orchestrate_par`] for placements,
+//! [`max_orchestratable_job`] for max-job queries — evaluated sequentially
+//! per query (inner threading 1) against a scratch that is bit-identical to
+//! the one the oracle would build (pinned by the `service_oracle` property
+//! suite). The per-epoch memo replays an item's `(answer, probes)` pair,
+//! which is a deterministic function of the item and the epoch's state.
+//! [`PlacementService::place`] is a one-query batch, so it shares all of
+//! this. The thread count only decides how queries are *fanned out*, never
+//! how any one query is *answered*, and the scratch keys built for a batch
+//! are derived from its routes alone; so answers **and** cost counters are
+//! byte-identical for any thread count.
 
 use crate::fat_tree::{
     FatTreeOrchestrator, OrchestrationRequest, ScratchPatchStats, SearchScratch,
@@ -37,7 +41,7 @@ use crate::scheme::PlacementScheme;
 use crate::search::{max_job_with_scratch, max_orchestratable_job};
 use hbd_types::epoch::{EpochCell, Versioned};
 use hbd_types::par::par_map;
-use hbd_types::Result;
+use hbd_types::{HbdError, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use topology::FaultSet;
@@ -55,6 +59,139 @@ enum WorkItem {
     Place(usize, usize, usize),
     /// `(k, nodes_per_group)` of a non-degenerate `MaxJob` query.
     MaxJob(usize, usize),
+}
+
+impl WorkItem {
+    /// The shared scratch this item is searched against.
+    fn key(&self) -> ScratchKey {
+        match *self {
+            WorkItem::Place(k, nodes_per_group, _) | WorkItem::MaxJob(k, nodes_per_group) => {
+                (k, nodes_per_group)
+            }
+        }
+    }
+
+    /// Searches the item against its shared scratch, returning the answer
+    /// and the probes spent (inner search threading of 1, so the count is
+    /// exact and canonical for every caller).
+    fn search(
+        &self,
+        orchestrator: &FatTreeOrchestrator,
+        scratch: &SearchScratch,
+    ) -> (PlacementAnswer, usize) {
+        match *self {
+            WorkItem::Place(k, nodes_per_group, job_nodes) => {
+                let request = OrchestrationRequest {
+                    job_nodes,
+                    nodes_per_group,
+                    k,
+                };
+                let (outcome, probes) = orchestrator.orchestrate_with_scratch(&request, scratch, 1);
+                (PlacementAnswer::Placement(outcome), probes)
+            }
+            WorkItem::MaxJob(k, nodes_per_group) => {
+                let (job_nodes, probes) =
+                    max_job_with_scratch(orchestrator, nodes_per_group, k, scratch);
+                (PlacementAnswer::MaxJob { job_nodes }, probes)
+            }
+        }
+    }
+}
+
+/// How one query of a batch is answered. [`Route::of`] is the one place the
+/// service decides a query's validity and path; everything else — the
+/// scratch keys, the work items, the answer and its cost, the batch counters
+/// — is read off the route.
+#[derive(Debug)]
+enum Route<'q> {
+    /// Invalid parameters: answered with the validation error, no work.
+    Rejected(QueryKind, HbdError),
+    /// A shared-state question, answered from the epoch's memo or searched
+    /// once against the epoch's shared scratch of its key.
+    Shared(WorkItem),
+    /// A `MaxJob` with a zero size: the oracle path answers it (rejecting
+    /// every probe itself), without a shared scratch.
+    Degenerate { nodes_per_group: usize, k: usize },
+    /// A what-if overlay: a private scratch against `faults ∪ extra_faults`.
+    WhatIf(&'q OrchestrationRequest, &'q FaultSet),
+}
+
+impl<'q> Route<'q> {
+    fn of(query: &'q PlacementQuery) -> Self {
+        match query {
+            PlacementQuery::Place(request) => match request.validate() {
+                Ok(()) => Route::Shared(WorkItem::Place(
+                    request.k,
+                    request.nodes_per_group,
+                    request.job_nodes,
+                )),
+                Err(error) => Route::Rejected(QueryKind::Place, error),
+            },
+            &PlacementQuery::MaxJob { nodes_per_group, k } => {
+                if nodes_per_group > 0 && k > 0 {
+                    Route::Shared(WorkItem::MaxJob(k, nodes_per_group))
+                } else {
+                    Route::Degenerate { nodes_per_group, k }
+                }
+            }
+            PlacementQuery::WhatIf {
+                request,
+                extra_faults,
+            } => match request.validate() {
+                Ok(()) => Route::WhatIf(request, extra_faults),
+                Err(error) => Route::Rejected(QueryKind::WhatIf, error),
+            },
+        }
+    }
+
+    fn kind(&self) -> QueryKind {
+        match self {
+            Route::Rejected(kind, _) => *kind,
+            Route::Shared(WorkItem::Place(..)) => QueryKind::Place,
+            Route::Shared(WorkItem::MaxJob(..)) | Route::Degenerate { .. } => QueryKind::MaxJob,
+            Route::WhatIf(..) => QueryKind::WhatIf,
+        }
+    }
+
+    /// Answers the routed query. Shared items replay the batch's `resolved`
+    /// map (each distinct item was answered exactly once); what-if overlays
+    /// search privately, patching their scratch from the batch's shared
+    /// scratch of the same key when one exists (bit-exact per the
+    /// patch-vs-rebuild property suite, so the cheaper materialization never
+    /// changes an answer or a probe count).
+    fn answer(
+        &self,
+        snapshot: &ClusterSnapshot,
+        scratches: &BTreeMap<ScratchKey, Arc<SearchScratch>>,
+        resolved: &BTreeMap<WorkItem, (PlacementAnswer, usize)>,
+    ) -> (PlacementAnswer, QueryCost) {
+        let orchestrator = snapshot.orchestrator();
+        let faults = snapshot.faults();
+        let (answer, probes) = match self {
+            Route::Rejected(_, error) => (PlacementAnswer::Placement(Err(error.clone())), 0),
+            Route::Shared(item) => resolved[item].clone(),
+            &Route::Degenerate { nodes_per_group, k } => {
+                let report = max_orchestratable_job(orchestrator, nodes_per_group, k, faults, 1);
+                let job_nodes = report.job_nodes;
+                (PlacementAnswer::MaxJob { job_nodes }, report.probes)
+            }
+            Route::WhatIf(request, extra_faults) => {
+                let merged = faults.union(extra_faults);
+                let scratch = match scratches.get(&(request.k, request.nodes_per_group)) {
+                    Some(base) => orchestrator.patch_scratch(request, base, &merged).0,
+                    None => orchestrator.search_scratch(request, &merged),
+                };
+                let (outcome, probes) = orchestrator.orchestrate_with_scratch(request, &scratch, 1);
+                (PlacementAnswer::Placement(outcome), probes)
+            }
+        };
+        let cost = QueryCost {
+            kind: self.kind(),
+            probes,
+            private_scratch: matches!(self, Route::WhatIf(..)),
+        };
+        (answer, cost)
+    }
 }
 
 /// One immutable view of the cluster: the orchestrator (topology + wiring,
@@ -370,20 +507,20 @@ pub struct PatchTally {
 /// observed, the scratches are **not** discarded: they move to `stale` and
 /// become the patch bases of the new epoch's scratches, so materializing a
 /// key costs the fault-set *delta* between the epochs instead of a cluster-
-/// sized rebuild. The answer memo (one entry per distinct `Place` / `MaxJob`
-/// shape) is dropped on every epoch advance — answers are deterministic
-/// functions of `(shape, epoch state)`, so within one epoch a repeated shape
-/// replays its `(answer, probes)` pair bit-for-bit instead of re-searching.
+/// sized rebuild. The answer memo (one entry per work item) is dropped on
+/// every epoch advance — answers are deterministic functions of
+/// `(item, epoch state)`, so within one epoch a repeated item replays its
+/// `(answer, probes)` pair bit-for-bit instead of re-searching. An entry
+/// exists only for the cache's epoch, and only after that epoch's scratch
+/// of the item's key was materialized.
 #[derive(Debug, Default)]
 struct ScratchCache {
     epoch: u64,
     scratches: BTreeMap<ScratchKey, Arc<SearchScratch>>,
     /// Patch bases: the newest scratch of each key from earlier epochs.
     stale: BTreeMap<ScratchKey, Arc<SearchScratch>>,
-    /// `(k, nodes_per_group, job_nodes)` → this epoch's `(answer, probes)`.
-    place_memo: BTreeMap<(usize, usize, usize), (Result<PlacementScheme>, usize)>,
-    /// `(k, nodes_per_group)` → this epoch's `(job_nodes, probes)`.
-    max_job_memo: BTreeMap<ScratchKey, (usize, usize)>,
+    /// Work item → this epoch's `(answer, probes)`.
+    memo: BTreeMap<WorkItem, (PlacementAnswer, usize)>,
     tally: PatchTally,
 }
 
@@ -451,8 +588,7 @@ impl PlacementService {
             // per-epoch answer memo dies with its epoch.
             let outgoing = std::mem::take(&mut cache.scratches);
             cache.stale.extend(outgoing);
-            cache.place_memo.clear();
-            cache.max_job_memo.clear();
+            cache.memo.clear();
             cache.epoch = snapshot.epoch;
         }
         if cache.epoch > snapshot.epoch {
@@ -510,94 +646,52 @@ impl PlacementService {
 
     /// Answers one placement request against the current snapshot —
     /// bit-identical to [`FatTreeOrchestrator::orchestrate_par`] with the
-    /// snapshot's fault set, but reusing the per-epoch scratch cache *and*
-    /// the per-epoch answer memo: a request shape already answered this
-    /// epoch replays its answer without searching at all (the answer is a
-    /// deterministic function of `(shape, epoch state)`, so the replay is
-    /// exact). A memo miss evaluates its probes lazily (inner search
-    /// threading of 1) so the memoized probe count stays canonical for every
-    /// caller.
+    /// snapshot's fault set. It is exactly a one-query
+    /// [`answer_batch`](Self::answer_batch) with threading 1, so it shares
+    /// the batch path's per-epoch scratch cache and answer memo: a request
+    /// shape already answered this epoch replays its answer without
+    /// searching, and an invalid request is rejected without touching the
+    /// cache.
     pub fn place(&self, request: &OrchestrationRequest) -> Result<PlacementScheme> {
-        request.validate()?;
-        let snapshot = self.store.load();
-        let memo_key = (request.k, request.nodes_per_group, request.job_nodes);
-        {
-            let cache = self.cache.lock().expect("no scratch builder panicked");
-            if cache.epoch == snapshot.epoch {
-                if let Some((outcome, _)) = cache.place_memo.get(&memo_key) {
-                    return outcome.clone();
-                }
-            }
-        }
-        let keys = BTreeSet::from([(request.k, request.nodes_per_group)]);
-        let (scratches, _) = self.shared_scratches(&snapshot, &keys, 1);
-        let scratch = &scratches[&(request.k, request.nodes_per_group)];
-        let (outcome, probes) = snapshot
-            .value
-            .orchestrator()
-            .orchestrate_with_scratch(request, scratch, 1);
-        let mut cache = self.cache.lock().expect("no scratch builder panicked");
-        if cache.epoch == snapshot.epoch {
-            cache.place_memo.insert(memo_key, (outcome.clone(), probes));
-        }
-        drop(cache);
+        let mut report = self.answer_batch(&[PlacementQuery::Place(*request)], 1);
+        let Some(PlacementAnswer::Placement(outcome)) = report.answers.pop() else {
+            unreachable!("a Place query answers with a placement");
+        };
         outcome
     }
 
     /// Answers a batch of queries against **one** pinned snapshot, fanning
-    /// the per-query work over up to `threads` scoped threads. Shared-state
-    /// queries (`Place`, `MaxJob`) amortise one memoized scratch per
-    /// `(k, nodes_per_group)` key, and each *distinct shape* is searched at
-    /// most once per epoch: repeats — within the batch or across batches of
-    /// one epoch — replay the memoized `(answer, probes)` pair, which is
-    /// exact because both are deterministic functions of the shape and the
-    /// epoch's scratch. What-if overlays build a private scratch against
-    /// their merged fault set (patched from the batch's shared scratch of
-    /// the same key when present). Answers, order and cost counters are
-    /// byte-identical for any thread count.
+    /// the per-query work over up to `threads` scoped threads. Each query is
+    /// routed once (`Route::of`): invalid requests are rejected, valid
+    /// `Place` and non-degenerate `MaxJob` queries become shared work items,
+    /// degenerate `MaxJob`s take the oracle path, and what-ifs search
+    /// privately. The batch materializes one memoized scratch per distinct
+    /// `(k, nodes_per_group)` key of its work items, and each distinct item
+    /// is searched at most once per epoch: repeats — within the batch or
+    /// across batches of one epoch — replay the memoized `(answer, probes)`
+    /// pair, which is exact because both are deterministic functions of the
+    /// item and the epoch's scratch. What-if overlays build a private
+    /// scratch against their merged fault set (patched from the batch's
+    /// shared scratch of the same key when present). Answers, order and
+    /// cost counters are byte-identical for any thread count.
     pub fn answer_batch(&self, queries: &[PlacementQuery], threads: usize) -> BatchReport {
         let snapshot = self.store.load();
+        let routes: Vec<Route> = queries.iter().map(Route::of).collect();
 
-        // Which shared scratch keys the batch needs, derived from the batch
-        // alone (invalid requests answer without a scratch, what-ifs build
-        // privately).
-        let mut keys: BTreeSet<ScratchKey> = BTreeSet::new();
-        for query in queries {
-            match query {
-                PlacementQuery::Place(request) => {
-                    if request.validate().is_ok() {
-                        keys.insert((request.k, request.nodes_per_group));
-                    }
-                }
-                PlacementQuery::MaxJob { nodes_per_group, k } => {
-                    if *nodes_per_group > 0 && *k > 0 {
-                        keys.insert((*k, *nodes_per_group));
-                    }
-                }
-                PlacementQuery::WhatIf { .. } => {}
-            }
-        }
+        // The distinct shared-state items of this batch and the scratch keys
+        // they need, derived from the batch alone.
+        let items: BTreeSet<WorkItem> = routes
+            .iter()
+            .filter_map(|route| match route {
+                Route::Shared(item) => Some(*item),
+                _ => None,
+            })
+            .collect();
+        let keys: BTreeSet<ScratchKey> = items.iter().map(WorkItem::key).collect();
         let (scratches, shared_scratch_builds) = self.shared_scratches(&snapshot, &keys, threads);
 
-        // The distinct shared-state shapes of this batch, resolved once each:
-        // from the epoch's memo where already answered, computed (and
-        // memoized) otherwise.
-        let mut items: BTreeSet<WorkItem> = BTreeSet::new();
-        for query in queries {
-            match query {
-                PlacementQuery::Place(request) if request.validate().is_ok() => {
-                    items.insert(WorkItem::Place(
-                        request.k,
-                        request.nodes_per_group,
-                        request.job_nodes,
-                    ));
-                }
-                PlacementQuery::MaxJob { nodes_per_group, k } if *nodes_per_group > 0 && *k > 0 => {
-                    items.insert(WorkItem::MaxJob(*k, *nodes_per_group));
-                }
-                _ => {}
-            }
-        }
+        // Resolve each item once: from the epoch's memo where already
+        // answered, searched (and memoized) otherwise.
         let mut resolved: BTreeMap<WorkItem, (PlacementAnswer, usize)> = BTreeMap::new();
         let mut misses: Vec<WorkItem> = Vec::new();
         {
@@ -605,103 +699,48 @@ impl PlacementService {
             // A batch on a stale snapshot must not read the (newer) memo.
             let live = cache.epoch == snapshot.epoch;
             for &item in &items {
-                let hit = match item {
-                    WorkItem::Place(k, m, j) if live => {
-                        cache.place_memo.get(&(k, m, j)).map(|(outcome, probes)| {
-                            (PlacementAnswer::Placement(outcome.clone()), *probes)
-                        })
-                    }
-                    WorkItem::MaxJob(k, m) if live => {
-                        cache.max_job_memo.get(&(k, m)).map(|&(job_nodes, probes)| {
-                            (PlacementAnswer::MaxJob { job_nodes }, probes)
-                        })
-                    }
-                    _ => None,
-                };
-                match hit {
-                    Some(value) => {
-                        resolved.insert(item, value);
+                match cache.memo.get(&item).filter(|_| live) {
+                    Some(hit) => {
+                        resolved.insert(item, hit.clone());
                     }
                     None => misses.push(item),
                 }
             }
         }
-        let computed = par_map(threads, &misses, |_, &item| {
-            let orchestrator = snapshot.value.orchestrator();
-            match item {
-                WorkItem::Place(k, nodes_per_group, job_nodes) => {
-                    let request = OrchestrationRequest {
-                        job_nodes,
-                        nodes_per_group,
-                        k,
-                    };
-                    let scratch = &scratches[&(k, nodes_per_group)];
-                    let (outcome, probes) =
-                        orchestrator.orchestrate_with_scratch(&request, scratch, 1);
-                    (PlacementAnswer::Placement(outcome), probes)
-                }
-                WorkItem::MaxJob(k, nodes_per_group) => {
-                    let scratch = &scratches[&(k, nodes_per_group)];
-                    let (job_nodes, probes) =
-                        max_job_with_scratch(orchestrator, nodes_per_group, k, scratch);
-                    (PlacementAnswer::MaxJob { job_nodes }, probes)
-                }
-            }
+        let computed = par_map(threads, &misses, |_, item| {
+            item.search(snapshot.value.orchestrator(), &scratches[&item.key()])
         });
         if !misses.is_empty() {
             let mut cache = self.cache.lock().expect("no scratch builder panicked");
             if cache.epoch == snapshot.epoch {
-                for (item, (answer, probes)) in misses.iter().zip(&computed) {
-                    match (item, answer) {
-                        (WorkItem::Place(k, m, j), PlacementAnswer::Placement(outcome)) => {
-                            cache
-                                .place_memo
-                                .insert((*k, *m, *j), (outcome.clone(), *probes));
-                        }
-                        (WorkItem::MaxJob(k, m), PlacementAnswer::MaxJob { job_nodes }) => {
-                            cache.max_job_memo.insert((*k, *m), (*job_nodes, *probes));
-                        }
-                        _ => unreachable!("work items answer in kind"),
-                    }
-                }
+                cache
+                    .memo
+                    .extend(misses.iter().copied().zip(computed.iter().cloned()));
             }
         }
         resolved.extend(misses.into_iter().zip(computed));
 
-        let outcomes = par_map(threads, queries, |_, query| {
-            self.answer_one(query, &snapshot, &scratches, &resolved)
-        });
+        let (answers, costs): (Vec<PlacementAnswer>, Vec<QueryCost>) =
+            par_map(threads, &routes, |_, route| {
+                route.answer(&snapshot.value, &scratches, &resolved)
+            })
+            .into_iter()
+            .unzip();
 
-        let mut answers = Vec::with_capacity(outcomes.len());
-        let mut costs = Vec::with_capacity(outcomes.len());
         let mut stats = BatchStats {
             queries: queries.len(),
             shared_scratch_builds,
             ..BatchStats::default()
         };
-        for (query, (answer, cost)) in queries.iter().zip(outcomes) {
+        for (route, cost) in routes.iter().zip(&costs) {
             stats.probes += cost.probes;
             stats.private_scratch_builds += usize::from(cost.private_scratch);
-            match query {
-                PlacementQuery::Place(request) => {
-                    if request.validate().is_ok() {
-                        stats.shared_scratch_reuses += 1;
-                    } else {
-                        stats.rejected += 1;
-                    }
-                }
-                PlacementQuery::MaxJob { nodes_per_group, k } => {
-                    // Degenerate geometries answer `job_nodes: 0` via the
-                    // oracle path without a shared scratch; they are neither
-                    // reuses nor rejections.
-                    stats.shared_scratch_reuses += usize::from(*nodes_per_group > 0 && *k > 0);
-                }
-                PlacementQuery::WhatIf { request, .. } => {
-                    stats.rejected += usize::from(request.validate().is_err());
-                }
+            // Degenerate `MaxJob`s are neither reuses nor rejections.
+            match route {
+                Route::Rejected(..) => stats.rejected += 1,
+                Route::Shared(_) => stats.shared_scratch_reuses += 1,
+                Route::Degenerate { .. } | Route::WhatIf(..) => {}
             }
-            answers.push(answer);
-            costs.push(cost);
         }
         // Of the shared-scratch queries, the ones whose key had to be built
         // this batch are builds, the rest amortised an existing scratch.
@@ -716,110 +755,15 @@ impl PlacementService {
             stats,
         }
     }
-
-    /// Answers one query of a batch. Shared-state queries replay the batch's
-    /// `resolved` map (each distinct shape was answered exactly once, with
-    /// inner search threading of 1, so probe counts are exact and thread-
-    /// count-invariant); what-if overlays search privately, patching their
-    /// scratch from the batch's shared scratch of the same key when one
-    /// exists (bit-exact per the patch-vs-rebuild property suite, so the
-    /// cheaper materialization never changes an answer or a probe count).
-    fn answer_one(
-        &self,
-        query: &PlacementQuery,
-        snapshot: &Versioned<ClusterSnapshot>,
-        scratches: &BTreeMap<ScratchKey, Arc<SearchScratch>>,
-        resolved: &BTreeMap<WorkItem, (PlacementAnswer, usize)>,
-    ) -> (PlacementAnswer, QueryCost) {
-        let orchestrator = snapshot.value.orchestrator();
-        let faults = snapshot.value.faults();
-        match query {
-            PlacementQuery::Place(request) => {
-                if let Err(error) = request.validate() {
-                    return (
-                        PlacementAnswer::Placement(Err(error)),
-                        QueryCost {
-                            kind: QueryKind::Place,
-                            probes: 0,
-                            private_scratch: false,
-                        },
-                    );
-                }
-                let item = WorkItem::Place(request.k, request.nodes_per_group, request.job_nodes);
-                let (answer, probes) = resolved[&item].clone();
-                (
-                    answer,
-                    QueryCost {
-                        kind: QueryKind::Place,
-                        probes,
-                        private_scratch: false,
-                    },
-                )
-            }
-            PlacementQuery::MaxJob { nodes_per_group, k } => {
-                if *nodes_per_group > 0 && *k > 0 {
-                    let (answer, probes) =
-                        resolved[&WorkItem::MaxJob(*k, *nodes_per_group)].clone();
-                    return (
-                        answer,
-                        QueryCost {
-                            kind: QueryKind::MaxJob,
-                            probes,
-                            private_scratch: false,
-                        },
-                    );
-                }
-                // Degenerate geometry: the oracle path rejects every probe
-                // itself.
-                let report = max_orchestratable_job(orchestrator, *nodes_per_group, *k, faults, 1);
-                (
-                    PlacementAnswer::MaxJob {
-                        job_nodes: report.job_nodes,
-                    },
-                    QueryCost {
-                        kind: QueryKind::MaxJob,
-                        probes: report.probes,
-                        private_scratch: false,
-                    },
-                )
-            }
-            PlacementQuery::WhatIf {
-                request,
-                extra_faults,
-            } => {
-                if let Err(error) = request.validate() {
-                    return (
-                        PlacementAnswer::Placement(Err(error)),
-                        QueryCost {
-                            kind: QueryKind::WhatIf,
-                            probes: 0,
-                            private_scratch: false,
-                        },
-                    );
-                }
-                let merged = faults.union(extra_faults);
-                let scratch = match scratches.get(&(request.k, request.nodes_per_group)) {
-                    Some(base) => orchestrator.patch_scratch(request, base, &merged).0,
-                    None => orchestrator.search_scratch(request, &merged),
-                };
-                let (outcome, probes) = orchestrator.orchestrate_with_scratch(request, &scratch, 1);
-                (
-                    PlacementAnswer::Placement(outcome),
-                    QueryCost {
-                        kind: QueryKind::WhatIf,
-                        probes,
-                        private_scratch: true,
-                    },
-                )
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hbd_types::NodeId;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use topology::FatTree;
 
     fn store_with(faults: FaultSet) -> Arc<SnapshotStore> {
@@ -989,5 +933,164 @@ mod tests {
         assert!(scheme.groups.iter().any(|g| g.nodes[0].index() < 128));
         assert_eq!(whatif.stats.private_scratch_builds, 1);
         assert_eq!(store.epoch(), 0);
+    }
+
+    /// A request drawn from a small pool, so batches repeat shapes; zero
+    /// sizes make it invalid (or, as a `MaxJob`, degenerate).
+    fn random_request(rng: &mut StdRng) -> OrchestrationRequest {
+        OrchestrationRequest {
+            job_nodes: [0usize, 64, 200, 600][rng.gen_range(0..4usize)],
+            nodes_per_group: [0usize, 8, 8, 16][rng.gen_range(0..4usize)],
+            k: [0usize, 2, 2, 3][rng.gen_range(0..4usize)],
+        }
+    }
+
+    fn random_faults(rng: &mut StdRng, count: usize) -> FaultSet {
+        FaultSet::from_nodes((0..count).map(|_| NodeId(rng.gen_range(0..512usize))))
+    }
+
+    fn random_query(rng: &mut StdRng) -> PlacementQuery {
+        let request = random_request(rng);
+        match rng.gen_range(0..3) {
+            0 => PlacementQuery::Place(request),
+            1 => PlacementQuery::MaxJob {
+                nodes_per_group: request.nodes_per_group,
+                k: request.k,
+            },
+            _ => PlacementQuery::WhatIf {
+                request,
+                extra_faults: random_faults(rng, 24),
+            },
+        }
+    }
+
+    /// The probes of a cold constraint search of `request` against `faults`.
+    fn cold_search_probes(
+        orch: &FatTreeOrchestrator,
+        request: &OrchestrationRequest,
+        faults: &FaultSet,
+    ) -> usize {
+        orch.orchestrate_with_scratch(request, &orch.search_scratch(request, faults), 1)
+            .1
+    }
+
+    /// Recounts one batch's costs and counters cold — every query searched
+    /// alone against a freshly built scratch — and checks the report
+    /// against it. `built` holds the scratch keys already materialized this
+    /// epoch; the batch's keys are added to it.
+    fn check_counters(
+        orch: &FatTreeOrchestrator,
+        faults: &FaultSet,
+        queries: &[PlacementQuery],
+        report: &BatchReport,
+        built: &mut BTreeSet<ScratchKey>,
+    ) -> std::result::Result<(), TestCaseError> {
+        prop_assert_eq!(report.costs.len(), queries.len());
+        let (mut rejected, mut private, mut shared, mut probes) = (0, 0, 0, 0);
+        let mut keys = BTreeSet::new();
+        for (query, cost) in queries.iter().zip(&report.costs) {
+            let expected = match query {
+                PlacementQuery::Place(r) if r.validate().is_err() => {
+                    rejected += 1;
+                    (QueryKind::Place, 0, false)
+                }
+                PlacementQuery::Place(r) => {
+                    shared += 1;
+                    keys.insert((r.k, r.nodes_per_group));
+                    (QueryKind::Place, cold_search_probes(orch, r, faults), false)
+                }
+                &PlacementQuery::MaxJob { nodes_per_group, k } => {
+                    if nodes_per_group > 0 && k > 0 {
+                        shared += 1;
+                        keys.insert((k, nodes_per_group));
+                    }
+                    let report = max_orchestratable_job(orch, nodes_per_group, k, faults, 1);
+                    (QueryKind::MaxJob, report.probes, false)
+                }
+                PlacementQuery::WhatIf { request: r, .. } if r.validate().is_err() => {
+                    rejected += 1;
+                    (QueryKind::WhatIf, 0, false)
+                }
+                PlacementQuery::WhatIf {
+                    request: r,
+                    extra_faults,
+                } => {
+                    private += 1;
+                    let merged = faults.union(extra_faults);
+                    (
+                        QueryKind::WhatIf,
+                        cold_search_probes(orch, r, &merged),
+                        true,
+                    )
+                }
+            };
+            probes += expected.1;
+            prop_assert_eq!(
+                (cost.kind, cost.probes, cost.private_scratch),
+                expected,
+                "{:?}",
+                query
+            );
+        }
+        let stats = report.stats;
+        let builds = keys.difference(built).count();
+        built.extend(keys);
+        prop_assert_eq!(stats.queries, queries.len());
+        prop_assert_eq!(stats.rejected, rejected);
+        prop_assert_eq!(stats.private_scratch_builds, private);
+        prop_assert_eq!(stats.probes, probes);
+        prop_assert_eq!(stats.shared_scratch_builds, builds);
+        prop_assert!(builds <= shared);
+        prop_assert_eq!(
+            stats.shared_scratch_builds + stats.shared_scratch_reuses,
+            shared
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Pins every `QueryCost` and `BatchStats` counter, not just the
+        /// answers, to a cold per-query recount: two batches in one epoch
+        /// (the second replays the memo) and one after a publish, with
+        /// `place` calls interleaved on keys the epoch already built.
+        #[test]
+        fn batch_counters_match_a_cold_recount(seed in 0u64..10_000, threads in 1usize..3) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let store = store_with(random_faults(&mut rng, 40));
+            let service = PlacementService::new(Arc::clone(&store));
+            let orch = store.load().value.orchestrator().clone();
+            let mut built = BTreeSet::new();
+            for round in 0..3 {
+                if round == 2 {
+                    store.publish(random_faults(&mut rng, 40));
+                    built.clear();
+                }
+                let faults = store.load().value.faults().clone();
+                let len = rng.gen_range(1..10usize);
+                let queries: Vec<PlacementQuery> =
+                    (0..len).map(|_| random_query(&mut rng)).collect();
+                let report = service.answer_batch(&queries, threads);
+                check_counters(&orch, &faults, &queries, &report, &mut built)?;
+
+                // A `place` on a built key (or an invalid one) answers like
+                // the oracle and materializes nothing.
+                let mut request = random_request(&mut rng);
+                match built.iter().next() {
+                    Some(&(k, nodes_per_group)) => {
+                        request.k = k;
+                        request.nodes_per_group = nodes_per_group;
+                    }
+                    None => request.job_nodes = 0,
+                }
+                let tally = service.patch_tally();
+                prop_assert_eq!(
+                    service.place(&request),
+                    orch.orchestrate_par(&request, &faults, 1)
+                );
+                prop_assert_eq!(service.patch_tally(), tally);
+            }
+        }
     }
 }

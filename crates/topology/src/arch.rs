@@ -160,28 +160,6 @@ impl FaultSet {
         count
     }
 
-    /// Length of the run of consecutive faulty nodes starting at `from`
-    /// (zero when `from` is healthy), found by word-wise scanning. Answers
-    /// in one query whether a fault run severs a K-Hop line (`run >= K`) —
-    /// the question the linear run scan of [`crate::runscan`] resolves with
-    /// a gap counter when it is already walking every position anyway.
-    pub fn faulty_run(&self, from: NodeId) -> usize {
-        let start = from.index();
-        let mut pos = start;
-        loop {
-            let (word, bit) = (pos / WORD_BITS, pos % WORD_BITS);
-            let Some(&w) = self.words.get(word) else {
-                return pos - start;
-            };
-            // Healthy bits at or above `bit` within this word, as set bits.
-            let healthy = !w & (!0u64 << bit);
-            if healthy != 0 {
-                return word * WORD_BITS + healthy.trailing_zeros() as usize - start;
-            }
-            pos = (word + 1) * WORD_BITS;
-        }
-    }
-
     /// Returns `self ∪ other` without mutating either side — the what-if
     /// primitive of the placement service, which overlays hypothetical faults
     /// on a shared snapshot it must not touch.
@@ -568,19 +546,6 @@ mod tests {
         assert_eq!(ids(101, 130), Vec::<usize>::new());
         assert_eq!(ids(500, 1000), Vec::<usize>::new());
         assert_eq!(ids(10, 5), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn faulty_run_measures_consecutive_faults() {
-        let faults = FaultSet::from_nodes((60..70).chain(100..101).map(NodeId));
-        assert_eq!(faults.faulty_run(NodeId(59)), 0);
-        assert_eq!(faults.faulty_run(NodeId(60)), 10);
-        assert_eq!(faults.faulty_run(NodeId(65)), 5);
-        assert_eq!(faults.faulty_run(NodeId(100)), 1);
-        assert_eq!(faults.faulty_run(NodeId(500)), 0);
-        // A run that extends to the end of the stored words terminates there.
-        let tail = FaultSet::from_nodes((120..128).map(NodeId));
-        assert_eq!(tail.faulty_run(NodeId(120)), 8);
     }
 
     #[test]

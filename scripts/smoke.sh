@@ -25,6 +25,9 @@ mkdir -p target/smoke/perfbench
 for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
   (cd target/smoke/perfbench && "$perfbench" --workload "$workload" --seed 7 --seconds 1 --trace 0 > /dev/null)
 done
+# lifecycle is not a BENCHMARK.json workload, but it is the one production
+# caller of PlacementService::place, so it gets the same checked run.
+(cd target/smoke/perfbench && "$perfbench" --workload lifecycle --seed 7 --seconds 1 --trace 0 > /dev/null)
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
