@@ -8,14 +8,14 @@
 //! [`SnapshotStore::publish_delta`](crate::service::SnapshotStore), then a
 //! fixed probe batch forces the service to materialize its shared scratches
 //! for the new epoch — *patched* forward from the previous epoch's scratches,
-//! re-orchestrating only the sub-line segments whose fault words changed.
+//! re-summarizing only the sub-line segments whose fault bits changed.
 //!
 //! The table reports, per churn rate, how many segments the patches
-//! re-orchestrated versus carried over (from
+//! re-summarized versus carried over (from
 //! [`PatchTally`](crate::service::PatchTally)) and prices both publish paths
 //! with the same deterministic cost model as the throughput experiment: a
 //! cold scratch build costs `build_us(nodes)` and a patched build the
-//! re-orchestrated fraction of it. Every cell is bit-stable in the seed and
+//! re-summarized fraction of it. Every cell is bit-stable in the seed and
 //! invariant in `--threads` (batch counters are pinned thread-invariant by
 //! the `service_oracle` / `service_delta` suites; the patch statistics are a
 //! deterministic function of the delta chain).
@@ -130,7 +130,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             0.0
         };
         // Modeled publish-side latency per epoch: both keys' scratch
-        // materializations, cold versus the re-orchestrated fraction.
+        // materializations, cold versus the re-summarized fraction.
         let builds_per_epoch = tally.patched_builds as f64 / epochs as f64;
         let cold_epoch_us = builds_per_epoch * build_us(NODES);
         let patched_epoch_us = if segments > 0.0 {

@@ -344,23 +344,14 @@ impl LifecycleOutcome {
     /// Percentile of the initial queueing delays (0.0 when no job was
     /// admitted).
     pub fn queue_delay_percentile(&self, q: f64) -> f64 {
-        percentile_of(&self.queue_delays, q)
+        fault::stats::percentile_unsorted(&self.queue_delays, q)
     }
 
     /// Percentile of the modeled placement latencies (0.0 when no placement
     /// succeeded).
     pub fn placement_latency_percentile(&self, q: f64) -> f64 {
-        percentile_of(&self.placement_latencies, q)
+        fault::stats::percentile_unsorted(&self.placement_latencies, q)
     }
-}
-
-fn percentile_of(values: &[f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    fault::stats::percentile(&sorted, q)
 }
 
 /// The discrete events of the lifecycle loop.
@@ -529,6 +520,7 @@ impl SimState<'_> {
         let usable = self
             .orchestrator
             .placement_with_constraints(&probe, self.ledger.excluded(), 0)
+            .expect("the probe is validated when the simulation starts")
             .nodes_placed();
         (1.0 - usable as f64 / free as f64).max(0.0)
     }

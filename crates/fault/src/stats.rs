@@ -83,6 +83,17 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// Percentile of an unsorted slice: sorts a copy (by `total_cmp`) and takes
+/// [`percentile`]; 0.0 for an empty slice.
+pub fn percentile_unsorted(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    percentile(&sorted, q)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +146,13 @@ mod tests {
     #[should_panic(expected = "empty slice")]
     fn percentile_of_empty_slice_panics() {
         let _ = percentile(&[], 0.5);
+    }
+
+    #[test]
+    fn percentile_unsorted_sorts_first_and_maps_empty_to_zero() {
+        assert_eq!(percentile_unsorted(&[], 0.5), 0.0);
+        let data = [4.0, 0.0, 3.0, 1.0, 2.0];
+        assert!((percentile_unsorted(&data, 0.9) - 3.6).abs() < 1e-12);
     }
 
     #[test]

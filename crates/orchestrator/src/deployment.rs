@@ -12,6 +12,7 @@
 
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The deployment wiring of the cluster.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,42 +52,61 @@ impl DeploymentStrategy {
         self.nodes / self.nodes_per_tor
     }
 
-    /// The full deployment order `S_deploy`: sub-line 0 first (nodes
-    /// 0, p, 2p, …), then sub-line 1 (1, p+1, …), and so on — adjacent elements
-    /// are HBD neighbours.
-    pub fn deployment_order(&self) -> Vec<NodeId> {
+    /// Positions `positions` of sub-line `i`, in HBD order: position `j` is
+    /// node `i + j·p`. The one place Algorithm 3's layout formula is coded.
+    ///
+    /// # Panics
+    /// If `positions` is reversed or ends past
+    /// [`subline_length`](Self::subline_length).
+    pub fn subline_nodes(
+        &self,
+        i: usize,
+        positions: Range<usize>,
+    ) -> impl Iterator<Item = NodeId> + Clone {
+        assert!(
+            positions.start <= positions.end && positions.end <= self.subline_length(),
+            "positions {positions:?} of a {}-node sub-line",
+            self.subline_length()
+        );
         let p = self.nodes_per_tor;
-        let l = self.subline_length();
-        let mut order = Vec::with_capacity(self.nodes);
-        for i in 0..p {
-            for j in 0..l {
-                order.push(NodeId(i + j * p));
-            }
-        }
-        // Nodes beyond l*p (a trailing partial rack) are appended in id order.
-        for n in l * p..self.nodes {
-            order.push(NodeId(n));
-        }
-        order
+        positions.map(move |j| NodeId(i + j * p))
     }
 
-    /// The nodes of sub-line `i`, in HBD order.
-    pub fn subline(&self, i: usize) -> Result<Vec<NodeId>> {
-        if i >= self.sublines() {
-            return Err(HbdError::unknown_entity(format!(
-                "sub-line {i} of a {}-sub-line deployment",
-                self.sublines()
-            )));
-        }
-        Ok((0..self.subline_length())
-            .map(|j| NodeId(i + j * self.nodes_per_tor))
-            .collect())
+    /// The nodes beyond the last complete ToR row (a trailing partial rack),
+    /// in id order; the deployment order ends with them.
+    pub fn trailing_rack(&self) -> impl Iterator<Item = NodeId> + Clone {
+        (self.subline_length() * self.nodes_per_tor..self.nodes).map(NodeId)
     }
 
     /// The segment of sub-line `subline` that lies inside aggregation-switch
-    /// domain `domain`, given `tors_per_domain` racks per domain. Equal to
-    /// `subline(subline)?[start..end]`, generated without building the whole
-    /// sub-line.
+    /// domain `domain`, given `tors_per_domain` racks per domain: positions
+    /// `domain × tors_per_domain` up to the next domain or the sub-line's
+    /// end. `None` when the domain starts past the end of the sub-lines.
+    pub fn segment(
+        &self,
+        subline: usize,
+        domain: usize,
+        tors_per_domain: usize,
+    ) -> Option<impl Iterator<Item = NodeId> + Clone> {
+        let len = self.subline_length();
+        let start = domain * tors_per_domain;
+        let end = ((domain + 1) * tors_per_domain).min(len);
+        (start < len).then(|| self.subline_nodes(subline, start..end))
+    }
+
+    /// The full deployment order `S_deploy`: sub-line 0 first (nodes
+    /// 0, p, 2p, …), then sub-line 1 (1, p+1, …), and so on, then the
+    /// trailing partial rack — adjacent elements are HBD neighbours.
+    pub fn deployment_order(&self) -> Vec<NodeId> {
+        let l = self.subline_length();
+        (0..self.nodes_per_tor)
+            .flat_map(|i| self.subline_nodes(i, 0..l))
+            .chain(self.trailing_rack())
+            .collect()
+    }
+
+    /// [`segment`](Self::segment) collected, with out-of-range sub-lines and
+    /// domains reported as errors.
     pub fn subline_segment(
         &self,
         subline: usize,
@@ -99,17 +119,11 @@ impl DeploymentStrategy {
                 self.sublines()
             )));
         }
-        let len = self.subline_length();
-        let start = domain * tors_per_domain;
-        let end = ((domain + 1) * tors_per_domain).min(len);
-        if start >= len {
-            return Err(HbdError::unknown_entity(format!(
-                "domain {domain} of sub-line {subline}"
-            )));
-        }
-        Ok((start..end)
-            .map(|j| NodeId(subline + j * self.nodes_per_tor))
-            .collect())
+        self.segment(subline, domain, tors_per_domain)
+            .map(Iterator::collect)
+            .ok_or_else(|| {
+                HbdError::unknown_entity(format!("domain {domain} of sub-line {subline}"))
+            })
     }
 
     /// The HBD neighbours (main links) of a node: `n ± p`.
@@ -170,10 +184,10 @@ mod tests {
         let deploy = DeploymentStrategy::new(32, 4).unwrap();
         assert_eq!(deploy.sublines(), 4);
         assert_eq!(deploy.subline_length(), 8);
-        let line2 = deploy.subline(2).unwrap();
+        let line2: Vec<NodeId> = deploy.subline_nodes(2, 0..8).collect();
         assert_eq!(line2[0], NodeId(2));
         assert_eq!(line2[7], NodeId(30));
-        assert!(deploy.subline(4).is_err());
+        assert!(deploy.subline_segment(4, 0, 2).is_err());
         // Two ToRs per aggregation domain: segment 1 of sub-line 2 covers the
         // 3rd and 4th racks.
         let segment = deploy.subline_segment(2, 1, 2).unwrap();
@@ -186,16 +200,18 @@ mod tests {
         // The 512-node layout and the 520-node one with a trailing partial
         // rack, 16 nodes per ToR, 8 ToRs per aggregation domain (and 5, so
         // the last domain is cut short); out-of-range sub-lines and domains
-        // must fail exactly where slicing would.
+        // must fail exactly where slicing the deployment order would.
         for (nodes, tors) in [(512usize, 8usize), (520, 8), (520, 5)] {
             let deploy = DeploymentStrategy::new(nodes, 16).unwrap();
+            let order = deploy.deployment_order();
+            let len = deploy.subline_length();
             for subline in 0..=deploy.sublines() {
                 for domain in 0..9 {
                     let segment = deploy.subline_segment(subline, domain, tors);
-                    let sliced = deploy.subline(subline).ok().and_then(|full| {
-                        let start = domain * tors;
-                        (start < full.len())
-                            .then(|| full[start..(start + tors).min(full.len())].to_vec())
+                    let start = domain * tors;
+                    let sliced = (subline < deploy.sublines() && start < len).then(|| {
+                        let line = &order[subline * len..(subline + 1) * len];
+                        line[start..(start + tors).min(len)].to_vec()
                     });
                     assert_eq!(
                         segment.ok(),

@@ -24,7 +24,6 @@ use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use topology::runscan::{scan_khop_runs, RunSink, RunSummary};
 use topology::{FatTree, FaultSet};
 
@@ -69,38 +68,30 @@ pub struct FatTreeOrchestrator {
 /// ladder would otherwise recompute per probe, built once and shared
 /// immutably across the probe-evaluation threads.
 ///
-/// Besides both placement variants of every sub-line segment it holds the
-/// tables that make a probe O(p) (p = nodes per ToR = sub-lines): prefix sums
-/// of the segments' node counts for the constrained part, and per-sub-line
-/// suffix folds of the segments' [`RunSummary`]s plus summaries of the
-/// trailing partial rack for the residual line (see
-/// [`FatTreeOrchestrator::placed_count_cached`]).
+/// It holds only what depends on the faults: the two fault views, one
+/// [`SegmentCache`] per sub-line segment, and the tables that make a probe
+/// O(p) (p = nodes per ToR = sub-lines): prefix sums of the segments' node
+/// counts for the constrained part, and per-sub-line suffix folds of the
+/// segments' [`RunSummary`]s plus summaries of the trailing partial rack
+/// for the residual line (see [`FatTreeOrchestrator::placed_count_cached`]).
+/// Which nodes a segment or the residual line covers is layout, read from
+/// the [`DeploymentStrategy`] when needed.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
-    /// The deployment order (Algorithm 3). Layout-only (fault-independent),
-    /// so patched scratches share it by `Arc`.
-    order: Arc<Vec<NodeId>>,
-    /// For every node id, the sub-line segment owning it (`usize::MAX` for
-    /// nodes outside any segment, e.g. a trailing partial rack). Replaces the
-    /// per-probe `consumed` set: a probe with `c` constrained segments keeps
-    /// exactly the nodes with `owner >= c` in its residual pass. Layout-only,
-    /// shared by `Arc` like `order`.
-    owner: Arc<Vec<usize>>,
-    /// Both memoized placement variants per segment, in segment order.
-    /// Shorter than the segment pool when a segment is undefined for the
-    /// layout (mirrors the `break` in the uncached loop). Each entry is
-    /// `Arc`-shared so a patch carries clean segments over for free.
-    segments: Vec<Arc<SegmentCache>>,
+    /// One entry per sub-line segment, in segment order. Shorter than the
+    /// segment pool when a domain starts past the end of the sub-lines
+    /// (mirrors the `break` in the uncached loop).
+    segments: Vec<SegmentCache>,
     /// The fault set this scratch was built from. It doubles as the
     /// per-domain fingerprint: a patch compares its words over each
     /// aggregation domain with [`FaultSet::range_eq`] to decide what to
-    /// re-orchestrate.
+    /// re-summarize.
     raw: FaultSet,
     /// `raw` with the ToR expansion applied in every aggregation domain. A
     /// probe with `a` aligned domains reads this set below the cutoff
     /// `a × nodes_per_aggregation_domain` and `raw` from the cutoff on.
     expanded: FaultSet,
-    /// `raw_prefix[s]`: `raw_nodes` summed over the first `s` segments.
+    /// `raw_prefix[s]`: the raw node counts of the first `s` segments, summed.
     raw_prefix: Vec<usize>,
     /// `aligned_prefix[s]`: `aligned_nodes` summed over the first `s`
     /// segments.
@@ -110,35 +101,35 @@ pub(crate) struct SearchScratch {
     /// `q..domains` (`domains = segments.len() / p`); the last entry of each
     /// sub-line is the empty summary.
     suffix: Vec<RunSummary>,
-    /// Summary of the trailing partial rack (the end of `order` past the
-    /// sub-lines, owned by no segment) under `raw`.
+    /// Summary of the trailing partial rack (the end of the deployment
+    /// order past the sub-lines, in no segment) under `raw`.
     tail_raw: RunSummary,
     /// The same under `expanded`.
     tail_expanded: RunSummary,
 }
 
-/// The two placements a sub-line segment can contribute, depending only on
-/// whether its aggregation domain is alignment-constrained, plus their
-/// `nodes_placed()` so a count-only probe never walks the groups, and the
-/// run summary of the segment's raw faults for the residual line of an
-/// unaligned probe.
-#[derive(Debug)]
+/// What a probe needs of one sub-line segment: the run summary of its raw
+/// faults (its raw node count is `summary.placed(m)`, and an unaligned
+/// probe's residual line folds it) and the nodes it places when its
+/// aggregation domain is aligned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SegmentCache {
-    raw: PlacementScheme,
-    aligned: PlacementScheme,
-    raw_nodes: usize,
-    aligned_nodes: usize,
     summary: RunSummary,
+    aligned_nodes: usize,
 }
 
 impl SegmentCache {
-    fn new(raw: PlacementScheme, aligned: PlacementScheme, summary: RunSummary) -> Self {
+    /// Summarizes the segment `nodes` under the raw and the expanded faults.
+    fn new(
+        nodes: impl Iterator<Item = NodeId> + Clone,
+        request: &OrchestrationRequest,
+        raw: &FaultSet,
+        expanded: &FaultSet,
+    ) -> Self {
+        let (k, m) = (request.k, request.nodes_per_group);
         SegmentCache {
-            raw_nodes: raw.nodes_placed(),
-            aligned_nodes: aligned.nodes_placed(),
-            raw,
-            aligned,
-            summary,
+            summary: RunSummary::scan(nodes.clone(), k, m, |n| raw.is_faulty(*n)),
+            aligned_nodes: RunSummary::scan(nodes, k, m, |n| expanded.is_faulty(*n)).placed(m),
         }
     }
 }
@@ -148,9 +139,10 @@ impl SegmentCache {
 /// (aggregated by the placement service into its patch tally).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchPatchStats {
-    /// Sub-line segments with at least one placement variant re-orchestrated.
+    /// Sub-line segments re-summarized because a raw or an expanded fault
+    /// bit on their nodes flipped.
     pub segments_reorchestrated: usize,
-    /// Sub-line segments carried over without re-orchestration.
+    /// Sub-line segments carried over unchanged.
     pub segments_reused: usize,
     /// Aggregation domains whose fault words changed.
     pub domains_patched: usize,
@@ -228,12 +220,15 @@ impl FatTreeOrchestrator {
     /// ([`orchestrate_par`](Self::orchestrate_par)) evaluates many probes
     /// against one fault set and reuses the shared per-search state
     /// (`SearchScratch`) instead. Both paths produce identical placements.
+    /// Fails with [`HbdError::InvalidConfig`] on a request
+    /// [`validate`](OrchestrationRequest::validate) rejects.
     pub fn placement_with_constraints(
         &self,
         request: &OrchestrationRequest,
         faults: &FaultSet,
         n_constraints: usize,
-    ) -> PlacementScheme {
+    ) -> Result<PlacementScheme> {
+        request.validate()?;
         let p = self.deployment.sublines();
         let tors_per_domain = self.fat_tree.nodes_per_aggregation_domain() / p;
         let n_segments = self.segment_constraints();
@@ -302,20 +297,41 @@ impl FatTreeOrchestrator {
         scheme.extend(cutter.scheme);
 
         self.assign_dp_ranks(&mut scheme);
-        scheme
+        Ok(scheme)
+    }
+
+    /// The nodes of sub-line segment `seg`, numbered domain-major
+    /// (`seg = domain × p + sub-line`), or `None` when its domain starts past
+    /// the end of the sub-lines.
+    fn segment_nodes(&self, seg: usize) -> Option<impl Iterator<Item = NodeId> + Clone> {
+        let p = self.deployment.sublines();
+        let tors_per_domain = self.fat_tree.nodes_per_aggregation_domain() / p;
+        self.deployment.segment(seg % p, seg / p, tors_per_domain)
+    }
+
+    /// The first aggregation domain whose segment of sub-line `subline` is
+    /// left to the residual line when the first `constrained` segments are
+    /// constrained: `⌈(c − i) / p⌉`. Segments are numbered domain-major
+    /// while the deployment order is sub-line-major, so the residual part of
+    /// a sub-line is its suffix from this domain on. The one statement of
+    /// the residual rule: probes fold summaries from here, placements walk
+    /// nodes from here.
+    fn residual_from(&self, subline: usize, constrained: usize) -> usize {
+        constrained
+            .saturating_sub(subline)
+            .div_ceil(self.deployment.sublines())
     }
 
     /// Builds the per-search scratch shared by every probe of one constraint
-    /// search: the deployment order, the segment-ownership mask, the raw and
-    /// the ToR-expanded fault sets, both placement variants and the raw run
-    /// summary of every sub-line segment, and the probe tables derived from
-    /// them.
+    /// search: the raw and the ToR-expanded fault sets, the raw run summary
+    /// and aligned node count of every sub-line segment, and the probe tables
+    /// derived from them.
     ///
-    /// A segment's placement depends only on the segment and on whether its
-    /// own aggregation domain is aligned: ToRs never straddle domains
+    /// A segment's count depends only on the segment and on whether its own
+    /// aggregation domain is aligned: ToRs never straddle domains
     /// (`nodes_per_aggregation_domain = p × tors_per_domain`), so the ToR
     /// expansion sourced from other domains cannot touch the segment's nodes.
-    /// Each segment is therefore orchestrated exactly twice per search — once
+    /// Each segment is therefore summarized exactly twice per search — once
     /// raw, once aligned — instead of once per probe. The same argument lets
     /// a probe with `a` aligned domains read one expanded set below the
     /// domain cutoff instead of a per-`a` effective set.
@@ -324,37 +340,14 @@ impl FatTreeOrchestrator {
         request: &OrchestrationRequest,
         faults: &FaultSet,
     ) -> SearchScratch {
-        let p = self.deployment.sublines();
-        let tors_per_domain = self.fat_tree.nodes_per_aggregation_domain() / p;
-        let n_segments = self.segment_constraints();
         let expanded = self.expand_domains(faults);
-
-        let mut owner = vec![usize::MAX; self.fat_tree.nodes()];
-        let mut segments = Vec::with_capacity(n_segments);
-        for seg in 0..n_segments {
-            let domain = seg / p;
-            let subline = seg % p;
-            let Ok(nodes) = self
-                .deployment
-                .subline_segment(subline, domain, tors_per_domain)
-            else {
-                break;
-            };
-            for node in &nodes {
-                owner[node.index()] = seg;
-            }
-            segments.push(Arc::new(SegmentCache::new(
-                orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group),
-                orchestrate_dcn_free(&nodes, request.k, &expanded, request.nodes_per_group),
-                RunSummary::scan(&nodes, request.k, request.nodes_per_group, |n| {
-                    faults.is_faulty(**n)
-                }),
-            )));
-        }
-
+        let segments = (0..self.segment_constraints())
+            .map_while(|seg| {
+                let nodes = self.segment_nodes(seg)?;
+                Some(SegmentCache::new(nodes, request, faults, &expanded))
+            })
+            .collect();
         let mut scratch = SearchScratch {
-            order: Arc::new(self.deployment.deployment_order()),
-            owner: Arc::new(owner),
             segments,
             raw: faults.clone(),
             expanded,
@@ -391,7 +384,7 @@ impl FatTreeOrchestrator {
             }
         }
 
-        let prefix = |count: fn(&SegmentCache) -> usize| {
+        let prefix = |count: &dyn Fn(&SegmentCache) -> usize| {
             std::iter::once(0)
                 .chain(scratch.segments.iter().scan(0, |sum, cache| {
                     *sum += count(cache);
@@ -399,11 +392,12 @@ impl FatTreeOrchestrator {
                 }))
                 .collect::<Vec<usize>>()
         };
-        scratch.raw_prefix = prefix(|cache| cache.raw_nodes);
-        scratch.aligned_prefix = prefix(|cache| cache.aligned_nodes);
+        scratch.raw_prefix = prefix(&|cache| cache.summary.placed(m));
+        scratch.aligned_prefix = prefix(&|cache| cache.aligned_nodes);
 
-        let tail = &scratch.order[self.deployment.subline_length() * p..];
-        let summarize = |faults: &FaultSet| RunSummary::scan(tail, k, m, |n| faults.is_faulty(**n));
+        let tail = self.deployment.trailing_rack();
+        let summarize =
+            |faults: &FaultSet| RunSummary::scan(tail.clone(), k, m, |n| faults.is_faulty(*n));
         scratch.tail_raw = summarize(&scratch.raw);
         scratch.tail_expanded = summarize(&scratch.expanded);
     }
@@ -416,25 +410,23 @@ impl FatTreeOrchestrator {
     /// sets, not the cluster, apart from one linear pass rebuilding the
     /// expanded set:
     ///
-    /// * the deployment order and ownership mask are layout-only and shared
-    ///   by `Arc`;
     /// * an aggregation domain whose fault words are unchanged
     ///   ([`FaultSet::range_eq`] against the old scratch's `raw` set)
-    ///   contributes nothing — its segments are `Arc`-cloned, and its
-    ///   expanded words are unchanged too because the ToR expansion never
-    ///   crosses a domain boundary;
-    /// * inside a dirty domain, only segments whose own nodes' raw (resp.
-    ///   expanded) bits flipped re-orchestrate their raw (resp. aligned)
-    ///   variant; every other variant is carried over;
-    /// * only raw-dirty segments re-summarize their runs, and only their
-    ///   sub-lines refold their suffix summaries; the segment prefix sums
-    ///   and the trailing-rack summaries are rebuilt (O(segments + p)).
+    ///   contributes nothing — its segments are copied, and its expanded
+    ///   words are unchanged too because the ToR expansion never crosses a
+    ///   domain boundary;
+    /// * inside a dirty domain, only segments with a raw or an expanded
+    ///   fault bit flipped on their own nodes are re-summarized; every other
+    ///   segment is copied;
+    /// * only sub-lines with a raw-dirty segment refold their suffix
+    ///   summaries; the segment prefix sums and the trailing-rack summaries
+    ///   are rebuilt (O(segments + p)).
     ///
-    /// Bit-exactness versus the cold rebuild follows from
-    /// `orchestrate_dcn_free` being a deterministic function of the fault
-    /// bits on the segment's own nodes: unchanged bits imply an identical
-    /// placement, so cloning it is indistinguishable from recomputing it.
-    /// Pinned field-for-field by the patch proptests below.
+    /// Bit-exactness versus the cold rebuild follows from a segment's
+    /// [`SegmentCache`] being a deterministic function of the fault bits on
+    /// the segment's own nodes: unchanged bits imply an identical value, so
+    /// copying it is indistinguishable from recomputing it. Pinned
+    /// field-for-field by the patch proptests below.
     pub(crate) fn patch_scratch(
         &self,
         request: &OrchestrationRequest,
@@ -443,7 +435,6 @@ impl FatTreeOrchestrator {
     ) -> (SearchScratch, ScratchPatchStats) {
         let p = self.deployment.sublines();
         let npd = self.fat_tree.nodes_per_aggregation_domain();
-        let tors_per_domain = npd / p;
 
         let expanded = self.expand_domains(faults);
         let mut raw_dirty = vec![false; old.segments.len()];
@@ -471,40 +462,20 @@ impl FatTreeOrchestrator {
             mark_flips(&mut aligned_dirty, domain, &expanded, &old.expanded);
         }
 
-        let mut segments = Vec::with_capacity(old.segments.len());
-        for (seg, cache) in old.segments.iter().enumerate() {
-            let (raw_hit, aligned_hit) = (raw_dirty[seg], aligned_dirty[seg]);
-            if !raw_hit && !aligned_hit {
-                segments.push(Arc::clone(cache));
+        let mut segments = old.segments.clone();
+        for (seg, cache) in segments.iter_mut().enumerate() {
+            if !raw_dirty[seg] && !aligned_dirty[seg] {
                 stats.segments_reused += 1;
                 continue;
             }
             stats.segments_reorchestrated += 1;
             let nodes = self
-                .deployment
-                .subline_segment(seg % p, seg / p, tors_per_domain)
+                .segment_nodes(seg)
                 .expect("segment was defined when the old scratch was built");
-            let (raw, summary) = if raw_hit {
-                (
-                    orchestrate_dcn_free(&nodes, request.k, faults, request.nodes_per_group),
-                    RunSummary::scan(&nodes, request.k, request.nodes_per_group, |n| {
-                        faults.is_faulty(**n)
-                    }),
-                )
-            } else {
-                (cache.raw.clone(), cache.summary)
-            };
-            let aligned = if aligned_hit {
-                orchestrate_dcn_free(&nodes, request.k, &expanded, request.nodes_per_group)
-            } else {
-                cache.aligned.clone()
-            };
-            segments.push(Arc::new(SegmentCache::new(raw, aligned, summary)));
+            *cache = SegmentCache::new(nodes, request, faults, &expanded);
         }
 
         let mut scratch = SearchScratch {
-            order: Arc::clone(&old.order),
-            owner: Arc::clone(&old.owner),
             segments,
             raw: faults.clone(),
             expanded,
@@ -522,33 +493,33 @@ impl FatTreeOrchestrator {
     }
 
     /// [`placement_with_constraints`](Self::placement_with_constraints)
-    /// against a prebuilt [`SearchScratch`]: constrained segments copy their
-    /// memoized placements, the residual pass streams the cached deployment
-    /// order through the linear-scan kernel, and no fault set is cloned.
-    /// Bit-identical to the uncached path (pinned by the memoization
-    /// invariance test and the chained-patch proptest).
+    /// against a prebuilt [`SearchScratch`], cut once from the scratch's
+    /// fault views: every constrained segment's nodes stream through one
+    /// [`GroupCutter`] with a cut at each segment end, then the residual
+    /// line does, and no fault set is cloned. Emission order differs from
+    /// the uncached path, but [`assign_dp_ranks`](Self::assign_dp_ranks)
+    /// sorts groups by a key unique per group (their head node), so the
+    /// result is bit-identical (pinned by the memoization invariance test
+    /// and the chained-patch proptest).
     pub(crate) fn placement_with_constraints_cached(
         &self,
         request: &OrchestrationRequest,
         scratch: &SearchScratch,
         n_constraints: usize,
     ) -> PlacementScheme {
-        let p = self.deployment.sublines();
         let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
-        let mut scheme = PlacementScheme::new();
-        for (seg, cache) in scratch.segments.iter().enumerate().take(constrained) {
-            let placed = if seg / p < aligned_domains {
-                &cache.aligned
-            } else {
-                &cache.raw
-            };
-            scheme.groups.extend_from_slice(&placed.groups);
-        }
-
         let mut cutter = GroupCutter::new(request.nodes_per_group);
-        self.scan_residual(request, scratch, constrained, aligned_domains, &mut cutter);
-        scheme.extend(cutter.scheme);
+        for seg in 0..constrained {
+            let nodes = self
+                .segment_nodes(seg)
+                .expect("every scratch segment is defined");
+            self.scan_view(request, scratch, aligned_domains, nodes, &mut cutter);
+            cutter.cut();
+        }
+        let residual = self.residual_line(constrained);
+        self.scan_view(request, scratch, aligned_domains, residual, &mut cutter);
 
+        let mut scheme = cutter.scheme;
         self.assign_dp_ranks(&mut scheme);
         scheme
     }
@@ -557,17 +528,16 @@ impl FatTreeOrchestrator {
     /// in O(p) without building the placement or scanning a node. This is
     /// what a search probe evaluates.
     ///
-    /// The constrained segments contribute their memoized counts, read off
-    /// the prefix sums: aligned ones below segment `a × p`, raw ones above.
-    /// The residual line is counted from run summaries. Segments are numbered
-    /// domain-major while the deployment order is sub-line-major, so with
-    /// `c` constrained segments the residual part of sub-line `i` is its
-    /// suffix from domain `⌈(c − i) / p⌉` on (one cached fold), and the line
-    /// ends with the trailing partial rack. With `a > 0` aligned domains
-    /// every defined segment is constrained and only that rack remains; it
-    /// reads the expanded faults when it lies below the alignment cutoff.
-    /// Pinned to the residual scan [`placed_count_scan`](Self::placed_count_scan)
-    /// and to the placement by proptests.
+    /// The constrained segments contribute their counts, read off the prefix
+    /// sums: aligned ones below segment `a × p`, raw ones above. The residual
+    /// line is counted from run summaries: sub-line `i` contributes its
+    /// suffix fold from domain [`residual_from`](Self::residual_from) on, and
+    /// the line ends with the trailing partial rack. With `a > 0` aligned
+    /// domains every defined segment is constrained and only that rack
+    /// remains; it reads the expanded faults when it lies below the
+    /// alignment cutoff. Pinned to the residual scan
+    /// [`placed_count_scan`](Self::placed_count_scan) and to the placement
+    /// by proptests.
     pub(crate) fn placed_count_cached(
         &self,
         request: &OrchestrationRequest,
@@ -584,7 +554,7 @@ impl FatTreeOrchestrator {
         let domains = scratch.segments.len() / p;
         let mut line = RunSummary::default();
         for subline in 0..p {
-            let from = constrained.saturating_sub(subline).div_ceil(p);
+            let from = self.residual_from(subline, constrained);
             line = line.then(scratch.suffix[subline * (domains + 1) + from], k, m);
         }
         let tail_start = self.deployment.subline_length() * p;
@@ -597,9 +567,9 @@ impl FatTreeOrchestrator {
     }
 
     /// The residual-scan count [`placed_count_cached`](Self::placed_count_cached)
-    /// replaced: memoized segment counts plus the residual line streamed
-    /// through the linear-scan kernel into a `GroupCounter`. O(nodes); the
-    /// probe's oracle.
+    /// replaced: the segment counts plus the residual line streamed through
+    /// the linear-scan kernel into a `GroupCounter`. O(nodes); the probe's
+    /// oracle.
     #[cfg(test)]
     pub(crate) fn placed_count_scan(
         &self,
@@ -608,6 +578,7 @@ impl FatTreeOrchestrator {
         n_constraints: usize,
     ) -> usize {
         let p = self.deployment.sublines();
+        let m = request.nodes_per_group;
         let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
         let segments: usize = scratch
             .segments
@@ -618,13 +589,14 @@ impl FatTreeOrchestrator {
                 if seg / p < aligned_domains {
                     cache.aligned_nodes
                 } else {
-                    cache.raw_nodes
+                    cache.summary.placed(m)
                 }
             })
             .sum();
 
-        let mut counter = crate::dcn_free::GroupCounter::new(request.nodes_per_group);
-        self.scan_residual(request, scratch, constrained, aligned_domains, &mut counter);
+        let mut counter = crate::dcn_free::GroupCounter::new(m);
+        let residual = self.residual_line(constrained);
+        self.scan_view(request, scratch, aligned_domains, residual, &mut counter);
         segments + counter.placed
     }
 
@@ -639,38 +611,42 @@ impl FatTreeOrchestrator {
         (constrained, aligned_domains)
     }
 
-    /// The residual pass of a placement: every node not owned by one of the
-    /// first `constrained` segments, in deployment order, through the
-    /// linear-scan kernel into `sink`. Probes count the same line from run
-    /// summaries instead.
-    fn scan_residual<S: RunSink<NodeId>>(
+    /// The residual line of a probe with `constrained` segments, in
+    /// deployment order: every sub-line from its
+    /// [`residual_from`](Self::residual_from) domain on, then the trailing
+    /// partial rack.
+    fn residual_line(&self, constrained: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let len = self.deployment.subline_length();
+        let tors_per_domain =
+            self.fat_tree.nodes_per_aggregation_domain() / self.deployment.sublines();
+        (0..self.deployment.sublines())
+            .flat_map(move |subline| {
+                let start = (self.residual_from(subline, constrained) * tors_per_domain).min(len);
+                self.deployment.subline_nodes(subline, start..len)
+            })
+            .chain(self.deployment.trailing_rack())
+    }
+
+    /// Streams `nodes` through the linear-scan kernel into `sink` under a
+    /// probe's fault view: the first `aligned_domains` domains see the
+    /// ToR-expanded faults, everything from the cutoff on the raw ones.
+    fn scan_view<S: RunSink<NodeId>>(
         &self,
         request: &OrchestrationRequest,
         scratch: &SearchScratch,
-        constrained: usize,
         aligned_domains: usize,
+        nodes: impl Iterator<Item = NodeId>,
         sink: &mut S,
     ) {
-        // The alignment prefix: the first `aligned_domains` domains see the
-        // ToR-expanded faults, everything from the cutoff on the raw ones.
         let cutoff = aligned_domains * self.fat_tree.nodes_per_aggregation_domain();
-        let is_faulty = |n: NodeId| {
+        let faults = |n: &NodeId| {
             if n.index() < cutoff {
-                scratch.expanded.is_faulty(n)
+                scratch.expanded.is_faulty(*n)
             } else {
-                scratch.raw.is_faulty(n)
+                scratch.raw.is_faulty(*n)
             }
         };
-        scan_khop_runs(
-            scratch
-                .order
-                .iter()
-                .copied()
-                .filter(|n| scratch.owner[n.index()] >= constrained),
-            request.k,
-            |n| is_faulty(*n),
-            sink,
-        );
+        scan_khop_runs(nodes, request.k, faults, sink);
     }
 
     /// `Orchestration-Fat-Tree` (Algorithms 1 and 5): search the number of
@@ -700,10 +676,10 @@ impl FatTreeOrchestrator {
         threads: usize,
     ) -> Result<PlacementScheme> {
         request.validate()?;
-        // Everything probe-invariant is computed once: the deployment order,
-        // the segment-ownership mask, the raw and ToR-expanded fault sets,
-        // both placement variants (and node counts) of every segment, and
-        // the probe tables. Each probe is then O(p) table lookups.
+        // Everything probe-invariant is computed once: the raw and
+        // ToR-expanded fault sets, every segment's run summary and aligned
+        // node count, and the probe tables. Each probe is then O(p) table
+        // lookups, and the winning placement is cut once at the end.
         let scratch = self.search_scratch(request, faults);
         self.orchestrate_with_scratch(request, &scratch, threads).0
     }
@@ -840,15 +816,11 @@ mod tests {
         faults: &FaultSet,
     ) -> SearchScratch {
         let cold = orch.search_scratch(req, faults);
-        assert_eq!(*patched.order, *cold.order);
-        assert_eq!(*patched.owner, *cold.owner);
         assert_eq!(patched.raw, cold.raw);
         assert_eq!(patched.expanded, cold.expanded);
         assert_eq!(patched.segments.len(), cold.segments.len());
         for (seg, (p, c)) in patched.segments.iter().zip(&cold.segments).enumerate() {
-            assert_eq!(p.raw, c.raw, "segment {seg} raw placement");
-            assert_eq!(p.aligned, c.aligned, "segment {seg} aligned placement");
-            assert_eq!(p.summary, c.summary, "segment {seg} run summary");
+            assert_eq!(p, c, "segment {seg}");
         }
         assert_eq!(patched.raw_prefix, cold.raw_prefix);
         assert_eq!(patched.aligned_prefix, cold.aligned_prefix);
@@ -928,13 +900,34 @@ mod tests {
         // Concentrated faults in domain 0 make constrained placement expensive.
         let faults = FaultSet::from_nodes((0..32).map(NodeId));
         let req = request(400);
-        let strict = orch.placement_with_constraints(
-            &req,
-            &faults,
-            orch.segment_constraints() + orch.alignment_constraints(),
-        );
-        let relaxed = orch.placement_with_constraints(&req, &faults, 0);
+        let strict = orch
+            .placement_with_constraints(
+                &req,
+                &faults,
+                orch.segment_constraints() + orch.alignment_constraints(),
+            )
+            .unwrap();
+        let relaxed = orch.placement_with_constraints(&req, &faults, 0).unwrap();
         assert!(relaxed.nodes_placed() >= strict.nodes_placed());
+    }
+
+    #[test]
+    fn placement_with_constraints_rejects_invalid_requests() {
+        let orch = orchestrator();
+        let faults = FaultSet::from_nodes([NodeId(3)]);
+        for (nodes_per_group, k) in [(0usize, 2usize), (8, 0)] {
+            let bad = OrchestrationRequest {
+                job_nodes: 8,
+                nodes_per_group,
+                k,
+            };
+            for n in [0, orch.segment_constraints() + 1] {
+                assert!(matches!(
+                    orch.placement_with_constraints(&bad, &faults, n),
+                    Err(HbdError::InvalidConfig { .. })
+                ));
+            }
+        }
     }
 
     #[test]
@@ -987,7 +980,7 @@ mod tests {
         let total = orch.segment_constraints() + orch.alignment_constraints();
         for n in 0..=total {
             let cached = orch.placement_with_constraints_cached(&req, &scratch, n);
-            let uncached = orch.placement_with_constraints(&req, &faults, n);
+            let uncached = orch.placement_with_constraints(&req, &faults, n).unwrap();
             assert_eq!(cached, uncached, "constraint count {n}");
         }
         let seq = orch.orchestrate_par(&req, &faults, 1).unwrap();
@@ -1057,9 +1050,9 @@ mod tests {
         let req = request(360);
         let faults = FaultSet::from_nodes([NodeId(40), NodeId(300)]);
         let scratch = orch.search_scratch(&req, &faults);
-        // One added fault: it dirties its own sub-line's raw variant and, via
-        // the ToR expansion, the aligned variants of its rack peers' sub-lines
-        // — never a segment of another domain.
+        // One added fault: it dirties its own sub-line's segment through its
+        // raw bit and, via the ToR expansion, its rack peers' segments
+        // through their expanded bits — never a segment of another domain.
         let mut bumped = faults.clone();
         bumped.add(NodeId(129));
         let (patched, stats) = orch.patch_scratch(&req, &scratch, &bumped);
@@ -1188,8 +1181,11 @@ mod tests {
         /// every probe against a patched scratch places exactly like the
         /// uncached oracle, which pins the cutoff view independently of the
         /// scratch layout. The second layout adds a trailing partial rack:
-        /// its nodes own no segment, so only there does a fully aligned
-        /// probe's residual scan read across the cutoff.
+        /// its nodes are in no segment, so only there does a fully aligned
+        /// probe's residual scan read across the cutoff. In the third the
+        /// last domain is cut short, so the residual clamps at the sub-line
+        /// end; in the fourth the last domain starts past every sub-line and
+        /// has no segment.
         #[test]
         fn chained_patches_match_cold_rebuilds_over_random_deltas(
             initial in proptest::collection::vec(0usize..600, 0..40),
@@ -1198,8 +1194,10 @@ mod tests {
                 1..5,
             ),
         ) {
-            let partial_rack = FatTreeOrchestrator::new(FatTree::new(520, 16, 8).unwrap()).unwrap();
-            for orch in [orchestrator(), partial_rack] {
+            let layouts = [(520, 8), (520, 5), (481, 5)].map(|(nodes, tors)| {
+                FatTreeOrchestrator::new(FatTree::new(nodes, 16, tors).unwrap()).unwrap()
+            });
+            for orch in std::iter::once(orchestrator()).chain(layouts) {
                 let req = request(360);
                 let mut live = FaultSet::from_nodes(initial.iter().map(|&id| NodeId(id)));
                 let mut scratch = orch.search_scratch(&req, &live);
@@ -1229,7 +1227,7 @@ mod tests {
                         );
                         prop_assert_eq!(
                             placement,
-                            orch.placement_with_constraints(&req, &live, n),
+                            orch.placement_with_constraints(&req, &live, n).unwrap(),
                             "constraint count {}",
                             n
                         );

@@ -489,7 +489,7 @@ impl ModeledLatency {
 
 /// Cumulative incremental-publish accounting of one [`PlacementService`]:
 /// how its shared scratches were materialized across epochs, and what the
-/// patched ones re-orchestrated versus carried over.
+/// patched ones re-summarized versus carried over.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatchTally {
     /// Shared-scratch materializations that patched the previous epoch's
@@ -548,7 +548,7 @@ impl PlacementService {
 
     /// The cumulative incremental-publish accounting: how this service's
     /// shared scratches were materialized (patched forward vs built cold)
-    /// and what the patches re-orchestrated versus carried over.
+    /// and what the patches re-summarized versus carried over.
     pub fn patch_tally(&self) -> PatchTally {
         self.cache
             .lock()

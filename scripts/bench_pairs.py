@@ -24,6 +24,11 @@ whether the gap between the medians exceeds the parent's quartile distance.
 A metric whose median got worse by more than its `BENCHMARK.json` bound is
 flagged, and the script then exits 1.
 
+Within each pair it also compares the `# <workload> fingerprint ...` lines
+(exact counts and answer digest, printed at every `--trace`) and prints, per
+workload, whether every pair matched or the first line that differs. A
+mismatch is reported only; it does not change the exit status.
+
 Only `perfbench/` is built and only `BENCHMARK.json` is read.
 """
 
@@ -33,6 +38,7 @@ import os
 import statistics
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 
@@ -70,7 +76,19 @@ def run_once(binary, cwd, workload, seed, seconds, trace):
     if done.returncode != 0 or not result or not result["correct"] or result["failed"]:
         sys.exit(f"{binary} {workload} seed {seed}: exit {done.returncode}, incorrect run\n"
                  f"{lines[-1] if lines else ''}\n{done.stderr[-2000:]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    fingerprint = [line for line in lines if line.startswith(f"# {workload} fingerprint ")]
+    return {name: m["value"] for name, m in result["metrics"].items()}, fingerprint
+
+
+def report_fingerprints(workload, seeds, parent, change):
+    """Prints whether every pair's fingerprint lines matched, else the first difference."""
+    for seed, before, after in zip(seeds, parent, change):
+        if before != after:
+            first = next((b, a) for b, a in zip_longest(before, after) if b != a)
+            print(f"{workload}: fingerprints differ at seed {seed}:\n"
+                  f"  parent: {first[0]}\n  change: {first[1]}")
+            return
+    print(f"{workload}: fingerprints match in all {len(seeds)} pairs")
 
 
 def quartiles(values):
@@ -142,13 +160,17 @@ def main():
     flagged = []
     for workload in workloads:
         results = {"parent": [], "change": []}
-        for i in range(args.runs):
-            seed = args.first_seed + i
+        fingerprints = {"parent": [], "change": []}
+        seeds = [args.first_seed + i for i in range(args.runs)]
+        for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 binary, cwd = builds[side]
-                results[side].append(run_once(binary, cwd, workload, seed, seconds, args.trace))
+                metrics, fingerprint = run_once(binary, cwd, workload, seed, seconds, args.trace)
+                results[side].append(metrics)
+                fingerprints[side].append(fingerprint)
         flagged += report(workload, declared, results["parent"], results["change"])
+        report_fingerprints(workload, seeds, fingerprints["parent"], fingerprints["change"])
     if flagged:
         sys.exit(f"worse than parent by more than the bound: {', '.join(flagged)}")
 
