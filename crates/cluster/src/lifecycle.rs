@@ -724,7 +724,8 @@ fn node_set(scheme: &PlacementScheme) -> BTreeSet<NodeId> {
 /// (from [`fault::sim_events`]) against one shared Fat-Tree cluster.
 ///
 /// Deterministic in `(orchestrator, workload, fault_events, config)`;
-/// `config.threads` is ignored.
+/// `config.threads` is ignored. An edge naming a node outside the cluster is
+/// rejected with [`HbdError::UnknownEntity`] before anything is scheduled.
 pub fn simulate(
     orchestrator: &FatTreeOrchestrator,
     workload: &Workload,
@@ -745,6 +746,9 @@ pub fn simulate(
         return Err(HbdError::invalid_config(
             "frag_probe_group and frag_probe_k must be positive",
         ));
+    }
+    if let Some(edge) = fault_events.iter().find(|e| e.node.index() >= config.nodes) {
+        return Err(HbdError::unknown_entity(format!("{}", edge.node)));
     }
     let horizon = config.horizon.value();
 
@@ -1238,6 +1242,19 @@ mod tests {
         assert_eq!(with.jobs[1].status, JobStatus::Running);
         assert_eq!(with.jobs[3].status, JobStatus::Running);
         assert_eq!(with.fault_waits, 0);
+    }
+
+    #[test]
+    fn an_edge_naming_a_node_outside_the_cluster_is_rejected() {
+        let orch = orchestrator(32);
+        let workload = Workload::from_arrivals(vec![arrival("solo", 0.0, 8, 500.0)]);
+        let events = vec![NodeEvent {
+            at: Seconds(100.0),
+            node: NodeId(32),
+            kind: NodeEventKind::Fault,
+        }];
+        let err = simulate(&orch, &workload, &events, &config(32)).unwrap_err();
+        assert!(matches!(err, HbdError::UnknownEntity { .. }), "{err}");
     }
 
     #[test]

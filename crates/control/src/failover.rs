@@ -47,19 +47,6 @@ impl FailoverPlanner {
     pub fn plan(&self, faults: &FaultSet) -> Result<RingPlan> {
         RingPlan::for_segments(&self.wiring, &self.segments(faults))
     }
-
-    /// Whether `faults` breaks the deployment into more than one segment
-    /// (i.e. some run of consecutive faults is too long to bypass).
-    pub fn is_partitioned(&self, faults: &FaultSet) -> bool {
-        self.segments(faults).len() > 1
-    }
-
-    /// Number of GPUs the planned rings can dedicate to complete TP groups of
-    /// `tp_size` GPUs — by construction identical to
-    /// [`KHopRing::usable_gpus`].
-    pub fn usable_gpus(&self, faults: &FaultSet, tp_size: usize) -> usize {
-        self.ring.usable_gpus(faults, tp_size)
-    }
 }
 
 #[cfg(test)]
@@ -99,14 +86,6 @@ mod tests {
         assert_eq!(loopbacks, 2 * segments.len());
     }
 
-    #[test]
-    fn partition_detection_matches_segment_count() {
-        let ring = KHopRing::line(32, 4, 2).unwrap();
-        let planner = FailoverPlanner::new(ring).unwrap();
-        assert!(!planner.is_partitioned(&FaultSet::from_nodes([NodeId(10)])));
-        assert!(planner.is_partitioned(&FaultSet::from_nodes([NodeId(10), NodeId(11)])));
-    }
-
     proptest! {
         /// For an even K (direction-pure bundles) the planner must succeed for
         /// *any* fault pattern and its plans must activate a consistent number
@@ -143,9 +122,9 @@ mod tests {
                 .sum();
             prop_assert_eq!(external_activations, 2 * expected_edges);
 
-            // Planned usable GPUs agree with the topology layer.
+            // The ring's usable GPUs fit on its healthy nodes.
             prop_assert_eq!(
-                planner.usable_gpus(&fault_set, 16) / 4 <= healthy,
+                planner.ring().usable_gpus(&fault_set, 16) / 4 <= healthy,
                 true
             );
         }

@@ -161,7 +161,7 @@ impl ClusterManager {
 
     /// Usable GPUs for TP groups of `tp_size` under the current fault set.
     pub fn usable_gpus(&self, tp_size: usize) -> usize {
-        self.planner.usable_gpus(&self.faults, tp_size)
+        self.planner.ring().usable_gpus(&self.faults, tp_size)
     }
 
     /// Handles a node fault observed at time `at`.

@@ -151,8 +151,8 @@ impl RingPlan {
         // between the +K and −K fibers, so a node squeezed between K−1
         // consecutive faults on *both* sides cannot hold both links: the chain
         // is cut at that node (it becomes a ring endpoint instead), trading a
-        // little capacity for a realisable plan.
-        let mut chains: Vec<Vec<NodeId>> = Vec::new();
+        // little capacity for a realisable plan. The cut reads only the
+        // wiring, so each chain is realised as soon as it is cut.
         let mut start = 0usize;
         let mut i = 1usize;
         while i + 1 < nodes.len() {
@@ -160,34 +160,33 @@ impl RingPlan {
             let forward = wiring.port_towards(nodes[i], nodes[i + 1]);
             match (back, forward) {
                 (Some(b), Some(f)) if b.bundle == f.bundle && i > start => {
-                    chains.push(nodes[start..=i].to_vec());
+                    self.add_chain(wiring, &nodes[start..=i])?;
                     start = i + 1;
                     i = start + 1;
                 }
                 _ => i += 1,
             }
         }
-        chains.push(nodes[start..].to_vec());
+        self.add_chain(wiring, &nodes[start..])
+    }
 
-        for chain in chains {
-            if chain.len() == 1 {
-                let bundle = self.free_bundle(chain[0]);
-                self.set(chain[0], bundle, BundleAction::Loopback)?;
-                continue;
-            }
-            for pair in chain.windows(2) {
-                self.connect(wiring, pair[0], pair[1])?;
-            }
-            // The ring is closed inside the two boundary nodes: their bundle
-            // facing *away* from the chain switches to loopback.
-            let head = chain[0];
-            let tail = chain[chain.len() - 1];
-            let head_loop = self.free_bundle(head);
-            self.set(head, head_loop, BundleAction::Loopback)?;
-            let tail_loop = self.free_bundle(tail);
-            self.set(tail, tail_loop, BundleAction::Loopback)?;
+    /// Realises one chain as a ring: its adjacent members are joined, and
+    /// its two ends (or its single node) loop back.
+    fn add_chain(&mut self, wiring: &Wiring, chain: &[NodeId]) -> Result<()> {
+        let (head, tail) = (chain[0], chain[chain.len() - 1]);
+        if chain.len() == 1 {
+            let bundle = self.free_bundle(head);
+            return self.set(head, bundle, BundleAction::Loopback);
         }
-        Ok(())
+        for pair in chain.windows(2) {
+            self.connect(wiring, pair[0], pair[1])?;
+        }
+        // The ring is closed inside the two boundary nodes: their bundle
+        // facing *away* from the chain switches to loopback.
+        let head_loop = self.free_bundle(head);
+        self.set(head, head_loop, BundleAction::Loopback)?;
+        let tail_loop = self.free_bundle(tail);
+        self.set(tail, tail_loop, BundleAction::Loopback)
     }
 
     /// Activates the port pair joining two adjacent chain members.
@@ -385,6 +384,37 @@ mod tests {
         for cmd in &commands {
             assert_eq!(after.node(cmd.node).action(cmd.bundle), cmd.action);
         }
+    }
+
+    #[test]
+    fn odd_k_cuts_the_chain_at_a_node_squeezed_between_fault_runs() {
+        // K = 3 shares bundle 2 between the +3 and −3 fibers. Node 6 sits
+        // between the fault runs {4, 5} and {7, 8}: it reaches node 3 and
+        // node 9 only through bundle 2, so the one segment is cut into two
+        // chains there.
+        let faults = [4, 5, 7, 8];
+        let (ring, plan) = plan_for(24, 3, &faults);
+        let segments = ring.healthy_segments(&FaultSet::from_nodes(faults.map(NodeId)));
+        assert_eq!(segments.len(), 1);
+        let loopbacks: usize = (0..24)
+            .map(|n| {
+                plan.node(NodeId(n))
+                    .iter()
+                    .filter(|(_, a)| *a == BundleAction::Loopback)
+                    .count()
+            })
+            .sum();
+        assert_eq!(loopbacks, 4, "two chains, two loopback endpoints each");
+        let node6: Vec<BundleAction> = plan.node(NodeId(6)).iter().map(|(_, a)| a).collect();
+        assert_eq!(
+            node6,
+            [
+                BundleAction::Loopback,
+                BundleAction::Idle,
+                BundleAction::ActivateBackup
+            ]
+        );
+        assert_eq!(plan.node(NodeId(9)).action(1), BundleAction::Loopback);
     }
 
     #[test]

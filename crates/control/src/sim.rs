@@ -44,7 +44,7 @@ use hbd_types::{stream_seed, EventQueue, HbdError, NodeId, Result, Seconds, SimC
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use topology::{FaultSet, KHopRing};
 
 /// RNG stream indices, one per independent randomness channel.
@@ -188,7 +188,7 @@ impl SimConfig {
 }
 
 /// Deterministic counters and artifacts of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Fault/repair edges injected from the arrival schedule.
     pub arrivals: usize,
@@ -271,10 +271,10 @@ struct PendingCommand {
     /// so copies surviving a fault/repair cycle in the channel cannot
     /// corrupt the rebooted node.
     epoch: u64,
-    acked: bool,
-    /// A newer plan issued a fresher command for the same bundle, or the
-    /// target node failed: the manager stops retransmitting.
-    superseded: bool,
+    /// Neither acknowledged, nor superseded by a fresher command for the
+    /// same bundle, nor cancelled by a fault of the target node. Only an
+    /// outstanding command is (re)transmitted.
+    outstanding: bool,
 }
 
 /// Runs one simulation: the arrival schedule is generated from channel 0 of
@@ -289,13 +289,18 @@ pub fn run(config: &SimConfig, master_seed: u64) -> Result<SimReport> {
 /// replayed production trace via [`fault::trace_events`]), with the message
 /// faults still seeded from channels 1–4 of `master_seed`. The edges must
 /// alternate fault/repair per node in time order, as both adapters in
-/// [`fault::sim_events`] guarantee.
+/// [`fault::sim_events`] guarantee. An edge naming a node outside the
+/// deployment is rejected with [`HbdError::UnknownEntity`] before anything
+/// is scheduled.
 pub fn run_with_events(
     config: &SimConfig,
     master_seed: u64,
     arrivals: &[NodeEvent],
 ) -> Result<SimReport> {
     config.validate()?;
+    if let Some(edge) = arrivals.iter().find(|e| e.node.index() >= config.nodes) {
+        return Err(HbdError::unknown_entity(format!("{}", edge.node)));
+    }
     let ring = KHopRing::new(config.nodes, config.gpus_per_node, config.k)?;
     let planner = FailoverPlanner::new(ring)?;
     let fabrics = (0..config.nodes)
@@ -310,12 +315,10 @@ pub fn run_with_events(
         intended: RingPlan::empty(),
         queue: EventQueue::new(),
         clock: SimClock::new(),
-        timeline: Timeline::new(),
-        pending: BTreeMap::new(),
-        latest_cmd: BTreeMap::new(),
+        commands: Vec::new(),
+        newest: vec![0; config.nodes * config.k],
         node_epoch: vec![0; config.nodes],
         rebooted_dirty: BTreeSet::new(),
-        next_cmd_id: 1,
         unacked: 0,
         delay_rng: StdRng::seed_from_u64(stream_seed(master_seed, CH_DELAY)),
         reorder_rng: StdRng::seed_from_u64(stream_seed(master_seed, CH_REORDER)),
@@ -323,26 +326,7 @@ pub fn run_with_events(
         dup_rng: StdRng::seed_from_u64(stream_seed(master_seed, CH_DUPLICATE)),
         report: SimReport {
             arrivals: arrivals.len(),
-            plans_computed: 0,
-            commands_issued: 0,
-            sends: 0,
-            retries: 0,
-            delivered_fresh: 0,
-            delivered_stale: 0,
-            commands_dropped: 0,
-            duplicates_injected: 0,
-            reorder_bursts: 0,
-            acks_dropped: 0,
-            superseded: 0,
-            cancelled: 0,
-            dead_letters: 0,
-            reissued: 0,
-            convergence_checks: 0,
-            invariant_violations: 0,
-            final_converged: false,
-            clock_rewinds: 0,
-            end_time: Seconds::ZERO,
-            timeline: Timeline::new(),
+            ..Default::default()
         },
     };
     sim.bootstrap()?;
@@ -370,10 +354,12 @@ struct Sim {
     intended: RingPlan,
     queue: EventQueue<SimEvent>,
     clock: SimClock,
-    timeline: Timeline,
-    pending: BTreeMap<u64, PendingCommand>,
-    /// Newest command id issued per (node, bundle), for supersede tracking.
-    latest_cmd: BTreeMap<(NodeId, usize), u64>,
+    /// Every issued command; command `id` is `commands[id - 1]`.
+    commands: Vec<PendingCommand>,
+    /// Newest command id per (node, bundle) slot, node-major like
+    /// [`RingPlan`] (0 = none yet). Issuing a command supersedes the slot's
+    /// previous one, so only the newest can be outstanding.
+    newest: Vec<u64>,
     /// Per-node incarnation counter, bumped on every detected repair.
     node_epoch: Vec<u64>,
     /// Rebooted nodes not yet reconciled by a plan. A node repaired inside
@@ -382,8 +368,7 @@ struct Sim {
     /// to idle; the next [`Sim::on_plan_ready`] force-reissues its
     /// directives and clears the flag.
     rebooted_dirty: BTreeSet<NodeId>,
-    next_cmd_id: u64,
-    /// Commands neither acknowledged nor superseded.
+    /// Outstanding commands.
     unacked: usize,
     delay_rng: StdRng,
     reorder_rng: StdRng,
@@ -399,7 +384,7 @@ impl Sim {
     fn bootstrap(&mut self) -> Result<()> {
         let plan = self.planner.plan(&self.faults)?;
         let directives = plan.directives();
-        self.timeline.push(
+        self.report.timeline.push(
             Seconds::ZERO,
             ControlEventKind::PlanComputed {
                 commands: directives.len(),
@@ -409,7 +394,8 @@ impl Sim {
             self.fabrics[d.node.index()].apply(d.bundle, d.action)?;
         }
         let segments = self.planner.segments(&self.faults).len();
-        self.timeline
+        self.report
+            .timeline
             .push(Seconds::ZERO, ControlEventKind::RingRestored { segments });
         self.intended = plan;
         Ok(())
@@ -445,10 +431,9 @@ impl Sim {
             // targeting it is cancelled. Copies already in the channel are
             // discarded on delivery (the node is down, and after a repair
             // the incarnation gate rejects them).
-            for p in self.pending.values_mut() {
-                if p.node == node && !p.acked && !p.superseded {
-                    p.superseded = true;
-                    self.unacked -= 1;
+            let k = self.config.k;
+            for slot in node.index() * k..(node.index() + 1) * k {
+                if self.retire(self.newest[slot]) {
                     self.report.cancelled += 1;
                 }
             }
@@ -467,7 +452,7 @@ impl Sim {
         } else {
             ControlEventKind::RepairDetected { node }
         };
-        self.timeline.push(now, kind);
+        self.report.timeline.push(now, kind);
         self.queue
             .push(now + self.config.latencies.planning, SimEvent::PlanReady);
         Ok(())
@@ -482,34 +467,29 @@ impl Sim {
         // the intended plan, so if the target keeps its directives unchanged
         // the diff issues nothing for it — yet its fabric reset to idle on
         // reboot. Force-reissue its non-idle target directives (the rebooted
-        // state already matches the idle ones).
-        if !self.rebooted_dirty.is_empty() {
-            let covered: BTreeSet<(NodeId, usize)> =
-                commands.iter().map(|c| (c.node, c.bundle)).collect();
-            let mut reconciled = Vec::new();
-            for &node in &self.rebooted_dirty {
-                if self.faults.is_faulty(node) {
-                    // Failed again before this plan: stays dirty and is
-                    // re-marked on its next repair anyway.
-                    continue;
-                }
-                for (bundle, action) in target.node(node).iter() {
-                    if action != BundleAction::Idle && !covered.contains(&(node, bundle)) {
-                        commands.push(PortDirective {
-                            node,
-                            bundle,
-                            action,
-                        });
-                        self.report.reissued += 1;
-                    }
-                }
-                reconciled.push(node);
+        // state already matches the idle ones). The diff already holds
+        // exactly the directives whose intended action differs, so the rest
+        // are the ones the intended plan already has.
+        self.rebooted_dirty.retain(|&node| {
+            if self.faults.is_faulty(node) {
+                // Failed again before this plan: stays dirty and is
+                // re-marked on its next repair anyway.
+                return true;
             }
-            for node in reconciled {
-                self.rebooted_dirty.remove(&node);
+            let intended = self.intended.node(node);
+            for (bundle, action) in target.node(node).iter() {
+                if action != BundleAction::Idle && intended.action(bundle) == action {
+                    commands.push(PortDirective {
+                        node,
+                        bundle,
+                        action,
+                    });
+                    self.report.reissued += 1;
+                }
             }
-        }
-        self.timeline.push(
+            false
+        });
+        self.report.timeline.push(
             now,
             ControlEventKind::PlanComputed {
                 commands: commands.len(),
@@ -517,33 +497,23 @@ impl Sim {
         );
         let had_commands = !commands.is_empty();
         for cmd in commands {
-            let id = self.next_cmd_id;
-            self.next_cmd_id += 1;
-            // A fresher command for the same bundle obsoletes any unacked
+            let id = self.commands.len() as u64 + 1;
+            // A fresher command for the same bundle obsoletes an outstanding
             // predecessor: the manager stops retransmitting it and the
             // fabric's version gate neutralises copies still in flight.
-            if let Some(&prev) = self.latest_cmd.get(&(cmd.node, cmd.bundle)) {
-                if let Some(p) = self.pending.get_mut(&prev) {
-                    if !p.acked && !p.superseded {
-                        p.superseded = true;
-                        self.unacked -= 1;
-                        self.report.superseded += 1;
-                    }
-                }
+            let slot = cmd.node.index() * self.config.k + cmd.bundle;
+            if self.retire(self.newest[slot]) {
+                self.report.superseded += 1;
             }
-            self.latest_cmd.insert((cmd.node, cmd.bundle), id);
-            self.pending.insert(
-                id,
-                PendingCommand {
-                    node: cmd.node,
-                    bundle: cmd.bundle,
-                    action: cmd.action,
-                    attempt: 0,
-                    epoch: self.node_epoch[cmd.node.index()],
-                    acked: false,
-                    superseded: false,
-                },
-            );
+            self.newest[slot] = id;
+            self.commands.push(PendingCommand {
+                node: cmd.node,
+                bundle: cmd.bundle,
+                action: cmd.action,
+                attempt: 0,
+                epoch: self.node_epoch[cmd.node.index()],
+                outstanding: true,
+            });
             self.unacked += 1;
             self.report.commands_issued += 1;
             self.queue.push(
@@ -562,6 +532,17 @@ impl Sim {
         Ok(())
     }
 
+    /// Marks command `id` (0 = none) no longer outstanding; returns whether
+    /// it was.
+    fn retire(&mut self, id: u64) -> bool {
+        if id == 0 || !self.commands[id as usize - 1].outstanding {
+            return false;
+        }
+        self.commands[id as usize - 1].outstanding = false;
+        self.unacked -= 1;
+        true
+    }
+
     fn is_final(&self, attempt: u32) -> bool {
         attempt > self.config.message_faults.max_retries
     }
@@ -572,10 +553,8 @@ impl Sim {
     }
 
     fn on_command_send(&mut self, now: Seconds, id: u64, attempt: u32) {
-        let Some(p) = self.pending.get_mut(&id) else {
-            return;
-        };
-        if p.acked || p.superseded {
+        let p = &mut self.commands[id as usize - 1];
+        if !p.outstanding {
             return;
         }
         p.attempt = attempt;
@@ -610,9 +589,7 @@ impl Sim {
     }
 
     fn on_command_deliver(&mut self, now: Seconds, id: u64) -> Result<()> {
-        let Some(p) = self.pending.get(&id) else {
-            return Ok(());
-        };
+        let p = &self.commands[id as usize - 1];
         let (node, bundle, action) = (p.node, p.bundle, p.action);
         let reliable = self.is_final(p.attempt);
         if self.faults.is_faulty(node) || p.epoch != self.node_epoch[node.index()] {
@@ -625,7 +602,7 @@ impl Sim {
         let ack_base = match outcome {
             CommandOutcome::Applied(hw) => {
                 self.report.delivered_fresh += 1;
-                self.timeline.push(
+                self.report.timeline.push(
                     now,
                     ControlEventKind::CommandApplied {
                         node,
@@ -657,26 +634,16 @@ impl Sim {
     }
 
     fn on_ack_deliver(&mut self, now: Seconds, id: u64) {
-        let Some(p) = self.pending.get_mut(&id) else {
-            return;
-        };
-        if p.acked {
-            return;
-        }
-        p.acked = true;
-        if !p.superseded {
-            self.unacked -= 1;
-            if self.unacked == 0 {
-                self.check_convergence(now, true);
-            }
+        // A repeated acknowledgement, or one for a command superseded or
+        // cancelled while it was in flight, changes nothing.
+        if self.retire(id) && self.unacked == 0 {
+            self.check_convergence(now, true);
         }
     }
 
     fn on_retry_check(&mut self, now: Seconds, id: u64, attempt: u32) {
-        let Some(p) = self.pending.get(&id) else {
-            return;
-        };
-        if p.acked || p.superseded || p.attempt != attempt {
+        let p = &self.commands[id as usize - 1];
+        if !p.outstanding || p.attempt != attempt {
             return;
         }
         if self.is_final(attempt) {
@@ -705,15 +672,13 @@ impl Sim {
     /// end-of-run check in [`Sim::finish`] closes that gap.
     fn check_convergence(&mut self, now: Seconds, restored: bool) {
         self.report.convergence_checks += 1;
-        let plan = std::mem::take(&mut self.intended);
-        let ok = self.fabric_matches(&plan);
-        self.intended = plan;
-        if !ok {
+        if !self.fabric_matches(&self.intended) {
             self.report.invariant_violations += 1;
         }
         if restored {
             let segments = self.planner.segments(&self.faults).len();
-            self.timeline
+            self.report
+                .timeline
                 .push(now, ControlEventKind::RingRestored { segments });
         }
     }
@@ -741,6 +706,10 @@ impl Sim {
 
     /// Runs the end-of-run checks and packages the report.
     fn finish(mut self) -> SimReport {
+        debug_assert_eq!(
+            self.unacked,
+            self.commands.iter().filter(|c| c.outstanding).count()
+        );
         // With the queue drained, every arrival has been detected and
         // re-planned, so the intended plan must equal a fresh plan of the
         // final fault set — and the fabric must realise it.
@@ -755,7 +724,6 @@ impl Sim {
         self.report.final_converged = converged;
         self.report.clock_rewinds = self.clock.rewinds_clamped();
         self.report.end_time = self.clock.now();
-        self.report.timeline = self.timeline;
         self.report
     }
 }
@@ -898,6 +866,22 @@ mod tests {
                 assert!(report.timeline.is_monotone());
             }
         }
+    }
+
+    #[test]
+    fn an_edge_naming_a_node_outside_the_deployment_is_rejected() {
+        let config = test_config(MessageFaults::reliable());
+        let edge = |at, kind| NodeEvent {
+            at: Seconds(at),
+            node: NodeId(config.nodes),
+            kind,
+        };
+        let arrivals = [
+            edge(10.0, NodeEventKind::Fault),
+            edge(20.0, NodeEventKind::Repair),
+        ];
+        let err = run_with_events(&config, 1, &arrivals).unwrap_err();
+        assert!(matches!(err, HbdError::UnknownEntity { .. }), "{err}");
     }
 
     #[test]
