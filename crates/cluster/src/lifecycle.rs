@@ -29,7 +29,7 @@
 
 use control::{FailoverPlanner, RingPlan};
 use dcn::jobmix::ExclusionLedger;
-use fault::sim_events::{NodeEvent, NodeEventKind};
+use fault::sim_events::{validate_edges, NodeEvent, NodeEventKind};
 use hbd_types::sim::{EventQueue, SimClock};
 use hbd_types::{HbdError, NodeId, Result, Seconds};
 use orchestrator::service::{PlacementService, SnapshotStore};
@@ -724,8 +724,10 @@ fn node_set(scheme: &PlacementScheme) -> BTreeSet<NodeId> {
 /// (from [`fault::sim_events`]) against one shared Fat-Tree cluster.
 ///
 /// Deterministic in `(orchestrator, workload, fault_events, config)`;
-/// `config.threads` is ignored. An edge naming a node outside the cluster is
-/// rejected with [`HbdError::UnknownEntity`] before anything is scheduled.
+/// `config.threads` is ignored. An edge stream that names a node outside the
+/// cluster or does not alternate fault/repair per node in time order is
+/// rejected with the typed error of [`validate_edges`] before anything is
+/// scheduled.
 pub fn simulate(
     orchestrator: &FatTreeOrchestrator,
     workload: &Workload,
@@ -747,9 +749,7 @@ pub fn simulate(
             "frag_probe_group and frag_probe_k must be positive",
         ));
     }
-    if let Some(edge) = fault_events.iter().find(|e| e.node.index() >= config.nodes) {
-        return Err(HbdError::unknown_entity(format!("{}", edge.node)));
-    }
+    validate_edges(fault_events, config.nodes)?;
     let horizon = config.horizon.value();
 
     // The snapshot store shares the orchestrator by `Arc` across all epochs
@@ -1258,35 +1258,49 @@ mod tests {
     }
 
     #[test]
+    fn a_doubled_fault_edge_is_rejected_before_anything_is_scheduled() {
+        let orch = orchestrator(32);
+        let workload = Workload::from_arrivals(vec![arrival("solo", 0.0, 8, 500.0)]);
+        let fault = |at| NodeEvent {
+            at: Seconds(at),
+            node: NodeId(30),
+            kind: NodeEventKind::Fault,
+        };
+        let err =
+            simulate(&orch, &workload, &[fault(100.0), fault(200.0)], &config(32)).unwrap_err();
+        assert!(matches!(err, HbdError::InvalidOperation { .. }), "{err}");
+    }
+
+    #[test]
     fn transitions_that_do_not_change_the_exclusion_set_skip_the_republish() {
         let orch = orchestrator(32);
         let workload = Workload::from_arrivals(vec![arrival("solo", 0.0, 8, 9000.0)]);
+        // The running job owns this node, so it is already excluded: its
+        // fault changes no exclusion, and that transition skips the
+        // republish. (A repeated fault edge or a repair of a healthy node
+        // would be no-ops too, but the edge validator rejects such streams.)
+        let occupied = orch
+            .orchestrate_par(&request(8), &topology::FaultSet::new(), 1)
+            .unwrap()
+            .groups[0]
+            .nodes[0];
+        let edge = |at, kind| NodeEvent {
+            at: Seconds(at),
+            node: occupied,
+            kind,
+        };
         let events = vec![
-            NodeEvent {
-                at: Seconds(100.0),
-                node: NodeId(30),
-                kind: NodeEventKind::Fault,
-            },
-            // The same sensor fires again: the node is already excluded, so
-            // the transition is a no-op and the republish is skipped.
-            NodeEvent {
-                at: Seconds(200.0),
-                node: NodeId(30),
-                kind: NodeEventKind::Fault,
-            },
-            // Repairing a node that was never down is a no-op too.
-            NodeEvent {
-                at: Seconds(300.0),
-                node: NodeId(31),
-                kind: NodeEventKind::Repair,
-            },
+            edge(100.0, NodeEventKind::Fault),
+            edge(200.0, NodeEventKind::Repair),
         ];
         let outcome = simulate(&orch, &workload, &events, &config(32)).unwrap();
         assert_eq!(outcome.completed, 1);
-        // Three real exclusion changes publish (admission, the first fault,
-        // the departure's release); the two no-op transitions skip.
-        assert_eq!(outcome.epochs_published, 3);
-        assert_eq!(outcome.republish_skips, 2);
+        assert_eq!(outcome.migrations, 1);
+        // Five real exclusion changes publish (admission, the migration's
+        // release and re-placement, the repair, the departure's release);
+        // the fault on the occupied node skips.
+        assert_eq!(outcome.epochs_published, 5);
+        assert_eq!(outcome.republish_skips, 1);
     }
 
     #[test]

@@ -159,15 +159,6 @@ impl FabricManager {
         Ok(CommandOutcome::Applied(self.apply(bundle, action)?))
     }
 
-    /// The newest command id executed on `bundle` (0 when no versioned
-    /// command has been executed yet).
-    pub fn last_command_id(&self, bundle: usize) -> Result<u64> {
-        self.last_command_ids
-            .get(bundle)
-            .copied()
-            .ok_or_else(|| HbdError::unknown_entity(format!("bundle {bundle} on {}", self.node)))
-    }
-
     /// Deliveries rejected by the version gate so far.
     pub fn stale_commands(&self) -> u64 {
         self.stale_commands

@@ -39,7 +39,7 @@ use crate::failover::FailoverPlanner;
 use crate::manager::ControlLatencies;
 use crate::plan::{BundleAction, PortDirective, RingPlan};
 use crate::timeline::{ControlEventKind, Timeline};
-use fault::{generate_events, GeneratorConfig, NodeEvent, NodeEventKind};
+use fault::{generate_events, validate_edges, GeneratorConfig, NodeEvent, NodeEventKind};
 use hbd_types::{stream_seed, EventQueue, HbdError, NodeId, Result, Seconds, SimClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -289,18 +289,16 @@ pub fn run(config: &SimConfig, master_seed: u64) -> Result<SimReport> {
 /// replayed production trace via [`fault::trace_events`]), with the message
 /// faults still seeded from channels 1–4 of `master_seed`. The edges must
 /// alternate fault/repair per node in time order, as both adapters in
-/// [`fault::sim_events`] guarantee. An edge naming a node outside the
-/// deployment is rejected with [`HbdError::UnknownEntity`] before anything
-/// is scheduled.
+/// [`fault::sim_events`] guarantee; a stream that does not, or that names a
+/// node outside the deployment, is rejected with the typed error of
+/// [`validate_edges`] before anything is scheduled.
 pub fn run_with_events(
     config: &SimConfig,
     master_seed: u64,
     arrivals: &[NodeEvent],
 ) -> Result<SimReport> {
     config.validate()?;
-    if let Some(edge) = arrivals.iter().find(|e| e.node.index() >= config.nodes) {
-        return Err(HbdError::unknown_entity(format!("{}", edge.node)));
-    }
+    validate_edges(arrivals, config.nodes)?;
     let ring = KHopRing::new(config.nodes, config.gpus_per_node, config.k)?;
     let planner = FailoverPlanner::new(ring)?;
     let fabrics = (0..config.nodes)
@@ -882,6 +880,18 @@ mod tests {
         ];
         let err = run_with_events(&config, 1, &arrivals).unwrap_err();
         assert!(matches!(err, HbdError::UnknownEntity { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_doubled_fault_edge_is_rejected_before_anything_is_scheduled() {
+        let config = test_config(MessageFaults::reliable());
+        let fault = |at| NodeEvent {
+            at: Seconds(at),
+            node: NodeId(3),
+            kind: NodeEventKind::Fault,
+        };
+        let err = run_with_events(&config, 1, &[fault(10.0), fault(20.0)]).unwrap_err();
+        assert!(matches!(err, HbdError::InvalidOperation { .. }), "{err}");
     }
 
     #[test]

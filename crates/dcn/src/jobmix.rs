@@ -204,11 +204,6 @@ impl ExclusionLedger {
         self.placed.len()
     }
 
-    /// Whether `node` is currently owned by a placement.
-    pub fn is_placed(&self, node: NodeId) -> bool {
-        self.placed.is_faulty(node)
-    }
-
     /// The net exclusion flips accumulated since the last publish. Empty
     /// exactly when a publish would be a no-op.
     pub fn pending_delta(&self) -> &SnapshotDelta {

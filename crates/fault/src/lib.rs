@@ -44,7 +44,7 @@ pub use event::FaultEvent;
 pub use generator::{GeneratorConfig, TraceGenerator};
 pub use model::IidFaultModel;
 pub use montecarlo::{shards, sweep_means, Shard};
-pub use sim_events::{generate_events, trace_events, NodeEvent, NodeEventKind};
+pub use sim_events::{generate_events, trace_events, validate_edges, NodeEvent, NodeEventKind};
 pub use stats::{TraceStats, DAY_SECONDS};
 pub use storm::{generate_storms, StormBurst, StormConfig, StormSchedule};
 pub use trace::FaultTrace;

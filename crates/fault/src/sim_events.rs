@@ -8,11 +8,13 @@
 //! fault/repair per node — exactly what a stateful cluster manager (which
 //! rejects double faults) can replay. [`generate_events`] composes the
 //! renewal-process [`TraceGenerator`] with the adapter for seeded Poisson-style
-//! arrival schedules.
+//! arrival schedules. [`validate_edges`] is the check the simulators run on
+//! any edge stream, from these adapters or built by hand, before they
+//! schedule it.
 
 use crate::generator::{GeneratorConfig, TraceGenerator};
 use crate::trace::FaultTrace;
-use hbd_types::{NodeId, Result, Seconds};
+use hbd_types::{HbdError, NodeId, Result, Seconds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -99,6 +101,52 @@ fn push_edges(edges: &mut Vec<NodeEvent>, node: NodeId, start: f64, end: f64) {
         node,
         kind: NodeEventKind::Repair,
     });
+}
+
+/// Checks that `edges` is a stream a stateful consumer can replay over a
+/// cluster of `nodes` nodes: every edge names a node in range
+/// ([`HbdError::UnknownEntity`] otherwise) at a finite time
+/// ([`HbdError::InvalidConfig`] otherwise), and per node, in stream order,
+/// the edges alternate `Fault`/`Repair` starting with a `Fault`, at strictly
+/// increasing times ([`HbdError::InvalidOperation`] otherwise: a node that
+/// faults while down, is repaired while up, or changes state twice at one
+/// instant). Both adapters above produce such streams. The stream need not
+/// be sorted across nodes.
+pub fn validate_edges(edges: &[NodeEvent], nodes: usize) -> Result<()> {
+    // Per node, the time and direction of its latest edge so far.
+    let mut latest: Vec<Option<(f64, NodeEventKind)>> = vec![None; nodes];
+    for edge in edges {
+        let Some(slot) = latest.get_mut(edge.node.index()) else {
+            return Err(HbdError::unknown_entity(format!("{}", edge.node)));
+        };
+        let at = edge.at.value();
+        if !at.is_finite() {
+            return Err(HbdError::invalid_config(format!(
+                "{:?} edge of {} at non-finite time {at}",
+                edge.kind, edge.node
+            )));
+        }
+        let expected = match slot {
+            Some((_, NodeEventKind::Fault)) => NodeEventKind::Repair,
+            _ => NodeEventKind::Fault,
+        };
+        if edge.kind != expected {
+            return Err(HbdError::invalid_operation(format!(
+                "{:?} edge of {} at t = {at}: the node's edges must alternate, starting with a Fault",
+                edge.kind, edge.node
+            )));
+        }
+        if let Some((previous, _)) = *slot {
+            if at <= previous {
+                return Err(HbdError::invalid_operation(format!(
+                    "{:?} edge of {} at t = {at} is not after its previous edge at t = {previous}",
+                    edge.kind, edge.node
+                )));
+            }
+        }
+        *slot = Some((at, edge.kind));
+    }
+    Ok(())
 }
 
 /// Generates a seeded renewal-process (Poisson-style) edge stream: a
@@ -228,6 +276,63 @@ mod tests {
         let c = generate_events(&config, 12).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    fn edge(at: f64, node: usize, kind: NodeEventKind) -> NodeEvent {
+        NodeEvent {
+            at: Seconds(at),
+            node: NodeId(node),
+            kind,
+        }
+    }
+
+    #[test]
+    fn generated_streams_pass_the_edge_validator() {
+        let config = GeneratorConfig {
+            nodes: 32,
+            duration: Seconds::from_days(20.0),
+            steady_state_fault_ratio: 0.2,
+            mean_time_to_repair: Seconds::from_hours(3.0),
+        };
+        for seed in 0..8 {
+            let edges = generate_events(&config, seed).unwrap();
+            assert!(!edges.is_empty());
+            validate_edges(&edges, config.nodes).unwrap();
+        }
+    }
+
+    #[test]
+    fn edge_validator_rejects_each_malformed_stream() {
+        use NodeEventKind::{Fault, Repair};
+        let ok = [
+            edge(1.0, 0, Fault),
+            edge(1.0, 1, Fault),
+            edge(2.0, 0, Repair),
+        ];
+        validate_edges(&ok, 2).unwrap();
+        let (unknown, config, operation) = (
+            HbdError::unknown_entity(""),
+            HbdError::invalid_config(""),
+            HbdError::invalid_operation(""),
+        );
+        let cases: [(&[NodeEvent], &HbdError); 6] = [
+            (&[edge(1.0, 2, Fault)], &unknown),
+            (&[edge(f64::NAN, 0, Fault)], &config),
+            (&[edge(f64::INFINITY, 0, Fault)], &config),
+            // A doubled Fault, a Repair first, and a Repair at the instant
+            // of its Fault.
+            (&[edge(1.0, 0, Fault), edge(2.0, 0, Fault)], &operation),
+            (&[edge(1.0, 1, Repair)], &operation),
+            (&[edge(1.0, 0, Fault), edge(1.0, 0, Repair)], &operation),
+        ];
+        for (edges, expected) in cases {
+            let err = validate_edges(edges, 2).unwrap_err();
+            assert_eq!(
+                std::mem::discriminant(&err),
+                std::mem::discriminant(expected),
+                "{edges:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl StormSchedule {
         hit.dedup();
         hit.len()
     }
-
-    /// The last repair instant, or `None` for an empty schedule.
-    pub fn last_repair(&self) -> Option<Seconds> {
-        self.events.last().map(|e| e.at)
-    }
 }
 
 /// Draws an exponential variate with the given mean (same inverse-CDF idiom

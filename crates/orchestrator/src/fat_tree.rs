@@ -74,6 +74,9 @@ pub struct FatTreeOrchestrator {
 /// counts for the constrained part, and per-sub-line suffix folds of the
 /// segments' [`RunSummary`]s plus summaries of the trailing partial rack
 /// for the residual line (see [`FatTreeOrchestrator::placed_count_cached`]).
+/// The prefix sums also steer the winning cut past every segment that
+/// places nothing, and a patch shifts them by the count change of the
+/// segments it re-summarizes instead of re-summing them.
 /// Which nodes a segment or the residual line covers is layout, read from
 /// the [`DeploymentStrategy`] when needed.
 #[derive(Debug, Default)]
@@ -189,26 +192,53 @@ impl FatTreeOrchestrator {
         self.fat_tree.aggregation_domains()
     }
 
-    /// Expands one faulty node's failure radius to its whole ToR (the
-    /// alignment-constraint cost: surviving rack peers keep matching ranks by
-    /// leaving service together).
-    fn expand_tor(&self, effective: &mut FaultSet, node: NodeId) {
+    /// The ids of `node`'s ToR, `start..end`, clamped to the cluster: a
+    /// faulty node's failure radius under the alignment constraint
+    /// (surviving rack peers keep matching ranks by leaving service
+    /// together).
+    fn tor_range(&self, node: NodeId) -> (usize, usize) {
         let p = self.deployment.sublines();
-        let tor_start = node.index() / p * p;
-        for peer in tor_start..(tor_start + p).min(self.fat_tree.nodes()) {
-            effective.add(NodeId(peer));
-        }
+        let start = node.index() / p * p;
+        (start, (start + p).min(self.fat_tree.nodes()))
     }
 
     /// `faults` with the ToR expansion applied in every aggregation domain;
-    /// ids past the last domain stay raw. Shared by the cold scratch build
-    /// and [`patch_scratch`](Self::patch_scratch).
+    /// ids past the last domain stay raw. Each faulty node's ToR is filled
+    /// with one [`FaultSet::insert_range`], and a ToR already filled is
+    /// skipped, so the cost is O(faulty nodes + words) for any ToR width.
+    /// Shared by the cold scratch build and
+    /// [`patch_scratch`](Self::patch_scratch).
     fn expand_domains(&self, faults: &FaultSet) -> FaultSet {
+        let p = self.deployment.sublines();
+        let mut expanded = faults.clone();
+        let in_domains =
+            self.alignment_constraints() * self.fat_tree.nodes_per_aggregation_domain();
+        let mut filled_to = 0;
+        for node in faults.iter_range(0, in_domains) {
+            if node.index() < filled_to {
+                continue;
+            }
+            let (start, end) = self.tor_range(node);
+            expanded.insert_range(start, end);
+            filled_to = start + p;
+        }
+        expanded
+    }
+
+    /// The per-node expansion [`expand_domains`](Self::expand_domains)
+    /// replaced: one single-bit `add` per peer of every faulty node's ToR.
+    /// The word-level fill's oracle.
+    #[cfg(test)]
+    fn expand_domains_per_node(&self, faults: &FaultSet) -> FaultSet {
+        let p = self.deployment.sublines();
         let mut expanded = faults.clone();
         let in_domains =
             self.alignment_constraints() * self.fat_tree.nodes_per_aggregation_domain();
         for node in faults.iter_range(0, in_domains) {
-            self.expand_tor(&mut expanded, node);
+            let tor_start = node.index() / p * p;
+            for peer in tor_start..(tor_start + p).min(self.fat_tree.nodes()) {
+                expanded.add(NodeId(peer));
+            }
         }
         expanded
     }
@@ -247,7 +277,8 @@ impl FatTreeOrchestrator {
             for node in faults.iter() {
                 let domain = node.index() / self.fat_tree.nodes_per_aggregation_domain();
                 if domain < aligned_domains {
-                    self.expand_tor(&mut e, node);
+                    let (start, end) = self.tor_range(node);
+                    e.insert_range(start, end);
                 }
             }
             expanded = e;
@@ -296,7 +327,7 @@ impl FatTreeOrchestrator {
         );
         scheme.extend(cutter.scheme);
 
-        self.assign_dp_ranks(&mut scheme);
+        Self::assign_dp_ranks(&mut scheme);
         Ok(scheme)
     }
 
@@ -341,27 +372,40 @@ impl FatTreeOrchestrator {
         faults: &FaultSet,
     ) -> SearchScratch {
         let expanded = self.expand_domains(faults);
-        let segments = (0..self.segment_constraints())
+        let segments: Vec<SegmentCache> = (0..self.segment_constraints())
             .map_while(|seg| {
                 let nodes = self.segment_nodes(seg)?;
                 Some(SegmentCache::new(nodes, request, faults, &expanded))
             })
             .collect();
+        let prefix = |count: &dyn Fn(&SegmentCache) -> usize| {
+            std::iter::once(0)
+                .chain(segments.iter().scan(0, |sum, cache| {
+                    *sum += count(cache);
+                    Some(*sum)
+                }))
+                .collect::<Vec<usize>>()
+        };
+        let raw_prefix = prefix(&|cache| cache.summary.placed(request.nodes_per_group));
+        let aligned_prefix = prefix(&|cache| cache.aligned_nodes);
         let mut scratch = SearchScratch {
             segments,
             raw: faults.clone(),
             expanded,
+            raw_prefix,
+            aligned_prefix,
             ..SearchScratch::default()
         };
         self.derive_probe_tables(request, &mut scratch, |_| true);
         scratch
     }
 
-    /// Fills the probe tables of `scratch` from its segments and fault sets:
-    /// refolds the suffix summaries of every sub-line `refold` selects (a
-    /// fresh scratch's empty `suffix` is sized first, so a cold build selects
-    /// all), and rebuilds the segment prefix sums and the trailing-rack
-    /// summaries, both O(segments + p).
+    /// Fills the run-summary tables of `scratch` from its segments and fault
+    /// sets: refolds the suffix summaries of every sub-line `refold` selects
+    /// (a fresh scratch's empty `suffix` is sized first, so a cold build
+    /// selects all), and rebuilds the trailing-rack summaries. The segment
+    /// prefix sums are the caller's: a cold build sums them, a patch shifts
+    /// the old ones.
     fn derive_probe_tables(
         &self,
         request: &OrchestrationRequest,
@@ -384,17 +428,6 @@ impl FatTreeOrchestrator {
             }
         }
 
-        let prefix = |count: &dyn Fn(&SegmentCache) -> usize| {
-            std::iter::once(0)
-                .chain(scratch.segments.iter().scan(0, |sum, cache| {
-                    *sum += count(cache);
-                    Some(*sum)
-                }))
-                .collect::<Vec<usize>>()
-        };
-        scratch.raw_prefix = prefix(&|cache| cache.summary.placed(m));
-        scratch.aligned_prefix = prefix(&|cache| cache.aligned_nodes);
-
         let tail = self.deployment.trailing_rack();
         let summarize =
             |faults: &FaultSet| RunSummary::scan(tail.clone(), k, m, |n| faults.is_faulty(*n));
@@ -406,9 +439,7 @@ impl FatTreeOrchestrator {
     /// patched) for the same `(k, nodes_per_group)` key under a different
     /// fault set — the incremental half of the oracle-vs-fast-solver pair
     /// whose oracle is the cold [`search_scratch`](Self::search_scratch)
-    /// rebuild. Cost is proportional to the *delta* between the two fault
-    /// sets, not the cluster, apart from one linear pass rebuilding the
-    /// expanded set:
+    /// rebuild. The work that follows the delta rather than the cluster:
     ///
     /// * an aggregation domain whose fault words are unchanged
     ///   ([`FaultSet::range_eq`] against the old scratch's `raw` set)
@@ -418,9 +449,15 @@ impl FatTreeOrchestrator {
     /// * inside a dirty domain, only segments with a raw or an expanded
     ///   fault bit flipped on their own nodes are re-summarized; every other
     ///   segment is copied;
+    /// * the segment prefix sums are carried over and shifted by the running
+    ///   count change of the re-summarized segments, in the same pass;
     /// * only sub-lines with a raw-dirty segment refold their suffix
-    ///   summaries; the segment prefix sums and the trailing-rack summaries
-    ///   are rebuilt (O(segments + p)).
+    ///   summaries.
+    ///
+    /// What stays O(cluster) is word-level or a plain copy: the expanded set
+    /// is rebuilt by [`expand_domains`](Self::expand_domains) (one range
+    /// fill per faulty ToR), and the segment, prefix-sum and suffix vectors
+    /// are cloned from the old scratch.
     ///
     /// Bit-exactness versus the cold rebuild follows from a segment's
     /// [`SegmentCache`] being a deterministic function of the fault bits on
@@ -435,6 +472,7 @@ impl FatTreeOrchestrator {
     ) -> (SearchScratch, ScratchPatchStats) {
         let p = self.deployment.sublines();
         let npd = self.fat_tree.nodes_per_aggregation_domain();
+        let m = request.nodes_per_group;
 
         let expanded = self.expand_domains(faults);
         let mut raw_dirty = vec![false; old.segments.len()];
@@ -463,32 +501,41 @@ impl FatTreeOrchestrator {
         }
 
         let mut segments = old.segments.clone();
+        let mut raw_prefix = old.raw_prefix.clone();
+        let mut aligned_prefix = old.aligned_prefix.clone();
+        let mut refold = vec![false; p];
+        // The running count change of the segments re-summarized so far:
+        // every prefix sum past a segment moves by its change. The shifted
+        // sums are exact, so the wrapping add never wraps.
+        let (mut raw_shift, mut aligned_shift) = (0isize, 0isize);
         for (seg, cache) in segments.iter_mut().enumerate() {
-            if !raw_dirty[seg] && !aligned_dirty[seg] {
+            if raw_dirty[seg] || aligned_dirty[seg] {
+                stats.segments_reorchestrated += 1;
+                let nodes = self
+                    .segment_nodes(seg)
+                    .expect("segment was defined when the old scratch was built");
+                let fresh = SegmentCache::new(nodes, request, faults, &expanded);
+                raw_shift += fresh.summary.placed(m) as isize - cache.summary.placed(m) as isize;
+                aligned_shift += fresh.aligned_nodes as isize - cache.aligned_nodes as isize;
+                refold[seg % p] |= raw_dirty[seg];
+                *cache = fresh;
+            } else {
                 stats.segments_reused += 1;
-                continue;
             }
-            stats.segments_reorchestrated += 1;
-            let nodes = self
-                .segment_nodes(seg)
-                .expect("segment was defined when the old scratch was built");
-            *cache = SegmentCache::new(nodes, request, faults, &expanded);
+            raw_prefix[seg + 1] = raw_prefix[seg + 1].wrapping_add_signed(raw_shift);
+            aligned_prefix[seg + 1] = aligned_prefix[seg + 1].wrapping_add_signed(aligned_shift);
         }
 
         let mut scratch = SearchScratch {
             segments,
             raw: faults.clone(),
             expanded,
+            raw_prefix,
+            aligned_prefix,
             suffix: old.suffix.clone(),
             ..SearchScratch::default()
         };
-        self.derive_probe_tables(request, &mut scratch, |subline| {
-            raw_dirty
-                .iter()
-                .skip(subline)
-                .step_by(p)
-                .any(|&dirty| dirty)
-        });
+        self.derive_probe_tables(request, &mut scratch, |subline| refold[subline]);
         (scratch, stats)
     }
 
@@ -496,11 +543,18 @@ impl FatTreeOrchestrator {
     /// against a prebuilt [`SearchScratch`], cut once from the scratch's
     /// fault views: every constrained segment's nodes stream through one
     /// [`GroupCutter`] with a cut at each segment end, then the residual
-    /// line does, and no fault set is cloned. Emission order differs from
-    /// the uncached path, but [`assign_dp_ranks`](Self::assign_dp_ranks)
-    /// sorts groups by a key unique per group (their head node), so the
-    /// result is bit-identical (pinned by the memoization invariance test
-    /// and the chained-patch proptest).
+    /// line does, and no fault set is cloned.
+    ///
+    /// The cut follows the scratch's counts: a constrained segment whose
+    /// cached count is 0 (`aligned_nodes` in an aligned domain, the raw
+    /// summary's count otherwise, read as a prefix-sum step) is skipped.
+    /// That is exact because the cut after each segment discards any
+    /// partial group, so a segment that places nothing leaves no trace.
+    /// Emission order differs from the uncached path, but
+    /// [`assign_dp_ranks`](Self::assign_dp_ranks) sorts groups by their
+    /// head node, unique per group, so the result is bit-identical (pinned
+    /// by the memoization invariance test and the cached-vs-uncached
+    /// proptests).
     pub(crate) fn placement_with_constraints_cached(
         &self,
         request: &OrchestrationRequest,
@@ -508,8 +562,17 @@ impl FatTreeOrchestrator {
         n_constraints: usize,
     ) -> PlacementScheme {
         let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
+        let aligned = (aligned_domains * self.deployment.sublines()).min(constrained);
         let mut cutter = GroupCutter::new(request.nodes_per_group);
         for seg in 0..constrained {
+            let prefix = if seg < aligned {
+                &scratch.aligned_prefix
+            } else {
+                &scratch.raw_prefix
+            };
+            if prefix[seg + 1] == prefix[seg] {
+                continue;
+            }
             let nodes = self
                 .segment_nodes(seg)
                 .expect("every scratch segment is defined");
@@ -520,7 +583,7 @@ impl FatTreeOrchestrator {
         self.scan_view(request, scratch, aligned_domains, residual, &mut cutter);
 
         let mut scheme = cutter.scheme;
-        self.assign_dp_ranks(&mut scheme);
+        Self::assign_dp_ranks(&mut scheme);
         scheme
     }
 
@@ -789,13 +852,14 @@ impl FatTreeOrchestrator {
     /// Orders the groups for DP-rank assignment so that groups whose rank-0
     /// nodes share a ToR (and hence, under alignment, share every rank's ToR)
     /// become DP neighbours — the "align ranks within each ToR" objective.
-    fn assign_dp_ranks(&self, scheme: &mut PlacementScheme) {
-        scheme.groups.sort_by_key(|group| {
-            let head = group.nodes.first().copied().unwrap_or(NodeId(0));
-            let tor = head.index() / self.deployment.sublines();
-            let domain = head.index() / self.fat_tree.nodes_per_aggregation_domain();
-            (domain, tor, head.index())
-        });
+    /// The key is the head node id alone: a node's ToR and aggregation
+    /// domain are both monotone in its id, so this is the
+    /// `(domain, ToR, head)` order, and heads are unique (groups are
+    /// disjoint), so an unstable sort is deterministic.
+    fn assign_dp_ranks(scheme: &mut PlacementScheme) {
+        scheme
+            .groups
+            .sort_unstable_by_key(|group| group.nodes[0].index());
     }
 }
 
@@ -1172,6 +1236,69 @@ mod tests {
                         n
                     );
                 }
+            }
+        }
+
+        /// The count-guided cut is pinned to the uncached oracle at every
+        /// constraint count, for group sizes up to two segments long (from
+        /// m = 9 on, every 8-node segment places nothing and is skipped) and
+        /// on the 512-node layout plus the three trailing-partial-rack ones.
+        #[test]
+        fn cached_placement_matches_the_uncached_oracle(
+            faulty in proptest::collection::vec(0usize..600, 0..80),
+            m in 1usize..17,
+            k in 1usize..5,
+        ) {
+            let faults = FaultSet::from_nodes(faulty.iter().map(|&id| NodeId(id)));
+            let req = OrchestrationRequest {
+                job_nodes: m,
+                nodes_per_group: m,
+                k,
+            };
+            let layouts = [(520, 8), (520, 5), (481, 5)].map(|(nodes, tors)| {
+                FatTreeOrchestrator::new(FatTree::new(nodes, 16, tors).unwrap()).unwrap()
+            });
+            for orch in std::iter::once(orchestrator()).chain(layouts) {
+                let scratch = orch.search_scratch(&req, &faults);
+                for n in 0..=orch.segment_constraints() + orch.alignment_constraints() {
+                    prop_assert_eq!(
+                        orch.placement_with_constraints_cached(&req, &scratch, n),
+                        orch.placement_with_constraints(&req, &faults, n).unwrap(),
+                        "constraint count {}",
+                        n
+                    );
+                }
+            }
+        }
+
+        /// The word-level ToR expansion equals the per-node oracle for ToR
+        /// widths that divide a word, straddle words and fill one, and on
+        /// the layouts whose last domain or rack is cut short. Ids past the
+        /// cluster stay raw in both.
+        #[test]
+        fn word_level_expansion_matches_the_per_node_oracle(
+            faulty in proptest::collection::vec(0usize..700, 0..300),
+        ) {
+            let faults = FaultSet::from_nodes(faulty.iter().map(|&id| NodeId(id)));
+            for (nodes, p, tors) in [
+                (512, 1, 8),
+                (515, 3, 7),
+                (600, 12, 4),
+                (512, 16, 8),
+                (640, 64, 2),
+                (520, 16, 5),
+                (481, 16, 5),
+            ] {
+                let orch =
+                    FatTreeOrchestrator::new(FatTree::new(nodes, p, tors).unwrap()).unwrap();
+                prop_assert_eq!(
+                    orch.expand_domains(&faults),
+                    orch.expand_domains_per_node(&faults),
+                    "layout ({}, {}, {})",
+                    nodes,
+                    p,
+                    tors
+                );
             }
         }
 

@@ -50,6 +50,11 @@ use topology::FaultSet;
 /// set. One scratch per key serves every job size.
 type ScratchKey = (usize, usize); // (k, nodes_per_group)
 
+/// A work item's searched `(answer, probes)` pair, shared between the
+/// per-epoch memo and a batch's resolved map, so a replay deep-clones the
+/// answer once, into the returned report.
+type Resolved = Arc<(PlacementAnswer, usize)>;
+
 /// One distinct shared-state question of a batch — the unit of the per-epoch
 /// answer memo. Invalid/degenerate shapes never become work items; they are
 /// answered per query without touching shared state.
@@ -163,13 +168,13 @@ impl<'q> Route<'q> {
         &self,
         snapshot: &ClusterSnapshot,
         scratches: &BTreeMap<ScratchKey, Arc<SearchScratch>>,
-        resolved: &BTreeMap<WorkItem, (PlacementAnswer, usize)>,
+        resolved: &BTreeMap<WorkItem, Resolved>,
     ) -> (PlacementAnswer, QueryCost) {
         let orchestrator = snapshot.orchestrator();
         let faults = snapshot.faults();
         let (answer, probes) = match self {
             Route::Rejected(_, error) => (PlacementAnswer::Placement(Err(error.clone())), 0),
-            Route::Shared(item) => resolved[item].clone(),
+            Route::Shared(item) => resolved[item].as_ref().clone(),
             &Route::Degenerate { nodes_per_group, k } => {
                 let report = max_orchestratable_job(orchestrator, nodes_per_group, k, faults, 1);
                 let job_nodes = report.job_nodes;
@@ -520,7 +525,7 @@ struct ScratchCache {
     /// Patch bases: the newest scratch of each key from earlier epochs.
     stale: BTreeMap<ScratchKey, Arc<SearchScratch>>,
     /// Work item → this epoch's `(answer, probes)`.
-    memo: BTreeMap<WorkItem, (PlacementAnswer, usize)>,
+    memo: BTreeMap<WorkItem, Resolved>,
     tally: PatchTally,
 }
 
@@ -692,7 +697,7 @@ impl PlacementService {
 
         // Resolve each item once: from the epoch's memo where already
         // answered, searched (and memoized) otherwise.
-        let mut resolved: BTreeMap<WorkItem, (PlacementAnswer, usize)> = BTreeMap::new();
+        let mut resolved: BTreeMap<WorkItem, Resolved> = BTreeMap::new();
         let mut misses: Vec<WorkItem> = Vec::new();
         {
             let cache = self.cache.lock().expect("no scratch builder panicked");
@@ -701,14 +706,14 @@ impl PlacementService {
             for &item in &items {
                 match cache.memo.get(&item).filter(|_| live) {
                     Some(hit) => {
-                        resolved.insert(item, hit.clone());
+                        resolved.insert(item, Arc::clone(hit));
                     }
                     None => misses.push(item),
                 }
             }
         }
         let computed = par_map(threads, &misses, |_, item| {
-            item.search(snapshot.value.orchestrator(), &scratches[&item.key()])
+            Arc::new(item.search(snapshot.value.orchestrator(), &scratches[&item.key()]))
         });
         if !misses.is_empty() {
             let mut cache = self.cache.lock().expect("no scratch builder panicked");

@@ -241,6 +241,31 @@ impl FaultSet {
             })
     }
 
+    /// Marks every node with an id in `lo..hi` as faulty — a masked word
+    /// fill following the `count_in_range` idiom, O(words touched), that
+    /// keeps [`len`](Self::len) exact. An empty range changes nothing.
+    pub fn insert_range(&mut self, lo: usize, hi: usize) {
+        if lo >= hi {
+            return;
+        }
+        let (lo_word, hi_word) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+        if hi_word >= self.words.len() {
+            self.words.resize(hi_word + 1, 0);
+        }
+        for w in lo_word..=hi_word {
+            let mut mask = !0u64;
+            if w == lo_word {
+                mask &= !0u64 << (lo % WORD_BITS);
+            }
+            if w == hi_word {
+                mask &= !0u64 >> (WORD_BITS - 1 - (hi - 1) % WORD_BITS);
+            }
+            let word = &mut self.words[w];
+            self.len += (mask & !*word).count_ones() as usize;
+            *word |= mask;
+        }
+    }
+
     /// Adds every faulty node of `other` to `self` — a word-wise OR,
     /// O(words).
     pub fn union_with(&mut self, other: &FaultSet) {
@@ -430,6 +455,7 @@ pub trait HbdArchitecture: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fault_set_basic_operations() {
@@ -546,6 +572,29 @@ mod tests {
         assert_eq!(ids(101, 130), Vec::<usize>::new());
         assert_eq!(ids(500, 1000), Vec::<usize>::new());
         assert_eq!(ids(10, 5), Vec::<usize>::new());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A range fill equals per-bit `add`s over the same ids, word for
+        /// word and in `len`, for ranges crossing word boundaries on top of
+        /// random members.
+        #[test]
+        fn insert_range_is_a_per_bit_add(
+            members in proptest::collection::vec(0usize..400, 0..40),
+            lo in 0usize..300,
+            width in 0usize..200,
+        ) {
+            let mut filled = FaultSet::from_nodes(members.iter().map(|&id| NodeId(id)));
+            let mut added = filled.clone();
+            filled.insert_range(lo, lo + width);
+            for id in lo..lo + width {
+                added.add(NodeId(id));
+            }
+            prop_assert_eq!(filled.len(), added.len());
+            prop_assert_eq!(&filled.words, &added.words);
+        }
     }
 
     #[test]

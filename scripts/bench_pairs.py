@@ -8,9 +8,14 @@ Run from anywhere inside the repository:
     python3 scripts/bench_pairs.py --parent main~1 --runs 10 --workloads serve_churn
     python3 scripts/bench_pairs.py --parent HEAD --runs 3 --seconds 6 --trace 1
 
-The parent is checked out as a detached `git worktree` under
-`target/pairs/`, and perfbench is built for it and for the working tree,
-each into its own target directory there. For every `BENCHMARK.json`
+Both sides are built from copies of equal path length under
+`target/pairs/`: the parent is unpacked with `git archive` into
+`parent-<first 12 hex of its commit>/`, and the working tree (tracked and
+untracked files, minus ignored ones) into `change-<first 12 hex of its tree
+object>/`. A copy that already exists is reused. The equal lengths matter:
+a binary embeds its source paths, and a longer path shifts the code layout,
+which alone has moved `serve_churn` by 8-12 %. Perfbench is built for each
+copy into its own target directory there. For every `BENCHMARK.json`
 workload the script then runs N pairs with seeds `--first-seed`, +1, ...;
 within a pair both builds get the same seed, and the order alternates
 (parent first in even pairs, change first in odd ones) so that slow drift of
@@ -35,9 +40,11 @@ Only `perfbench/` is built and only `BENCHMARK.json` is read.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
@@ -47,14 +54,36 @@ def git(root, *args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def checkout_parent(root, rev):
-    """A detached worktree of `rev` under target/pairs/, reused when present."""
-    sha = git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
-    tree = root / "target" / "pairs" / f"parent-{sha[:12]}"
+def unpack(root, treeish, name):
+    """`git archive` of `treeish` unpacked at target/pairs/<name>/, reused when present."""
+    tree = root / "target" / "pairs" / name
     if not tree.exists():
-        tree.parent.mkdir(parents=True, exist_ok=True)
-        git(root, "worktree", "add", "--detach", str(tree), sha)
-    return tree, sha
+        partial = tree.with_name(name + ".partial")
+        shutil.rmtree(partial, ignore_errors=True)
+        partial.mkdir(parents=True)
+        archive = subprocess.run(["git", "-C", str(root), "archive", treeish],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(partial)], input=archive, check=True)
+        partial.rename(tree)
+    return tree
+
+
+def checkout_parent(root, rev):
+    """The commit `rev` unpacked at target/pairs/parent-<sha12>/."""
+    sha = git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
+    return unpack(root, sha, f"parent-{sha[:12]}"), sha
+
+
+def copy_change(root):
+    """The working tree unpacked at target/pairs/change-<sha12>/: its files
+    are written to a tree object through a throwaway index, so the real
+    index is untouched."""
+    with tempfile.TemporaryDirectory() as scratch:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(scratch) / "index"))
+        subprocess.run(["git", "-C", str(root), "add", "-A"], check=True, env=env)
+        sha = subprocess.run(["git", "-C", str(root), "write-tree"], check=True, env=env,
+                             capture_output=True, text=True).stdout.strip()
+    return unpack(root, sha, f"change-{sha[:12]}")
 
 
 def build(tree, target_dir):
@@ -151,10 +180,11 @@ def main():
 
     pairs_dir = root / "target" / "pairs"
     parent_tree, sha = checkout_parent(root, args.parent)
-    print(f"parent {sha[:12]} at {parent_tree}")
+    change_tree = copy_change(root)
+    print(f"parent {sha[:12]} at {parent_tree}\nchange at {change_tree}")
     builds = {
         "parent": (build(parent_tree, pairs_dir / "target-parent"), pairs_dir / "run-parent"),
-        "change": (build(root, pairs_dir / "target-change"), pairs_dir / "run-change"),
+        "change": (build(change_tree, pairs_dir / "target-change"), pairs_dir / "run-change"),
     }
 
     flagged = []
