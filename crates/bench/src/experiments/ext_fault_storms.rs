@@ -25,14 +25,14 @@
 //! Deterministic in the seed, invariant in `--threads`: storms, arrivals,
 //! backoff jitter and breaker transitions all live in modeled time.
 
-use crate::experiments::ext_service_throughput::{build_stream, mean_interarrival_us};
+use crate::experiments::ext_service_throughput::{build_stream, mean_interarrival};
 use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
 use infinitehbd::dcn::jobmix::ExclusionLedger;
 use infinitehbd::fault::storm::{generate_storms, StormConfig};
 use infinitehbd::fault::NodeEventKind;
-use infinitehbd::hbd_types::{BackoffSchedule, BreakerConfig, Seconds};
+use infinitehbd::hbd_types::{BackoffSchedule, BreakerConfig, Microseconds, Seconds};
 use infinitehbd::orchestrator::admission::{AdmissionConfig, ShedPolicy};
 use infinitehbd::orchestrator::client::{
     ClientConfig, ClientOutcome, ClientQuery, RetryPolicy, RetryingClient, StorePublish,
@@ -58,8 +58,8 @@ const CAPACITY: usize = 16;
 /// Batch cap of the client's admission controller.
 const BATCH_CAP: usize = 8;
 
-/// Per-attempt deadline budget, modeled µs.
-const DEADLINE_US: f64 = 2_000.0;
+/// Per-attempt deadline budget.
+const DEADLINE: Microseconds = Microseconds(2_000.0);
 
 /// The client configuration of the sweep: a tight queue and deadline so
 /// storm-induced slowdowns surface as sheds, a breaker that opens after
@@ -86,15 +86,15 @@ fn client_config() -> ClientConfig {
             failure_threshold: 3,
             cooldown: Seconds(0.005),
         },
-        deadline_us: DEADLINE_US,
+        deadline: DEADLINE,
     }
 }
 
 /// The storm schedule of one sweep row: bursts arriving over the query
 /// window, blast radius `blast_tors`, 75 % of each blasted ToR's nodes down
 /// for ~a quarter of the window each.
-fn storm_config(blast_tors: usize, window_us: f64) -> StormConfig {
-    let window = Seconds(window_us / 1_000_000.0);
+fn storm_config(blast_tors: usize, window: Microseconds) -> StormConfig {
+    let window = window.to_seconds();
     StormConfig {
         nodes: NODES,
         nodes_per_tor: 16,
@@ -129,11 +129,11 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             stream_seed(ctx.seed, idx as u64),
             // Slightly inside saturation so storms, not base load, cause
             // the sheds.
-            mean_interarrival_us(NODES) * 1.25,
+            mean_interarrival(NODES) * 1.25,
         );
-        let window_us = arrivals.last().copied().unwrap_or(1.0).max(1.0);
+        let last_arrival = arrivals.last().copied().unwrap_or_default();
         let schedule = generate_storms(
-            &storm_config(blast, window_us),
+            &storm_config(blast, last_arrival.max(Microseconds(1.0))),
             stream_seed(ctx.seed, 100 + idx as u64),
         )
         .expect("storm schedule");
@@ -148,7 +148,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             let delta = ledger.take_pending_delta();
             if !delta.is_empty() {
                 publishes.push(StorePublish {
-                    at_us: event.at.value() * 1_000_000.0,
+                    at: event.at.to_micros(),
                     delta,
                 });
             }
@@ -157,10 +157,10 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         // fully landed (the wave spans `2 * nodes` µs from the burst
         // instant) — measuring from the burst instant itself would observe a
         // still-healthy queue and read zero.
-        let marks: Vec<f64> = schedule
+        let marks: Vec<Microseconds> = schedule
             .bursts
             .iter()
-            .map(|b| b.at.value() * 1_000_000.0 + 2.0 * b.nodes.len() as f64)
+            .map(|b| b.at.to_micros() + Microseconds(2.0 * b.nodes.len() as f64))
             .collect();
 
         let mut queries: Vec<ClientQuery> = stream
@@ -169,7 +169,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             .map(|(i, query)| ClientQuery {
                 id: i as u64,
                 query: query.clone(),
-                arrival_us: arrivals[i],
+                arrival: arrivals[i],
                 class: (i % 4) as u8,
             })
             .collect();
@@ -178,6 +178,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         // burst instant. The wave is what makes wide storms dangerous — a
         // correlated arrival spike against a churning snapshot.
         for burst in &schedule.bursts {
+            let burst_at = burst.at.to_micros();
             for (i, _) in burst.nodes.iter().enumerate() {
                 queries.push(ClientQuery {
                     id: queries.len() as u64,
@@ -186,7 +187,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
                         nodes_per_group: 16,
                         k: 2,
                     }),
-                    arrival_us: burst.at.value() * 1_000_000.0 + 1.0 + i as f64 * 2.0,
+                    arrival: burst_at + Microseconds(1.0) + Microseconds(i as f64 * 2.0),
                     class: (i % 4) as u8,
                 });
             }
@@ -222,13 +223,18 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             .iter()
             .filter(|(_, s)| *s == infinitehbd::hbd_types::BreakerState::Open)
             .count();
-        let recovered: Vec<f64> = report.recovery_us.iter().flatten().copied().collect();
+        let recovered: Vec<f64> = report
+            .recovery
+            .iter()
+            .flatten()
+            .map(|r| r.value())
+            .collect();
         let mean_recovery_ms = if recovered.is_empty() {
             0.0
         } else {
             recovered.iter().sum::<f64>() / recovered.len() as f64 / 1_000.0
         };
-        let unrecovered = report.recovery_us.iter().filter(|r| r.is_none()).count();
+        let unrecovered = report.recovery.iter().filter(|r| r.is_none()).count();
 
         rows.push(vec![
             blast.to_string(),

@@ -14,8 +14,8 @@
 //! re-summarized versus carried over (from
 //! [`PatchTally`](crate::service::PatchTally)) and prices both publish paths
 //! with the same deterministic cost model as the throughput experiment: a
-//! cold scratch build costs `build_us(nodes)` and a patched build the
-//! re-summarized fraction of it. Every cell is bit-stable in the seed and
+//! cold scratch build costs [`ModeledLatency::for_cluster`]'s `build` and a
+//! patched build the re-summarized fraction of it. Every cell is bit-stable in the seed and
 //! invariant in `--threads` (batch counters are pinned thread-invariant by
 //! the `service_oracle` / `service_delta` suites; the patch statistics are a
 //! deterministic function of the delta chain).
@@ -25,6 +25,7 @@ use crate::registry::RunCtx;
 use crate::service::{PlacementQuery, PlacementService, SnapshotDelta, SnapshotStore};
 use crate::{fmt, Table};
 use infinitehbd::hbd_types::NodeId;
+use infinitehbd::orchestrator::service::ModeledLatency;
 use infinitehbd::orchestrator::{FatTreeOrchestrator, OrchestrationRequest};
 use infinitehbd::topology::{FatTree, FaultSet};
 use rand::rngs::StdRng;
@@ -36,12 +37,6 @@ const NODES: usize = 4096;
 
 /// Exclusion-bit flips per published epoch — the churn-rate axis.
 pub const CHURN_RATES: [usize; 5] = [1, 4, 16, 64, 256];
-
-/// Modeled cost of one cold shared-scratch build, in microseconds — the same
-/// linear model as the service-throughput experiment.
-fn build_us(nodes: usize) -> f64 {
-    0.08 * nodes as f64
-}
 
 /// The fixed probe batch: one placement and one max-job probe per TP-group
 /// geometry, so every epoch materializes exactly two shared scratch keys.
@@ -132,9 +127,10 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         // Modeled publish-side latency per epoch: both keys' scratch
         // materializations, cold versus the re-summarized fraction.
         let builds_per_epoch = tally.patched_builds as f64 / epochs as f64;
-        let cold_epoch_us = builds_per_epoch * build_us(NODES);
+        let build_us = ModeledLatency::for_cluster(NODES).build.value();
+        let cold_epoch_us = builds_per_epoch * build_us;
         let patched_epoch_us = if segments > 0.0 {
-            builds_per_epoch * build_us(NODES) * (reorchestrated / segments)
+            builds_per_epoch * build_us * (reorchestrated / segments)
         } else {
             0.0
         };

@@ -25,10 +25,11 @@
 //! Everything is modeled time ([`ModeledLatency`]): bit-stable in the seed
 //! and invariant in `--threads`.
 
-use crate::experiments::ext_service_throughput::{build_stream, mean_interarrival_us};
+use crate::experiments::ext_service_throughput::{build_stream, mean_interarrival};
 use crate::par::stream_seed;
 use crate::registry::RunCtx;
 use crate::{fmt, Table};
+use infinitehbd::hbd_types::Microseconds;
 use infinitehbd::orchestrator::admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, Disposition, ShedPolicy, Ticket,
 };
@@ -51,16 +52,16 @@ pub const CAPACITY: usize = 64;
 /// Batch cap (matches the service-throughput default regime).
 const BATCH_CAP: usize = 32;
 
-/// Per-query deadline budget of the admission-controlled rows, modeled µs.
-pub const DEADLINE_US: f64 = 8_000.0;
+/// Per-query deadline budget of the admission-controlled rows.
+pub const DEADLINE: Microseconds = Microseconds(8_000.0);
 
 /// Aggregates of one driven stream.
 struct DriveOutcome {
     stats: AdmissionStats,
     /// Sojourns of the answered queries, ms.
     sojourns_ms: Vec<f64>,
-    /// Last completion instant, µs (0 when nothing was answered).
-    makespan_us: f64,
+    /// Last completion instant (zero when nothing was answered).
+    makespan: Microseconds,
 }
 
 impl DriveOutcome {
@@ -70,36 +71,37 @@ impl DriveOutcome {
 
     /// Answered queries per modeled second of makespan.
     fn goodput_qps(&self) -> f64 {
-        if self.makespan_us <= 0.0 {
+        if self.makespan <= Microseconds::ZERO {
             return 0.0;
         }
-        self.sojourns_ms.len() as f64 / (self.makespan_us / 1_000_000.0)
+        self.sojourns_ms.len() as f64 / self.makespan.to_seconds().value()
     }
 }
 
 /// Drives one arrival stream through a fresh admission controller in arrival
 /// order: advance the modeled queue to each arrival instant, offer the
 /// ticket, and drain whatever is still queued after the last arrival.
-/// `deadline_us` is the per-query budget (`f64::INFINITY` = patient queue);
+/// `deadline` is the per-query budget (`Microseconds(f64::INFINITY)` =
+/// patient queue);
 /// classes stripe the stream round-robin over four priorities.
 fn drive(
     service: &PlacementService,
     queries: &[PlacementQuery],
-    arrivals_us: &[f64],
+    arrivals: &[Microseconds],
     config: AdmissionConfig,
-    deadline_us: f64,
+    deadline: Microseconds,
     threads: usize,
 ) -> DriveOutcome {
     let mut controller = AdmissionController::new(config, ModeledLatency::for_cluster(NODES));
     let mut dispositions = Vec::with_capacity(queries.len());
     for (i, query) in queries.iter().enumerate() {
-        controller.run_until(service, arrivals_us[i], threads, &mut dispositions);
+        controller.run_until(service, arrivals[i], threads, &mut dispositions);
         controller.offer(
             Ticket {
                 id: i as u64,
                 query: query.clone(),
-                arrival_us: arrivals_us[i],
-                deadline_us: arrivals_us[i] + deadline_us,
+                arrival: arrivals[i],
+                deadline: arrivals[i] + deadline,
                 class: (i % 4) as u8,
             },
             &mut dispositions,
@@ -109,12 +111,12 @@ fn drive(
     let mut outcome = DriveOutcome {
         stats: controller.stats(),
         sojourns_ms: Vec::new(),
-        makespan_us: 0.0,
+        makespan: Microseconds::ZERO,
     };
     for disposition in &dispositions {
         if let Disposition::Answered(answer) = disposition {
-            outcome.sojourns_ms.push(answer.sojourn_us / 1_000.0);
-            outcome.makespan_us = outcome.makespan_us.max(answer.completed_us);
+            outcome.sojourns_ms.push(answer.sojourn.value() / 1_000.0);
+            outcome.makespan = outcome.makespan.max(answer.completed);
         }
     }
     outcome
@@ -156,30 +158,30 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         NODES,
         queries_per_stream,
         stream_seed(ctx.seed, 999),
-        mean_interarrival_us(NODES),
+        mean_interarrival(NODES),
     );
     let calibration = drive(
         &service,
         &cal_queries,
-        &vec![0.0; cal_queries.len()],
+        &vec![Microseconds::ZERO; cal_queries.len()],
         AdmissionConfig {
             capacity: usize::MAX,
             batch_cap: BATCH_CAP,
             policy: ShedPolicy::RejectNewest,
         },
-        f64::INFINITY,
+        Microseconds(f64::INFINITY),
         ctx.threads,
     );
-    let saturation_interarrival_us = 1_000_000.0 / calibration.goodput_qps();
+    let saturation_interarrival = Microseconds(1_000_000.0 / calibration.goodput_qps());
 
     let mut sweep_rows = Vec::new();
-    let mut four_x: Option<(Vec<PlacementQuery>, Vec<f64>)> = None;
+    let mut four_x: Option<(Vec<PlacementQuery>, Vec<Microseconds>)> = None;
     for (idx, &load) in loads.iter().enumerate() {
         let (queries, arrivals) = build_stream(
             NODES,
             queries_per_stream,
             stream_seed(ctx.seed, idx as u64),
-            saturation_interarrival_us / load,
+            saturation_interarrival / load,
         );
         // Unbounded patient queue: no capacity bound, no deadline — the
         // pre-admission-control behaviour.
@@ -192,7 +194,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
                 batch_cap: BATCH_CAP,
                 policy: ShedPolicy::RejectNewest,
             },
-            f64::INFINITY,
+            Microseconds(f64::INFINITY),
             ctx.threads,
         );
         // Bounded queue, per-query deadline, deadline-aware displacement.
@@ -205,7 +207,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
                 batch_cap: BATCH_CAP,
                 policy: ShedPolicy::DeadlineAware,
             },
-            DEADLINE_US,
+            DEADLINE,
             ctx.threads,
         );
         sweep_rows.push(row(
@@ -226,7 +228,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             NODES,
             queries_per_stream,
             stream_seed(ctx.seed, (loads.len() - 1) as u64),
-            saturation_interarrival_us / loads[loads.len() - 1],
+            saturation_interarrival / loads[loads.len() - 1],
         )
     });
     let mut policy_rows = Vec::new();
@@ -244,7 +246,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
                 batch_cap: BATCH_CAP,
                 policy,
             },
-            DEADLINE_US,
+            DEADLINE,
             ctx.threads,
         );
         let stats = &outcome.stats;
@@ -264,8 +266,9 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             format!(
                 "Offered-load sweep past saturation on the {NODES}-node snapshot \
                  (calibrated capacity {} qps, queue cap {CAPACITY}, deadline \
-                 {DEADLINE_US} us, modeled latency)",
-                fmt(calibration.goodput_qps(), 0)
+                 {} us, modeled latency)",
+                fmt(calibration.goodput_qps(), 0),
+                DEADLINE.value()
             ),
             &[
                 "load",
@@ -325,25 +328,25 @@ mod tests {
             NODES,
             count,
             stream_seed(ctx.seed, 999),
-            mean_interarrival_us(NODES),
+            mean_interarrival(NODES),
         );
         let calibration = drive(
             &service,
             &cal_queries,
-            &vec![0.0; count],
+            &vec![Microseconds::ZERO; count],
             AdmissionConfig {
                 capacity: usize::MAX,
                 batch_cap: BATCH_CAP,
                 policy: ShedPolicy::RejectNewest,
             },
-            f64::INFINITY,
+            Microseconds(f64::INFINITY),
             ctx.threads,
         );
         let (queries, arrivals) = build_stream(
             NODES,
             count,
             stream_seed(ctx.seed, 2),
-            1_000_000.0 / calibration.goodput_qps() / 4.0,
+            Microseconds(1_000_000.0 / calibration.goodput_qps()) / 4.0,
         );
         let unbounded = drive(
             &service,
@@ -354,7 +357,7 @@ mod tests {
                 batch_cap: BATCH_CAP,
                 policy: ShedPolicy::RejectNewest,
             },
-            f64::INFINITY,
+            Microseconds(f64::INFINITY),
             ctx.threads,
         );
         let admission = drive(
@@ -366,7 +369,7 @@ mod tests {
                 batch_cap: BATCH_CAP,
                 policy: ShedPolicy::DeadlineAware,
             },
-            DEADLINE_US,
+            DEADLINE,
             ctx.threads,
         );
         // Conservation on both paths.
@@ -384,7 +387,7 @@ mod tests {
         assert!(admission.goodput_qps() > 0.0);
         // Every answered sojourn respects the deadline budget, so the p99 is
         // bounded by it; the unbounded queue blows far past it.
-        let deadline_ms = DEADLINE_US / 1_000.0;
+        let deadline_ms = DEADLINE.value() / 1_000.0;
         assert!(
             admission.percentile_ms(0.99) <= deadline_ms + 1e-9,
             "p99 {} ms must stay within the {deadline_ms} ms budget",

@@ -25,7 +25,7 @@ use crate::registry::RunCtx;
 use crate::{fmt, Table};
 use infinitehbd::fault::sim_events::{generate_events, NodeEvent, NodeEventKind};
 use infinitehbd::fault::GeneratorConfig;
-use infinitehbd::hbd_types::{NodeId, Seconds};
+use infinitehbd::hbd_types::{Microseconds, NodeId, Seconds};
 use infinitehbd::orchestrator::service::{
     ModeledLatency, PlacementAnswer, PlacementQuery, PlacementService, SnapshotStore,
 };
@@ -48,11 +48,11 @@ const DEFAULT_BATCH_CAP: usize = 32;
 /// Snapshot epochs published (beyond epoch 0) while a stream runs.
 const CHURN_PUBLISHES: usize = 6;
 
-/// Mean interarrival time of the open-loop stream, in microseconds. Scaling
-/// with cluster size keeps every row in a comparable utilisation regime, so
-/// the tail columns show queueing, not trivial overload.
-pub fn mean_interarrival_us(nodes: usize) -> f64 {
-    0.15 * nodes as f64
+/// Mean interarrival time of the open-loop stream. Scaling with cluster
+/// size keeps every row in a comparable utilisation regime, so the tail
+/// columns show queueing, not trivial overload.
+pub fn mean_interarrival(nodes: usize) -> Microseconds {
+    Microseconds(0.15 * nodes as f64)
 }
 
 /// Interarrival shrink factor of the batching sweep: the sweep stream is
@@ -91,20 +91,20 @@ pub fn random_query(rng: &mut StdRng, nodes: usize) -> PlacementQuery {
     }
 }
 
-/// A seeded query stream plus its open-loop arrival times (microseconds),
-/// with the given mean interarrival time.
+/// A seeded query stream plus its open-loop arrival times, with the given
+/// mean interarrival time.
 pub fn build_stream(
     nodes: usize,
     count: usize,
     seed: u64,
-    interarrival_us: f64,
-) -> (Vec<PlacementQuery>, Vec<f64>) {
+    interarrival: Microseconds,
+) -> (Vec<PlacementQuery>, Vec<Microseconds>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut at = 0.0f64;
+    let mut at = Microseconds::ZERO;
     let mut queries = Vec::with_capacity(count);
     let mut arrivals = Vec::with_capacity(count);
     for _ in 0..count {
-        at += -interarrival_us * (1.0 - rng.gen::<f64>()).ln();
+        at += -interarrival * (1.0 - rng.gen::<f64>()).ln();
         arrivals.push(at);
         queries.push(random_query(&mut rng, nodes));
     }
@@ -155,7 +155,7 @@ impl StreamOutcome {
 fn run_stream(
     orchestrator: &Arc<FatTreeOrchestrator>,
     queries: &[PlacementQuery],
-    arrivals_us: &[f64],
+    arrivals: &[Microseconds],
     churn: &[NodeEvent],
     batch_cap: usize,
     threads: usize,
@@ -171,7 +171,7 @@ fn run_stream(
 
     let mut live = FaultSet::new();
     let mut published = 0usize;
-    let mut free_at = 0.0f64;
+    let mut free_at = Microseconds::ZERO;
     let mut next = 0usize;
     let mut outcome = StreamOutcome {
         batches: 0,
@@ -204,15 +204,15 @@ fn run_stream(
             outcome.epochs_published += 1;
         }
 
-        let start = free_at.max(arrivals_us[next]);
+        let start = free_at.max(arrivals[next]);
         let mut end = next + 1;
-        while end < total && end - next < batch_cap && arrivals_us[end] <= start {
+        while end < total && end - next < batch_cap && arrivals[end] <= start {
             end += 1;
         }
         let report = service.answer_batch(&queries[next..end], threads);
-        let done = start + model.batch_service_us(&report);
-        for &arrived in &arrivals_us[next..end] {
-            outcome.sojourns_ms.push((done - arrived) / 1_000.0);
+        let done = start + model.batch_service(&report);
+        for &arrived in &arrivals[next..end] {
+            outcome.sojourns_ms.push((done - arrived).value() / 1_000.0);
         }
         for answer in &report.answers {
             match answer {
@@ -237,7 +237,7 @@ fn run_stream(
         outcome.max_job_mean = max_job_sum as f64 / max_job_count as f64;
     }
     // Sustained rate: queries per modeled second of makespan.
-    outcome.qps = total as f64 / (free_at / 1_000_000.0);
+    outcome.qps = total as f64 / free_at.to_seconds().value();
     outcome
 }
 
@@ -256,7 +256,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             nodes,
             queries_per_stream,
             stream_seed(ctx.seed, idx as u64),
-            mean_interarrival_us(nodes),
+            mean_interarrival(nodes),
         );
         let churn = churn_schedule(nodes, stream_seed(ctx.seed, 100 + idx as u64));
         let outcome = run_stream(
@@ -293,7 +293,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
         sweep_nodes,
         sweep_queries,
         stream_seed(ctx.seed, 50),
-        mean_interarrival_us(sweep_nodes) * SWEEP_OVERLOAD,
+        mean_interarrival(sweep_nodes) * SWEEP_OVERLOAD,
     );
     let churn = churn_schedule(sweep_nodes, stream_seed(ctx.seed, 150));
     let mut batch_rows = Vec::new();

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates InfiniteHBD on static, gang-scheduled job mixes; this
 //! module layers *job dynamics* on the same deterministic substrate. A
-//! discrete-event loop over [`hbd_types::sim`]'s clock and queue drives four
+//! discrete-event loop over [`hbd_types::sim`]'s event queue drives four
 //! event kinds — job arrivals, job departures, node faults, node repairs —
 //! through one shared piece of cluster state:
 //!
@@ -30,8 +30,7 @@
 use control::{FailoverPlanner, RingPlan};
 use dcn::jobmix::ExclusionLedger;
 use fault::sim_events::{validate_edges, NodeEvent, NodeEventKind};
-use hbd_types::sim::{EventQueue, SimClock};
-use hbd_types::{HbdError, NodeId, Result, Seconds};
+use hbd_types::{EventQueue, HbdError, NodeId, Result, Seconds};
 use orchestrator::service::{PlacementService, SnapshotStore};
 use orchestrator::{FatTreeOrchestrator, OrchestrationRequest, PlacementScheme};
 use rand::rngs::StdRng;
@@ -197,6 +196,34 @@ pub struct PlacementLatencyModel {
     /// Cost per port directive the failover planner changes during a
     /// fault-triggered migration.
     pub per_command: Seconds,
+}
+
+impl PlacementLatencyModel {
+    /// The modeled latency of one placement that places `groups` TP groups
+    /// after `retries` failed admission attempts and changes `commands`
+    /// failover port directives. A site with nothing of a kind passes 0,
+    /// which adds exactly zero: [`simulate`] rejects any term that is not
+    /// finite and non-negative.
+    fn price(&self, groups: usize, retries: usize, commands: usize) -> Seconds {
+        self.base
+            + self.per_group * groups as f64
+            + self.per_retry * retries as f64
+            + self.per_command * commands as f64
+    }
+
+    /// Rejects any term that is not finite and non-negative: a negative
+    /// term runs the clock backwards, and a NaN or infinite one makes the
+    /// zero-count terms of [`PlacementLatencyModel::price`] NaN.
+    fn validate(&self) -> Result<()> {
+        let terms = [self.base, self.per_group, self.per_retry, self.per_command];
+        if terms.iter().all(|t| t.is_finite_non_negative()) {
+            Ok(())
+        } else {
+            Err(HbdError::invalid_config(format!(
+                "placement latency terms must be finite and >= 0: {self:?}"
+            )))
+        }
+    }
 }
 
 impl Default for PlacementLatencyModel {
@@ -374,22 +401,22 @@ struct JobState {
     spec: JobSpec,
     record: JobRecord,
     /// Remaining service time.
-    remaining: f64,
+    remaining: Seconds,
     /// When the current service segment starts (placement instant + modeled
     /// placement latency); meaningful only while running.
-    service_start: f64,
+    service_start: Seconds,
     /// Bumped on every placement change; a departure event whose generation
     /// does not match is stale and ignored.
     generation: u64,
     /// Current placement while running.
     placement: Option<PlacementScheme>,
     /// When the job last entered the queue; meaningful only while queued.
-    queued_since: f64,
+    queued_since: Seconds,
     /// Failed admission attempts accumulated while queued.
     attempts: usize,
     /// Earliest instant the admission scan may consider this job again
-    /// (backoff hold after a fault-triggered re-queue); 0.0 = no hold.
-    eligible_at: f64,
+    /// (backoff hold after a fault-triggered re-queue); zero = no hold.
+    eligible_at: Seconds,
 }
 
 /// Per-ring-shape failover planner cache: the migration price of a fault on a
@@ -463,7 +490,7 @@ struct SimState<'a> {
     epochs_published: usize,
     republish_skips: usize,
     // Fragmentation / utilisation time integrals.
-    last_t: f64,
+    last_t: Seconds,
     frag_current: f64,
     frag_integral: f64,
     frag_max: f64,
@@ -494,8 +521,8 @@ impl SimState<'_> {
     }
 
     /// Closes the time integral segment `[last_t, t)`.
-    fn advance_integrals(&mut self, t: f64) {
-        let dt = t - self.last_t;
+    fn advance_integrals(&mut self, t: Seconds) {
+        let dt = (t - self.last_t).value();
         if dt > 0.0 {
             self.frag_integral += self.frag_current * dt;
             self.placed_integral += self.ledger.placed_nodes() as f64 * dt;
@@ -533,21 +560,28 @@ impl SimState<'_> {
     /// Accrues the running job's service progress up to `now` and returns the
     /// nodes it occupies (progress is zero while still inside the placement
     /// latency window).
-    fn accrue_progress(&mut self, job: usize, now: f64) {
+    fn accrue_progress(&mut self, job: usize, now: Seconds) {
         let nodes = self.jobs[job]
             .placement
             .as_ref()
             .map(|p| p.nodes_placed())
             .unwrap_or(0);
         let state = &mut self.jobs[job];
-        let progress = (now - state.service_start).max(0.0).min(state.remaining);
+        let elapsed = now - state.service_start;
+        let progress = elapsed.max(Seconds::ZERO).min(state.remaining);
         state.remaining -= progress;
-        self.productive_node_seconds += progress * nodes as f64;
+        self.productive_node_seconds += progress.value() * nodes as f64;
     }
 
     /// Installs `scheme` as `job`'s placement: ledger, ownership map, service
     /// segment and departure event.
-    fn start_service(&mut self, job: usize, scheme: PlacementScheme, now: f64, latency: f64) {
+    fn start_service(
+        &mut self,
+        job: usize,
+        scheme: PlacementScheme,
+        now: Seconds,
+        latency: Seconds,
+    ) {
         for group in &scheme.groups {
             for &node in &group.nodes {
                 self.owner[node.index()] = Some(job);
@@ -555,16 +589,16 @@ impl SimState<'_> {
         }
         self.ledger.place(&scheme);
         self.sync_snapshot();
-        self.placement_latencies.push(latency);
+        self.placement_latencies.push(latency.value());
         let state = &mut self.jobs[job];
         state.generation += 1;
         state.service_start = now + latency;
         state.placement = Some(scheme);
         if state.record.first_placed.is_none() {
-            state.record.first_placed = Some(Seconds(now));
+            state.record.first_placed = Some(now);
         }
         self.queue.push(
-            Seconds(state.service_start + state.remaining),
+            state.service_start + state.remaining,
             Event::Departure {
                 job,
                 generation: state.generation,
@@ -587,7 +621,8 @@ impl SimState<'_> {
 
     /// Scans the admission queue in FIFO order. Strict FIFO stops at the
     /// first job that does not fit; backfill keeps scanning.
-    fn try_admit(&mut self, now: f64) {
+    fn try_admit(&mut self, now: Seconds) {
+        let model = self.config.latency;
         let candidates: Vec<usize> = self.pending.iter().copied().collect();
         for job in candidates {
             if self.jobs[job].eligible_at > now {
@@ -600,15 +635,12 @@ impl SimState<'_> {
                 Ok(scheme) => {
                     self.pending.remove(&job);
                     let state = &mut self.jobs[job];
-                    let waited = now - state.queued_since;
-                    state.record.queue_wait = Seconds(state.record.queue_wait.value() + waited);
+                    state.record.queue_wait += now - state.queued_since;
                     if state.record.first_placed.is_none() {
-                        self.queue_delays.push(now - state.record.arrived.value());
+                        self.queue_delays.push((now - state.record.arrived).value());
                     }
                     state.record.status = JobStatus::Running;
-                    let latency = self.config.latency.base.value()
-                        + self.config.latency.per_group.value() * scheme.groups.len() as f64
-                        + self.config.latency.per_retry.value() * state.attempts as f64;
+                    let latency = model.price(scheme.groups.len(), state.attempts, 0);
                     self.start_service(job, scheme, now, latency);
                 }
                 Err(_) => {
@@ -624,7 +656,7 @@ impl SimState<'_> {
     /// A fault hit a running job: price the failover plan, release the
     /// placement and either migrate immediately or send the job back to the
     /// queue (keeping its arrival priority).
-    fn handle_fault_on_job(&mut self, job: usize, now: f64) {
+    fn handle_fault_on_job(&mut self, job: usize, now: Seconds) {
         self.accrue_progress(job, now);
         let scheme = self.release_placement(job).expect("running job is placed");
         // Faulty positions on the job-local ring: the flattened placement
@@ -649,9 +681,8 @@ impl SimState<'_> {
         match self.probe_placement(&request) {
             Ok(new_scheme) => {
                 self.jobs[job].record.migrations += 1;
-                let latency = self.config.latency.base.value()
-                    + self.config.latency.per_group.value() * new_scheme.groups.len() as f64
-                    + self.config.latency.per_command.value() * commands as f64;
+                let model = self.config.latency;
+                let latency = model.price(new_scheme.groups.len(), 0, commands);
                 self.start_service(job, new_scheme, now, latency);
             }
             Err(_) => {
@@ -664,11 +695,9 @@ impl SimState<'_> {
                     // keyed by the job index — deterministic and per-job
                     // de-synchronised, so a storm's victims do not re-storm
                     // the scheduler in lockstep.
-                    let hold = backoff
-                        .delay(state.record.fault_waits as u32 - 1, job as u64)
-                        .value();
+                    let hold = backoff.delay(state.record.fault_waits as u32 - 1, job as u64);
                     state.eligible_at = now + hold;
-                    self.queue.push(Seconds(now + hold), Event::Retry(job));
+                    self.queue.push(state.eligible_at, Event::Retry(job));
                 }
                 self.pending.insert(job);
             }
@@ -680,7 +709,7 @@ impl SimState<'_> {
     /// arrival order). Each job's own nodes are free during its re-placement,
     /// so the move can only tighten the packing; jobs that actually move pay
     /// a placement latency, jobs re-placed onto the same nodes pay nothing.
-    fn defragment(&mut self, now: f64) {
+    fn defragment(&mut self, now: Seconds) {
         self.defrag_passes += 1;
         let running: Vec<usize> = (0..self.jobs.len())
             .filter(|&j| self.jobs[j].record.status == JobStatus::Running)
@@ -695,17 +724,16 @@ impl SimState<'_> {
                     let moved = node_set(&new_scheme) != node_set(&old);
                     let latency = if moved {
                         self.jobs[job].record.defrag_moves += 1;
-                        self.config.latency.base.value()
-                            + self.config.latency.per_group.value() * new_scheme.groups.len() as f64
+                        self.config.latency.price(new_scheme.groups.len(), 0, 0)
                     } else {
-                        0.0
+                        Seconds::ZERO
                     };
                     self.start_service(job, new_scheme, now, latency);
                 }
                 Err(_) => {
                     // Cannot happen (the job's old nodes are free again), but
                     // degrade gracefully: put the old placement back.
-                    self.start_service(job, old, now, 0.0);
+                    self.start_service(job, old, now, Seconds::ZERO);
                 }
             }
         }
@@ -726,8 +754,10 @@ fn node_set(scheme: &PlacementScheme) -> BTreeSet<NodeId> {
 /// Deterministic in `(orchestrator, workload, fault_events, config)`;
 /// `config.threads` is ignored. An edge stream that names a node outside the
 /// cluster or does not alternate fault/repair per node in time order is
-/// rejected with the typed error of [`validate_edges`] before anything is
-/// scheduled.
+/// rejected with the typed error of [`validate_edges`], and a latency term or
+/// arrival instant that is not finite and non-negative with
+/// [`HbdError::InvalidConfig`]; every check runs before the first event is
+/// processed.
 pub fn simulate(
     orchestrator: &FatTreeOrchestrator,
     workload: &Workload,
@@ -750,7 +780,8 @@ pub fn simulate(
         ));
     }
     validate_edges(fault_events, config.nodes)?;
-    let horizon = config.horizon.value();
+    config.latency.validate()?;
+    let horizon = config.horizon;
 
     // The snapshot store shares the orchestrator by `Arc` across all epochs
     // of the run; epoch 0 is the empty exclusion state of the fresh ledger.
@@ -774,7 +805,7 @@ pub fn simulate(
         defrag_passes: 0,
         epochs_published: 0,
         republish_skips: 0,
-        last_t: 0.0,
+        last_t: Seconds::ZERO,
         frag_current: 0.0,
         frag_integral: 0.0,
         frag_max: 0.0,
@@ -785,7 +816,7 @@ pub fn simulate(
     // arrival at the same instant resolve as "node state first, admission
     // second" (the queue breaks timestamp ties by insertion order).
     for edge in fault_events {
-        if edge.at.value() <= horizon {
+        if edge.at <= horizon {
             let event = match edge.kind {
                 NodeEventKind::Fault => Event::NodeDown(edge.node),
                 NodeEventKind::Repair => Event::NodeUp(edge.node),
@@ -795,6 +826,12 @@ pub fn simulate(
     }
     for (index, arrival) in workload.arrivals().iter().enumerate() {
         arrival.spec.request.validate()?;
+        if !arrival.at.is_finite_non_negative() {
+            return Err(HbdError::invalid_config(format!(
+                "job '{}' arrives at {}, which is not finite and >= 0",
+                arrival.spec.name, arrival.at
+            )));
+        }
         if not_positive(arrival.spec.service.value()) {
             return Err(HbdError::invalid_config(format!(
                 "job '{}' has a non-positive service time",
@@ -814,29 +851,27 @@ pub fn simulate(
                 status: JobStatus::Queued,
             },
             spec: arrival.spec.clone(),
-            remaining: arrival.spec.service.value(),
-            service_start: 0.0,
+            remaining: arrival.spec.service,
+            service_start: Seconds::ZERO,
             generation: 0,
             placement: None,
-            queued_since: arrival.at.value(),
+            queued_since: arrival.at,
             attempts: 0,
-            eligible_at: 0.0,
+            eligible_at: Seconds::ZERO,
         });
-        if arrival.at.value() <= horizon {
+        if arrival.at <= horizon {
             state.queue.push(arrival.at, Event::Arrival(index));
         }
     }
 
     state.refresh_fragmentation();
     state.frag_integral = 0.0;
-    let mut clock = SimClock::new();
 
-    while let Some((at, event)) = state.queue.pop() {
-        if at.value() > horizon {
+    while let Some((now, event)) = state.queue.pop() {
+        if now > horizon {
             break; // pops are time-ordered: everything left is beyond the horizon
         }
-        state.advance_integrals(at.value());
-        let now = clock.advance_to(at).value();
+        state.advance_integrals(now);
         match event {
             Event::Arrival(job) => {
                 state.jobs[job].queued_since = now;
@@ -852,7 +887,7 @@ pub fn simulate(
                 state.release_placement(job);
                 let record = &mut state.jobs[job].record;
                 record.status = JobStatus::Completed;
-                record.completed = Some(Seconds(now));
+                record.completed = Some(now);
                 if state.config.defrag_on_exit {
                     if let Some(&head) = state.pending.iter().next() {
                         let request = state.jobs[head].spec.request;
@@ -896,15 +931,15 @@ pub fn simulate(
             JobStatus::Running => state.accrue_progress(job, horizon),
             JobStatus::Queued => {
                 let state_job = &mut state.jobs[job];
-                let waited = (horizon - state_job.queued_since).max(0.0);
-                state_job.record.queue_wait = Seconds(state_job.record.queue_wait.value() + waited);
+                state_job.record.queue_wait +=
+                    (horizon - state_job.queued_since).max(Seconds::ZERO);
             }
             JobStatus::Completed => {}
         }
     }
 
     let jobs: Vec<JobRecord> = state.jobs.iter().map(|j| j.record.clone()).collect();
-    let denominator = config.nodes as f64 * horizon;
+    let denominator = config.nodes as f64 * horizon.value();
     Ok(LifecycleOutcome {
         arrivals: jobs.len(),
         admitted: jobs.iter().filter(|j| j.first_placed.is_some()).count(),
@@ -926,14 +961,14 @@ pub fn simulate(
         defrag_passes: state.defrag_passes,
         epochs_published: state.epochs_published,
         republish_skips: state.republish_skips,
-        frag_mean: state.frag_integral / horizon,
+        frag_mean: state.frag_integral / horizon.value(),
         frag_max: state.frag_max,
         frag_final: state.frag_current,
         goodput: state.productive_node_seconds / denominator,
         utilization: state.placed_integral / denominator,
         queue_delays: state.queue_delays,
         placement_latencies: state.placement_latencies,
-        clock_rewinds: clock.rewinds_clamped(),
+        clock_rewinds: state.queue.rewinds(),
         jobs,
     })
 }
@@ -1269,6 +1304,56 @@ mod tests {
         let err =
             simulate(&orch, &workload, &[fault(100.0), fault(200.0)], &config(32)).unwrap_err();
         assert!(matches!(err, HbdError::InvalidOperation { .. }), "{err}");
+    }
+
+    #[test]
+    fn latency_terms_and_arrivals_that_run_the_clock_backwards_are_rejected() {
+        let orch = orchestrator(32);
+        let jobs = |first_at| {
+            Workload::from_arrivals(vec![
+                arrival("a", first_at, 8, 500.0),
+                arrival("b", 10.0, 8, 500.0),
+                arrival("c", 20.0, 8, 500.0),
+            ])
+        };
+        let valid = simulate(&orch, &jobs(0.0), &[], &config(32)).unwrap();
+        assert_eq!((valid.completed, valid.clock_rewinds), (3, 0));
+        let bad_terms: [fn(&mut PlacementLatencyModel); 4] = [
+            |m| m.base = Seconds(-1000.0),
+            |m| m.base = Seconds(f64::NAN),
+            |m| m.per_group = Seconds(f64::INFINITY),
+            |m| m.per_command = Seconds(-0.05),
+        ];
+        for bad in bad_terms {
+            let mut cfg = config(32);
+            bad(&mut cfg.latency);
+            let err = simulate(&orch, &jobs(0.0), &[], &cfg).unwrap_err();
+            assert!(matches!(err, HbdError::InvalidConfig { .. }), "{err}");
+        }
+        for at in [-5.0, f64::NAN, f64::NEG_INFINITY] {
+            let err = simulate(&orch, &jobs(at), &[], &config(32)).unwrap_err();
+            assert!(matches!(err, HbdError::InvalidConfig { .. }), "{at}: {err}");
+        }
+    }
+
+    #[test]
+    fn the_latency_rule_adds_exactly_zero_for_a_zero_count() {
+        let model = PlacementLatencyModel {
+            base: Seconds(2.1),
+            per_group: Seconds(0.3),
+            per_retry: Seconds(0.7),
+            per_command: Seconds(0.05),
+        };
+        let admit = model.base.value() + model.per_group.value() * 5.0;
+        assert_eq!(model.price(5, 0, 0).value(), admit);
+        assert_eq!(
+            model.price(5, 3, 0).value(),
+            admit + model.per_retry.value() * 3.0
+        );
+        assert_eq!(
+            model.price(5, 0, 11).value(),
+            admit + model.per_command.value() * 11.0
+        );
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! dropped, and new faults land while the previous recovery is still in
 //! flight. This module simulates exactly that regime, FoundationDB-style:
 //!
-//! * **Mock time.** A [`SimClock`] driven by an [`EventQueue`] whose pop
-//!   order is a pure function of the push sequence — no wall clock, no
-//!   threads, no nondeterminism.
+//! * **Mock time.** An [`EventQueue`] keyed in modeled [`Seconds`] is the
+//!   clock: its pop order is a pure function of the push sequence, and each
+//!   pop returns the monotone instant the handlers run at — no wall clock,
+//!   no threads, no nondeterminism.
 //! * **One master seed.** Every random decision draws from a per-channel
 //!   `StdRng` derived with [`stream_seed`]: channel 0 seeds the fault/repair
 //!   arrival schedule, 1 the message delays, 2 the reorder bursts, 3 the
@@ -40,7 +41,7 @@ use crate::manager::ControlLatencies;
 use crate::plan::{BundleAction, PortDirective, RingPlan};
 use crate::timeline::{ControlEventKind, Timeline};
 use fault::{generate_events, validate_edges, GeneratorConfig, NodeEvent, NodeEventKind};
-use hbd_types::{stream_seed, EventQueue, HbdError, NodeId, Result, Seconds, SimClock};
+use hbd_types::{stream_seed, EventQueue, HbdError, NodeId, Result, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -233,8 +234,9 @@ pub struct SimReport {
     /// plan equal to a fresh plan of the final fault set, fabric state equal
     /// to that plan.
     pub final_converged: bool,
-    /// Clock rewind attempts clamped by the mock clock. Always 0: the event
-    /// queue pops in timestamp order.
+    /// Events the queue clamped because they were scheduled behind its
+    /// clock. Always 0: every event is scheduled at or after the instant
+    /// that schedules it.
     pub clock_rewinds: u64,
     /// Simulation time when the last event was processed.
     pub end_time: Seconds,
@@ -312,7 +314,6 @@ pub fn run_with_events(
         faults: FaultSet::new(),
         intended: RingPlan::empty(),
         queue: EventQueue::new(),
-        clock: SimClock::new(),
         commands: Vec::new(),
         newest: vec![0; config.nodes * config.k],
         node_epoch: vec![0; config.nodes],
@@ -351,7 +352,6 @@ struct Sim {
     /// The plan the manager is currently converging the fabric towards.
     intended: RingPlan,
     queue: EventQueue<SimEvent>,
-    clock: SimClock,
     /// Every issued command; command `id` is `commands[id - 1]`.
     commands: Vec<PendingCommand>,
     /// Newest command id per (node, bundle) slot, node-major like
@@ -401,8 +401,7 @@ impl Sim {
 
     /// Pops events until the queue is empty.
     fn drain(&mut self) -> Result<()> {
-        while let Some((at, event)) = self.queue.pop() {
-            let now = self.clock.advance_to(at);
+        while let Some((now, event)) = self.queue.pop() {
             match event {
                 SimEvent::Detected { node, fault } => self.on_detected(now, node, fault)?,
                 SimEvent::PlanReady => self.on_plan_ready(now)?,
@@ -720,8 +719,8 @@ impl Sim {
             self.report.invariant_violations += 1;
         }
         self.report.final_converged = converged;
-        self.report.clock_rewinds = self.clock.rewinds_clamped();
-        self.report.end_time = self.clock.now();
+        self.report.clock_rewinds = self.queue.rewinds();
+        self.report.end_time = self.queue.now();
         self.report
     }
 }
@@ -892,6 +891,18 @@ mod tests {
         };
         let err = run_with_events(&config, 1, &[fault(10.0), fault(20.0)]).unwrap_err();
         assert!(matches!(err, HbdError::InvalidOperation { .. }), "{err}");
+    }
+
+    #[test]
+    fn an_edge_before_time_zero_is_rejected() {
+        let config = test_config(MessageFaults::reliable());
+        let edge = NodeEvent {
+            at: Seconds(-5.0),
+            node: NodeId(3),
+            kind: NodeEventKind::Fault,
+        };
+        let err = run_with_events(&config, 1, &[edge]).unwrap_err();
+        assert!(matches!(err, HbdError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]

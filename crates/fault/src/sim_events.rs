@@ -105,8 +105,9 @@ fn push_edges(edges: &mut Vec<NodeEvent>, node: NodeId, start: f64, end: f64) {
 
 /// Checks that `edges` is a stream a stateful consumer can replay over a
 /// cluster of `nodes` nodes: every edge names a node in range
-/// ([`HbdError::UnknownEntity`] otherwise) at a finite time
-/// ([`HbdError::InvalidConfig`] otherwise), and per node, in stream order,
+/// ([`HbdError::UnknownEntity`] otherwise) at a finite, non-negative time
+/// ([`HbdError::InvalidConfig`] otherwise: a simulator's clock starts at
+/// zero and never runs backwards), and per node, in stream order,
 /// the edges alternate `Fault`/`Repair` starting with a `Fault`, at strictly
 /// increasing times ([`HbdError::InvalidOperation`] otherwise: a node that
 /// faults while down, is repaired while up, or changes state twice at one
@@ -120,9 +121,9 @@ pub fn validate_edges(edges: &[NodeEvent], nodes: usize) -> Result<()> {
             return Err(HbdError::unknown_entity(format!("{}", edge.node)));
         };
         let at = edge.at.value();
-        if !at.is_finite() {
+        if !edge.at.is_finite_non_negative() {
             return Err(HbdError::invalid_config(format!(
-                "{:?} edge of {} at non-finite time {at}",
+                "{:?} edge of {} at time {at}, which is not finite and >= 0",
                 edge.kind, edge.node
             )));
         }
@@ -315,10 +316,15 @@ mod tests {
             HbdError::invalid_config(""),
             HbdError::invalid_operation(""),
         );
-        let cases: [(&[NodeEvent], &HbdError); 6] = [
+        let cases: [(&[NodeEvent], &HbdError); 8] = [
             (&[edge(1.0, 2, Fault)], &unknown),
             (&[edge(f64::NAN, 0, Fault)], &config),
             (&[edge(f64::INFINITY, 0, Fault)], &config),
+            (&[edge(-5.0, 0, Fault)], &config),
+            (
+                &[edge(1.0, 0, Fault), edge(f64::NEG_INFINITY, 1, Fault)],
+                &config,
+            ),
             // A doubled Fault, a Repair first, and a Repair at the instant
             // of its Fault.
             (&[edge(1.0, 0, Fault), edge(2.0, 0, Fault)], &operation),

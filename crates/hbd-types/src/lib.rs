@@ -28,5 +28,5 @@ pub use error::{HbdError, Result};
 pub use ids::{GpuId, LinkId, NodeId, SwitchId, ToRId, TrxId};
 pub use par::{par_map, par_map_range, par_map_seeded, stream_seed};
 pub use robust::{BackoffSchedule, BreakerConfig, BreakerState, CircuitBreaker};
-pub use sim::{EventQueue, SimClock};
+pub use sim::{EventQueue, TimeUnit};
 pub use units::{Bytes, Dollars, GBps, Gbps, Microseconds, Seconds, Watts};

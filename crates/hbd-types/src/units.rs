@@ -47,6 +47,12 @@ macro_rules! scalar_unit {
             pub fn is_finite(self) -> bool {
                 self.0.is_finite()
             }
+
+            /// Returns `true` if the value is finite and not negative (NaN
+            /// fails): the domain of a modeled instant or duration.
+            pub fn is_finite_non_negative(self) -> bool {
+                self.0.is_finite() && self.0 >= 0.0
+            }
         }
 
         impl fmt::Display for $name {

@@ -11,7 +11,7 @@
 //! model (whatever has arrived by the time the server frees up, capped at
 //! `batch_cap`), prices them with the shared [`ModeledLatency`] lane model,
 //! and **sheds** instead of queueing unboundedly. Shed queries get a typed
-//! [`ShedQuery`] outcome whose `retry_after_us` is a deterministic
+//! [`ShedQuery`] outcome whose `retry_after` is a deterministic
 //! saturation signal derived from the modeled backlog — the contract the
 //! retrying client (`crate::client`) honours with seeded backoff.
 //!
@@ -26,12 +26,13 @@
 //! * **Conservation:** every offered ticket is eventually answered or shed,
 //!   exactly once — `offered == answered + shed + backlog` at all times.
 //!
-//! Everything runs in modeled microseconds; determinism and thread-count
-//! invariance follow from the service's own guarantees (answers and cost
-//! counters are byte-identical for any `threads`) plus the fact that no
-//! wall-clock ever enters the model.
+//! Every instant and duration is modeled time, typed [`Microseconds`];
+//! determinism and thread-count invariance follow from the service's own
+//! guarantees (answers and cost counters are byte-identical for any
+//! `threads`) plus the fact that no wall-clock ever enters the model.
 
 use crate::service::{ModeledLatency, PlacementAnswer, PlacementQuery, PlacementService};
+use hbd_types::Microseconds;
 use std::collections::VecDeque;
 
 /// What to do with an arriving ticket when the queue is full.
@@ -69,11 +70,11 @@ pub struct Ticket {
     pub id: u64,
     /// The query itself.
     pub query: PlacementQuery,
-    /// Arrival instant (modeled µs). Offers must be time-ordered.
-    pub arrival_us: f64,
-    /// Absolute deadline (modeled µs); `f64::INFINITY` for none. A ticket
+    /// Arrival instant. Offers must be time-ordered.
+    pub arrival: Microseconds,
+    /// Absolute deadline; `Microseconds(f64::INFINITY)` for none. A ticket
     /// whose deadline is not strictly after its arrival is shed on arrival.
-    pub deadline_us: f64,
+    pub deadline: Microseconds,
     /// Priority class, 0 = most important (only [`ShedPolicy::PriorityClass`]
     /// reads it).
     pub class: u8,
@@ -100,31 +101,31 @@ pub struct AnsweredQuery {
     /// [`PlacementService::answer_batch`] call would have produced against
     /// the same epoch.
     pub answer: PlacementAnswer,
-    /// When the ticket's batch started service (modeled µs).
-    pub started_us: f64,
-    /// When the ticket's batch completed (modeled µs); `<= deadline_us`.
-    pub completed_us: f64,
-    /// `completed_us - arrival_us`.
-    pub sojourn_us: f64,
+    /// When the ticket's batch started service.
+    pub started: Microseconds,
+    /// When the ticket's batch completed; `<= deadline`.
+    pub completed: Microseconds,
+    /// `completed - arrival`.
+    pub sojourn: Microseconds,
     /// The snapshot epoch the answer was computed against.
     pub epoch: u64,
 }
 
 /// A query that was shed. `Rejected { retry_after }` in the issue's terms:
-/// the caller should not come back before `retry_after_us` has elapsed.
+/// the caller should not come back before `retry_after` has elapsed.
 #[derive(Debug, Clone, Copy)]
 pub struct ShedQuery {
     /// The ticket id.
     pub id: u64,
-    /// When the shed happened (modeled µs): arrival for queue-full and
-    /// displacement sheds, batch start or completion for deadline sheds.
-    pub at_us: f64,
+    /// When the shed happened: arrival for queue-full and displacement
+    /// sheds, batch start or completion for deadline sheds.
+    pub at: Microseconds,
     /// Why.
     pub reason: ShedReason,
     /// Deterministic saturation signal: the modeled backlog-drain horizon at
-    /// the shed instant. Retrying earlier than `at_us + retry_after_us` is
-    /// likely to be shed again.
-    pub retry_after_us: f64,
+    /// the shed instant. Retrying earlier than `at + retry_after` is likely
+    /// to be shed again.
+    pub retry_after: Microseconds,
 }
 
 /// The final outcome of one offered ticket.
@@ -181,23 +182,23 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     model: ModeledLatency,
     pending: VecDeque<Ticket>,
-    free_at_us: f64,
+    free_at: Microseconds,
     /// EWMA of the modeled per-query service time, seeded with a one-search
     /// prior so `retry_after` is meaningful before the first batch.
-    ewma_query_us: f64,
+    ewma_query: Microseconds,
     stats: AdmissionStats,
 }
 
 impl AdmissionController {
     /// A controller with an empty queue and an idle modeled server.
     pub fn new(config: AdmissionConfig, model: ModeledLatency) -> Self {
-        let prior = model.query_overhead_us + model.search_us;
+        let prior = model.query_overhead + model.search;
         AdmissionController {
             config,
             model,
             pending: VecDeque::new(),
-            free_at_us: 0.0,
-            ewma_query_us: prior,
+            free_at: Microseconds::ZERO,
+            ewma_query: prior,
             stats: AdmissionStats::default(),
         }
     }
@@ -212,9 +213,9 @@ impl AdmissionController {
         self.pending.len()
     }
 
-    /// When the modeled server frees up (µs).
-    pub fn free_at_us(&self) -> f64 {
-        self.free_at_us
+    /// When the modeled server frees up.
+    pub fn free_at(&self) -> Microseconds {
+        self.free_at
     }
 
     /// The cost model this controller prices batches with.
@@ -222,14 +223,14 @@ impl AdmissionController {
         &self.model
     }
 
-    /// The saturation signal at modeled time `now_us`: how long the modeled
+    /// The saturation signal at modeled time `now`: how long the modeled
     /// backlog (the busy server plus every queued ticket at the EWMA
     /// per-query service time, divided over the modeled lanes) needs to
     /// drain. Deterministic in the controller state.
-    pub fn retry_after_us(&self, now_us: f64) -> f64 {
-        let busy = (self.free_at_us - now_us).max(0.0);
+    pub fn retry_after(&self, now: Microseconds) -> Microseconds {
+        let busy = (self.free_at - now).max(Microseconds::ZERO);
         let queued =
-            (self.pending.len() as f64 + 1.0) * self.ewma_query_us / self.model.lanes.max(1) as f64;
+            (self.pending.len() as f64 + 1.0) * self.ewma_query / self.model.lanes.max(1) as f64;
         busy + queued
     }
 
@@ -237,15 +238,15 @@ impl AdmissionController {
     /// dispositions (the arriving ticket, or a displaced queued one) to
     /// `out`; an admitted ticket produces its disposition later, from
     /// [`run_until`](Self::run_until) / [`drain`](Self::drain). Offers must
-    /// be nondecreasing in `arrival_us`; callers interleave
-    /// `run_until(ticket.arrival_us)` before the offer so the queue state is
+    /// be nondecreasing in `arrival`; callers interleave
+    /// `run_until(ticket.arrival)` before the offer so the queue state is
     /// current.
     pub fn offer(&mut self, ticket: Ticket, out: &mut Vec<Disposition>) {
         self.stats.offered += 1;
-        let now = ticket.arrival_us;
+        let now = ticket.arrival;
         // A deadline at (or before) arrival can never be met: the modeled
         // service time is strictly positive. Shed immediately.
-        if ticket.deadline_us <= now {
+        if ticket.deadline <= now {
             self.shed(ticket.id, now, ShedReason::DeadlineExpired, now, out);
             return;
         }
@@ -263,9 +264,9 @@ impl AdmissionController {
                 // own key, so a queued ticket is only displaced when it is
                 // strictly a worse bet than the arrival.
                 let mut victim: Option<usize> = None;
-                let mut key = (ticket.deadline_us, std::cmp::Reverse(ticket.id));
+                let mut key = (ticket.deadline, std::cmp::Reverse(ticket.id));
                 for (idx, t) in self.pending.iter().enumerate() {
-                    let candidate = (t.deadline_us, std::cmp::Reverse(t.id));
+                    let candidate = (t.deadline, std::cmp::Reverse(t.id));
                     if candidate < key {
                         key = candidate;
                         victim = Some(idx);
@@ -308,9 +309,9 @@ impl AdmissionController {
     fn shed(
         &mut self,
         id: u64,
-        at_us: f64,
+        at: Microseconds,
         reason: ShedReason,
-        signal_at_us: f64,
+        signal_at: Microseconds,
         out: &mut Vec<Disposition>,
     ) {
         match reason {
@@ -320,14 +321,14 @@ impl AdmissionController {
         }
         out.push(Disposition::Shed(ShedQuery {
             id,
-            at_us,
+            at,
             reason,
-            retry_after_us: self.retry_after_us(signal_at_us),
+            retry_after: self.retry_after(signal_at),
         }));
     }
 
     /// Serves every batch whose modeled start instant is **before**
-    /// `now_us`, appending the resulting dispositions to `out`. Batches form
+    /// `now`, appending the resulting dispositions to `out`. Batches form
     /// exactly like the open-loop model: the server takes whatever is queued
     /// when it frees up (tickets whose deadline already passed are shed at
     /// the queue), up to `batch_cap`, answers it as one
@@ -336,13 +337,13 @@ impl AdmissionController {
     pub fn run_until(
         &mut self,
         service: &PlacementService,
-        now_us: f64,
+        now: Microseconds,
         threads: usize,
         out: &mut Vec<Disposition>,
     ) {
         while let Some(front) = self.pending.front() {
-            let start = self.free_at_us.max(front.arrival_us);
-            if start >= now_us {
+            let start = self.free_at.max(front.arrival);
+            if start >= now {
                 break;
             }
             self.serve_one_batch(service, start, threads, out);
@@ -351,23 +352,25 @@ impl AdmissionController {
 
     /// Serves every remaining queued ticket (the end-of-stream flush),
     /// appending the dispositions to `out`: `run_until` with no horizon.
-    /// The loop terminates because every batch pops at least the front
-    /// ticket — served or shed — since its start is `≥ front.arrival_us`
-    /// (with finite modeled instants, every start is before the infinite
-    /// horizon).
+    /// Precondition: every queued arrival and the model's costs are finite
+    /// (so is the server's free instant, then), as
+    /// [`crate::client::RetryingClient::run_session`] checks up front. Every
+    /// batch start is then finite, hence before the infinite horizon, and
+    /// every batch pops at least the front ticket — served or shed — since
+    /// its start is `≥ front.arrival`, so the loop terminates.
     pub fn drain(
         &mut self,
         service: &PlacementService,
         threads: usize,
         out: &mut Vec<Disposition>,
     ) {
-        self.run_until(service, f64::INFINITY, threads, out);
+        self.run_until(service, Microseconds(f64::INFINITY), threads, out);
     }
 
     fn serve_one_batch(
         &mut self,
         service: &PlacementService,
-        start: f64,
+        start: Microseconds,
         threads: usize,
         out: &mut Vec<Disposition>,
     ) {
@@ -378,11 +381,11 @@ impl AdmissionController {
             let Some(front) = self.pending.front() else {
                 break;
             };
-            if front.arrival_us > start {
+            if front.arrival > start {
                 break;
             }
             let ticket = self.pending.pop_front().expect("front exists");
-            if ticket.deadline_us <= start {
+            if ticket.deadline <= start {
                 self.shed(ticket.id, start, ShedReason::DeadlineExpired, start, out);
             } else {
                 batch.push(ticket);
@@ -395,18 +398,18 @@ impl AdmissionController {
         }
         let queries: Vec<PlacementQuery> = batch.iter().map(|t| t.query.clone()).collect();
         let report = service.answer_batch(&queries, threads);
-        let service_us = self.model.batch_service_us(&report);
-        let done = start + service_us;
+        let service_time = self.model.batch_service(&report);
+        let done = start + service_time;
         self.stats.batches += 1;
         // EWMA of per-query modeled service, the retry_after signal.
-        let mean = service_us / batch.len() as f64;
-        self.ewma_query_us = if self.stats.batches == 1 {
+        let mean = service_time / batch.len() as f64;
+        self.ewma_query = if self.stats.batches == 1 {
             mean
         } else {
-            0.8 * self.ewma_query_us + 0.2 * mean
+            0.8 * self.ewma_query + 0.2 * mean
         };
         for (ticket, answer) in batch.into_iter().zip(report.answers) {
-            if done > ticket.deadline_us {
+            if done > ticket.deadline {
                 // The work was spent, but the answer would be late: withhold
                 // it. This is what makes "no answer past its deadline" an
                 // invariant rather than a tendency.
@@ -416,14 +419,14 @@ impl AdmissionController {
                 out.push(Disposition::Answered(AnsweredQuery {
                     id: ticket.id,
                     answer,
-                    started_us: start,
-                    completed_us: done,
-                    sojourn_us: done - ticket.arrival_us,
+                    started: start,
+                    completed: done,
+                    sojourn: done - ticket.arrival,
                     epoch: report.epoch,
                 }));
             }
         }
-        self.free_at_us = done;
+        self.free_at = done;
     }
 }
 
@@ -452,8 +455,8 @@ mod tests {
         Ticket {
             id,
             query: place(32),
-            arrival_us,
-            deadline_us,
+            arrival: Microseconds(arrival_us),
+            deadline: Microseconds(deadline_us),
             class: 0,
         }
     }
@@ -497,8 +500,8 @@ mod tests {
             let Disposition::Answered(a) = d else {
                 panic!("expected an answer");
             };
-            assert!(a.completed_us > a.started_us);
-            assert!(a.sojourn_us >= 0.0);
+            assert!(a.completed > a.started);
+            assert!(a.sojourn >= Microseconds::ZERO);
         }
     }
 
@@ -521,7 +524,10 @@ mod tests {
             let Disposition::Shed(s) = d else {
                 panic!("expected a shed");
             };
-            assert!(s.retry_after_us > 0.0, "saturation signal must be positive");
+            assert!(
+                s.retry_after > Microseconds::ZERO,
+                "saturation signal must be positive"
+            );
         }
         assert_eq!(ctl.stats().shed_queue_full, 3);
         // A zero-capacity deadline-aware queue has no queued victim either.
@@ -614,7 +620,7 @@ mod tests {
     fn no_answer_is_ever_returned_past_its_deadline() {
         let service = service();
         // One modeled batch of this single query takes overhead + probes *
-        // probe_us > 5 µs; a 1 µs deadline cannot be met even though the
+        // probe > 5 µs; a 1 µs deadline cannot be met even though the
         // ticket is admitted (its deadline is after its arrival).
         let mut ctl = controller(usize::MAX, ShedPolicy::RejectNewest);
         let mut out = Vec::new();

@@ -30,7 +30,7 @@ use crate::service::{
 };
 use hbd_types::epoch::Versioned;
 use hbd_types::robust::{BackoffSchedule, BreakerConfig, BreakerState, CircuitBreaker};
-use hbd_types::{EventQueue, HbdError, Result, Seconds};
+use hbd_types::{EventQueue, HbdError, Microseconds, Result, Seconds};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -53,9 +53,9 @@ pub struct ClientConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker thresholds around the service.
     pub breaker: BreakerConfig,
-    /// Per-attempt deadline budget, relative to the attempt's submit instant
-    /// (modeled µs); `f64::INFINITY` for none.
-    pub deadline_us: f64,
+    /// Per-attempt deadline budget, relative to the attempt's submit
+    /// instant; `Microseconds(f64::INFINITY)` for none.
+    pub deadline: Microseconds,
 }
 
 /// One query of a client session.
@@ -65,8 +65,8 @@ pub struct ClientQuery {
     pub id: u64,
     /// The query.
     pub query: PlacementQuery,
-    /// First-submit instant (modeled µs).
-    pub arrival_us: f64,
+    /// First-submit instant.
+    pub arrival: Microseconds,
     /// Priority class (0 = most important).
     pub class: u8,
 }
@@ -75,8 +75,8 @@ pub struct ClientQuery {
 /// fault storms enter a session.
 #[derive(Debug, Clone)]
 pub struct StorePublish {
-    /// When to publish (modeled µs).
-    pub at_us: f64,
+    /// When to publish.
+    pub at: Microseconds,
     /// The delta to publish.
     pub delta: SnapshotDelta,
 }
@@ -88,11 +88,11 @@ pub enum ClientOutcome {
     Answered {
         /// Attempts spent (>= 1).
         attempts: u32,
-        /// Modeled completion instant (µs).
-        completed_us: f64,
-        /// Completion minus the query's *original* arrival (µs) — retries
+        /// Modeled completion instant.
+        completed: Microseconds,
+        /// Completion minus the query's *original* arrival — retries
         /// included, so this is the end-to-end latency a caller saw.
-        sojourn_us: f64,
+        sojourn: Microseconds,
         /// The service's answer.
         answer: PlacementAnswer,
     },
@@ -101,8 +101,8 @@ pub enum ClientOutcome {
     Degraded {
         /// Attempts spent when the degraded answer was produced.
         attempts: u32,
-        /// When it was produced (µs).
-        at_us: f64,
+        /// When it was produced.
+        at: Microseconds,
         /// How many epochs behind the store the answering snapshot was.
         staleness_epochs: u64,
         /// The (possibly stale) answer.
@@ -112,8 +112,8 @@ pub enum ClientOutcome {
     Exhausted {
         /// Attempts spent (== the budget).
         attempts: u32,
-        /// When the last attempt failed (µs).
-        at_us: f64,
+        /// When the last attempt failed.
+        at: Microseconds,
     },
 }
 
@@ -130,10 +130,10 @@ pub struct ClientReport {
     pub breaker_transitions: Vec<(Seconds, BreakerState)>,
     /// The admission controller's final counters.
     pub admission: AdmissionStats,
-    /// Per recovery mark: modeled µs from the mark until the system was
+    /// Per recovery mark: modeled time from the mark until the system was
     /// healthy again (breaker closed, queue empty, server idle), or `None`
     /// if it never recovered within the session.
-    pub recovery_us: Vec<Option<f64>>,
+    pub recovery: Vec<Option<Microseconds>>,
 }
 
 impl ClientReport {
@@ -151,31 +151,17 @@ impl ClientReport {
     }
 }
 
-/// One event of the session's modeled-time loop. Times live in the payload
-/// (µs); the queue key is the same instant in seconds, used only for
-/// ordering.
+/// One event of the session's modeled-time loop. The event carries no
+/// instant: the session queue is keyed in [`Microseconds`], and its pop
+/// returns the instant the event runs at.
 #[derive(Debug, Clone)]
 enum SessionEvent {
     /// (Re-)submit query `idx`, spending attempt number `attempt` (0-based).
-    Submit {
-        idx: usize,
-        attempt: u32,
-        at_us: f64,
-    },
+    Submit { idx: usize, attempt: u32 },
     /// Apply publish `idx` to the store.
-    Publish { idx: usize, at_us: f64 },
+    Publish { idx: usize },
     /// Start watching for recovery on mark `idx`.
-    Mark { idx: usize, at_us: f64 },
-}
-
-impl SessionEvent {
-    fn at_us(&self) -> f64 {
-        match self {
-            SessionEvent::Submit { at_us, .. }
-            | SessionEvent::Publish { at_us, .. }
-            | SessionEvent::Mark { at_us, .. } => *at_us,
-        }
-    }
+    Mark { idx: usize },
 }
 
 /// The retrying, breaker-guarded client wrapper. Construction is
@@ -200,14 +186,14 @@ struct Session<'a> {
     controller: AdmissionController,
     breaker: CircuitBreaker,
     healthy: Arc<Versioned<ClusterSnapshot>>,
-    events: EventQueue<SessionEvent>,
+    events: EventQueue<SessionEvent, Microseconds>,
     states: Vec<QueryState>,
     /// Query id → index into `states` / the query slice.
     index_of: BTreeMap<u64, usize>,
     retries: u64,
     /// `(mark index, mark instant)` still waiting for recovery.
-    awaiting_recovery: Vec<(usize, f64)>,
-    recovery_us: Vec<Option<f64>>,
+    awaiting_recovery: Vec<(usize, Microseconds)>,
+    recovery: Vec<Option<Microseconds>>,
 }
 
 impl RetryingClient {
@@ -222,17 +208,35 @@ impl RetryingClient {
     /// measure time-to-healthy per storm). Deterministic in the inputs;
     /// invariant in `threads`.
     ///
-    /// Returns [`HbdError::InvalidConfig`] if two queries share an id; the
-    /// check runs before any event is scheduled.
+    /// Returns [`HbdError::InvalidConfig`] if two queries share an id, if a
+    /// modeled cost fails [`ModeledLatency::validate`], if a query arrival,
+    /// publish instant or mark is not finite and non-negative, or if the
+    /// deadline budget is NaN; the checks run before any event is
+    /// scheduled. An infinite cost would otherwise park the modeled server
+    /// at +∞ with tickets queued, and the session would never return.
     pub fn run_session(
         &self,
         service: &PlacementService,
         model: ModeledLatency,
         queries: &[ClientQuery],
         publishes: &[StorePublish],
-        marks: &[f64],
+        marks: &[Microseconds],
         threads: usize,
     ) -> Result<ClientReport> {
+        model.validate()?;
+        let mut instants = queries
+            .iter()
+            .map(|q| q.arrival)
+            .chain(publishes.iter().map(|p| p.at))
+            .chain(marks.iter().copied());
+        if let Some(bad) = instants.find(|at| !at.is_finite_non_negative()) {
+            return Err(HbdError::invalid_config(format!(
+                "session instant {bad} is not finite and >= 0"
+            )));
+        }
+        if self.config.deadline.value().is_nan() {
+            return Err(HbdError::invalid_config("the deadline budget is NaN"));
+        }
         let mut index_of = BTreeMap::new();
         for (idx, query) in queries.iter().enumerate() {
             if index_of.insert(query.id, idx).is_some() {
@@ -259,23 +263,17 @@ impl RetryingClient {
             index_of,
             retries: 0,
             awaiting_recovery: Vec::new(),
-            recovery_us: vec![None; marks.len()],
+            recovery: vec![None; marks.len()],
         };
+        let events = &mut session.events;
         for (idx, query) in queries.iter().enumerate() {
-            session.schedule(SessionEvent::Submit {
-                idx,
-                attempt: 0,
-                at_us: query.arrival_us,
-            });
+            events.push(query.arrival, SessionEvent::Submit { idx, attempt: 0 });
         }
         for (idx, publish) in publishes.iter().enumerate() {
-            session.schedule(SessionEvent::Publish {
-                idx,
-                at_us: publish.at_us,
-            });
+            events.push(publish.at, SessionEvent::Publish { idx });
         }
-        for (idx, &at_us) in marks.iter().enumerate() {
-            session.schedule(SessionEvent::Mark { idx, at_us });
+        for (idx, &at) in marks.iter().enumerate() {
+            events.push(at, SessionEvent::Mark { idx });
         }
 
         // The main loop: pop events in modeled-time order; when the event
@@ -284,21 +282,20 @@ impl RetryingClient {
         // event queue).
         let mut dispositions: Vec<Disposition> = Vec::new();
         loop {
-            if let Some((_, event)) = session.events.pop() {
-                let now_us = event.at_us();
+            if let Some((now, event)) = session.events.pop() {
                 session
                     .controller
-                    .run_until(service, now_us, threads, &mut dispositions);
-                session.resolve(queries, &mut dispositions, now_us);
-                session.handle(queries, publishes, event);
-                session.check_recovery(now_us);
+                    .run_until(service, now, threads, &mut dispositions);
+                session.resolve(queries, &mut dispositions, now);
+                session.handle(queries, publishes, now, event);
+                session.check_recovery(now);
             } else if session.controller.backlog() > 0 {
                 session
                     .controller
                     .drain(service, threads, &mut dispositions);
-                let now_us = session.controller.free_at_us();
-                session.resolve(queries, &mut dispositions, now_us);
-                session.check_recovery(now_us);
+                let now = session.controller.free_at();
+                session.resolve(queries, &mut dispositions, now);
+                session.check_recovery(now);
             } else {
                 break;
             }
@@ -316,54 +313,44 @@ impl RetryingClient {
             retries: session.retries,
             breaker_transitions: session.breaker.transitions().to_vec(),
             admission: session.controller.stats(),
-            recovery_us: session.recovery_us,
+            recovery: session.recovery,
         })
     }
 }
 
-/// Converts a modeled-µs instant to the breaker's seconds domain.
-fn sec(us: f64) -> Seconds {
-    Seconds(us / 1_000_000.0)
-}
-
 impl Session<'_> {
-    fn schedule(&mut self, event: SessionEvent) {
-        self.events.push(sec(event.at_us()), event);
-    }
-
-    fn handle(&mut self, queries: &[ClientQuery], publishes: &[StorePublish], event: SessionEvent) {
+    fn handle(
+        &mut self,
+        queries: &[ClientQuery],
+        publishes: &[StorePublish],
+        now: Microseconds,
+        event: SessionEvent,
+    ) {
         match event {
-            SessionEvent::Publish { idx, .. } => {
+            SessionEvent::Publish { idx } => {
                 self.service.store().publish_delta(&publishes[idx].delta);
             }
-            SessionEvent::Mark { idx, at_us } => {
-                self.awaiting_recovery.push((idx, at_us));
-            }
-            SessionEvent::Submit {
-                idx,
-                attempt,
-                at_us,
-            } => self.submit(queries, idx, attempt, at_us),
+            SessionEvent::Mark { idx } => self.awaiting_recovery.push((idx, now)),
+            SessionEvent::Submit { idx, attempt } => self.submit(queries, idx, attempt, now),
         }
     }
 
-    fn submit(&mut self, queries: &[ClientQuery], idx: usize, attempt: u32, now_us: f64) {
+    fn submit(&mut self, queries: &[ClientQuery], idx: usize, attempt: u32, now: Microseconds) {
         let query = &queries[idx];
         self.states[idx].attempts = attempt + 1;
-        if self.breaker.allow(sec(now_us)) {
-            let deadline_us = now_us + self.config.deadline_us;
+        if self.breaker.allow(now.to_seconds()) {
             let mut out = Vec::new();
             self.controller.offer(
                 Ticket {
                     id: query.id,
                     query: query.query.clone(),
-                    arrival_us: now_us,
-                    deadline_us,
+                    arrival: now,
+                    deadline: now + self.config.deadline,
                     class: query.class,
                 },
                 &mut out,
             );
-            self.resolve(queries, &mut out, now_us);
+            self.resolve(queries, &mut out, now);
             return;
         }
         // Breaker open (or half-open with the probe already in flight):
@@ -373,88 +360,81 @@ impl Session<'_> {
             let staleness_epochs = self.service.store().epoch() - self.healthy.epoch;
             self.states[idx].outcome = Some(ClientOutcome::Degraded {
                 attempts: attempt + 1,
-                at_us: now_us,
+                at: now,
                 staleness_epochs,
                 answer,
             });
             return;
         }
-        let reopen_us = self.breaker.retry_at(sec(now_us)).value() * 1_000_000.0;
-        self.retry_or_exhaust(queries, idx, now_us, reopen_us - now_us, now_us);
+        let reopen = self.breaker.retry_at(now.to_seconds()).to_micros();
+        self.retry_or_exhaust(queries, idx, now, reopen - now, now);
     }
 
     /// Spends the failed attempt `states[idx].attempts` of query `idx`,
-    /// which failed at `at_us`: within the retry budget, schedules the next
-    /// attempt after the larger of `hint_us` (the shed's `retry_after_us`,
-    /// or the wait until the breaker re-probes) and the seeded backoff, but
-    /// never before `not_before_us`; past the budget, records the query as
-    /// exhausted at `at_us`.
+    /// which failed at `at`: within the retry budget, schedules the next
+    /// attempt after the larger of `hint` (the shed's `retry_after`, or the
+    /// wait until the breaker re-probes) and the seeded backoff, but never
+    /// before `not_before`; past the budget, records the query as exhausted
+    /// at `at`.
     fn retry_or_exhaust(
         &mut self,
         queries: &[ClientQuery],
         idx: usize,
-        at_us: f64,
-        hint_us: f64,
-        not_before_us: f64,
+        at: Microseconds,
+        hint: Microseconds,
+        not_before: Microseconds,
     ) {
         let attempts = self.states[idx].attempts;
         if attempts < self.config.retry.max_attempts.max(1) {
-            let backoff_us = self
+            let backoff = self
                 .config
                 .retry
                 .backoff
                 .delay(attempts - 1, queries[idx].id)
-                .value()
-                * 1_000_000.0;
+                .to_micros();
             // A strictly positive floor keeps the loop live even with a
             // degenerate zero-delay schedule.
-            let wake = (at_us + hint_us.max(backoff_us).max(1.0)).max(not_before_us);
+            let wake = (at + hint.max(backoff).max(Microseconds(1.0))).max(not_before);
             self.retries += 1;
-            self.schedule(SessionEvent::Submit {
+            let retry = SessionEvent::Submit {
                 idx,
                 attempt: attempts,
-                at_us: wake,
-            });
+            };
+            self.events.push(wake, retry);
         } else {
-            self.states[idx].outcome = Some(ClientOutcome::Exhausted { attempts, at_us });
+            self.states[idx].outcome = Some(ClientOutcome::Exhausted { attempts, at });
         }
     }
 
     /// Applies a batch of admission dispositions: successes feed the breaker
     /// and refresh the healthy snapshot, sheds feed the breaker and schedule
-    /// backoff retries (or exhaust the budget). `learned_us` is the modeled
+    /// backoff retries (or exhaust the budget). `learned` is the modeled
     /// instant the client processes the batch; a retry can never be
     /// scheduled before it.
     fn resolve(
         &mut self,
         queries: &[ClientQuery],
         dispositions: &mut Vec<Disposition>,
-        learned_us: f64,
+        learned: Microseconds,
     ) {
         for disposition in dispositions.drain(..) {
             let idx = self.index_of[&disposition.id()];
             match disposition {
                 Disposition::Answered(answered) => {
-                    self.breaker.on_success(sec(answered.completed_us));
+                    self.breaker.on_success(answered.completed.to_seconds());
                     // The store answered: whatever it holds now is the new
                     // healthy reference for degraded mode.
                     self.healthy = self.service.store().load();
                     self.states[idx].outcome = Some(ClientOutcome::Answered {
                         attempts: self.states[idx].attempts,
-                        completed_us: answered.completed_us,
-                        sojourn_us: answered.completed_us - queries[idx].arrival_us,
+                        completed: answered.completed,
+                        sojourn: answered.completed - queries[idx].arrival,
                         answer: answered.answer,
                     });
                 }
                 Disposition::Shed(shed) => {
-                    self.breaker.on_failure(sec(shed.at_us));
-                    self.retry_or_exhaust(
-                        queries,
-                        idx,
-                        shed.at_us,
-                        shed.retry_after_us,
-                        learned_us,
-                    );
+                    self.breaker.on_failure(shed.at.to_seconds());
+                    self.retry_or_exhaust(queries, idx, shed.at, shed.retry_after, learned);
                 }
             }
         }
@@ -463,16 +443,16 @@ impl Session<'_> {
     /// Resolves pending recovery marks: the system is "recovered" when the
     /// breaker is closed, the admission queue is empty and the modeled
     /// server is idle.
-    fn check_recovery(&mut self, now_us: f64) {
+    fn check_recovery(&mut self, now: Microseconds) {
         if self.awaiting_recovery.is_empty() {
             return;
         }
         let healthy = self.breaker.state() == BreakerState::Closed
             && self.controller.backlog() == 0
-            && self.controller.free_at_us() <= now_us;
+            && self.controller.free_at() <= now;
         if healthy {
-            for (idx, marked_us) in self.awaiting_recovery.drain(..) {
-                self.recovery_us[idx] = Some(now_us - marked_us);
+            for (idx, marked) in self.awaiting_recovery.drain(..) {
+                self.recovery[idx] = Some(now - marked);
             }
         }
     }
@@ -527,7 +507,7 @@ mod tests {
                 nodes_per_group: 8,
                 k: 2,
             }),
-            arrival_us,
+            arrival: Microseconds(arrival_us),
             class: 0,
         }
     }
@@ -539,7 +519,7 @@ mod tests {
                 nodes_per_group: 8,
                 k: 2,
             },
-            arrival_us,
+            arrival: Microseconds(arrival_us),
             class: 0,
         }
     }
@@ -570,7 +550,7 @@ mod tests {
                 failure_threshold: threshold,
                 cooldown,
             },
-            deadline_us: f64::INFINITY,
+            deadline: Microseconds(f64::INFINITY),
         }
     }
 
@@ -595,15 +575,13 @@ mod tests {
         assert!(report.breaker_transitions.is_empty());
         for outcome in report.outcomes.values() {
             let ClientOutcome::Answered {
-                attempts,
-                sojourn_us,
-                ..
+                attempts, sojourn, ..
             } = outcome
             else {
                 panic!("expected an answer");
             };
             assert_eq!(*attempts, 1);
-            assert!(*sojourn_us > 0.0);
+            assert!(*sojourn > Microseconds::ZERO);
         }
     }
 
@@ -646,7 +624,10 @@ mod tests {
         // current epoch newer than the client's pinned healthy snapshot.
         let mut delta = SnapshotDelta::new();
         delta.faulted.add(NodeId(3));
-        let publishes = vec![StorePublish { at_us: 5.0, delta }];
+        let publishes = vec![StorePublish {
+            at: Microseconds(5.0),
+            delta,
+        }];
         let report = client
             .run_session(
                 &service,
@@ -685,7 +666,7 @@ mod tests {
         // half-open probe succeeds and the session ends healthy.
         let client = RetryingClient::new(config(1, 6, 2, Seconds(0.001)));
         let queries: Vec<ClientQuery> = (0..4).map(|i| place_query(i, i as f64)).collect();
-        let marks = vec![3.0];
+        let marks = vec![Microseconds(3.0)];
         let report = client
             .run_session(
                 &service,
@@ -715,10 +696,63 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         // The storm mark recovered once the breaker closed and the queue
         // drained.
-        assert!(report.recovery_us[0].is_some());
+        assert!(report.recovery[0].is_some());
         // Conservation at the admission queue: offers resolve exactly once.
         let stats = report.admission;
         assert_eq!(stats.offered, stats.answered + stats.shed());
+    }
+
+    #[test]
+    fn infinite_or_nan_costs_and_bad_instants_are_rejected_before_anything_runs() {
+        let service = service();
+        let client = RetryingClient::new(config(64, 3, 3, Seconds(0.001)));
+        let queries = vec![place_query(0, 0.0), place_query(1, 10.0)];
+        let run = |client: &RetryingClient,
+                   model: ModeledLatency,
+                   queries: &[ClientQuery],
+                   publishes: &[StorePublish],
+                   marks: &[Microseconds]| {
+            client
+                .run_session(&service, model, queries, publishes, marks, 1)
+                .unwrap_err()
+        };
+        let base = ModeledLatency::for_cluster(128);
+        // An infinite cost parks the modeled server at +∞ with a ticket
+        // still queued: without the check this session never returns.
+        let infinite = ModeledLatency {
+            query_overhead: Microseconds(f64::INFINITY),
+            ..base
+        };
+        let nan = ModeledLatency {
+            probe: Microseconds(f64::NAN),
+            ..base
+        };
+        let negative = ModeledLatency {
+            build: Microseconds(-1.0),
+            ..base
+        };
+        let mut errors = vec![
+            run(&client, infinite, &queries, &[], &[]),
+            run(&client, nan, &queries, &[], &[]),
+            run(&client, negative, &queries, &[], &[]),
+            run(&client, base, &[place_query(0, -5.0)], &[], &[]),
+            run(&client, base, &[place_query(0, f64::NAN)], &[], &[]),
+            run(&client, base, &queries, &[], &[Microseconds(f64::INFINITY)]),
+        ];
+        let publish = StorePublish {
+            at: Microseconds(f64::NAN),
+            delta: SnapshotDelta::new(),
+        };
+        errors.push(run(&client, base, &queries, &[publish], &[]));
+        let mut nan_deadline = config(64, 3, 3, Seconds(0.001));
+        nan_deadline.deadline = Microseconds(f64::NAN);
+        let nan_client = RetryingClient::new(nan_deadline);
+        errors.push(run(&nan_client, base, &queries, &[], &[]));
+        for err in errors {
+            assert!(matches!(err, HbdError::InvalidConfig { .. }), "{err}");
+        }
+        // The store saw no publish: every check ran before scheduling.
+        assert_eq!(service.store().epoch(), 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::scheme::PlacementScheme;
 use crate::search::{max_job_with_scratch, max_orchestratable_job};
 use hbd_types::epoch::{EpochCell, Versioned};
 use hbd_types::par::par_map;
-use hbd_types::{HbdError, Result};
+use hbd_types::{HbdError, Microseconds, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use topology::FaultSet;
@@ -442,16 +442,16 @@ pub struct BatchReport {
 /// latency is bit-stable in the seed and invariant in the thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeledLatency {
-    /// Flat modeled dispatch overhead per query, in microseconds.
-    pub query_overhead_us: f64,
+    /// Flat modeled dispatch overhead per query.
+    pub query_overhead: Microseconds,
     /// Modeled cost of one constraint-count probe (`Place` / `WhatIf`).
-    pub probe_us: f64,
+    pub probe: Microseconds,
     /// Modeled cost of one max-job job-size probe, priced as a full
     /// constraint search (the real probe is one comparison against a
     /// capacity counted once per search).
-    pub search_us: f64,
+    pub search: Microseconds,
     /// Modeled cost of one scratch build (shared or private).
-    pub build_us: f64,
+    pub build: Microseconds,
     /// Width of the modeled worker pool a batch fans out over.
     pub lanes: usize,
 }
@@ -463,32 +463,47 @@ impl ModeledLatency {
     /// `ext_service_throughput` experiment has always used.
     pub fn for_cluster(nodes: usize) -> Self {
         ModeledLatency {
-            query_overhead_us: 5.0,
-            probe_us: 0.02 * nodes as f64,
-            search_us: 0.10 * nodes as f64,
-            build_us: 0.08 * nodes as f64,
+            query_overhead: Microseconds(5.0),
+            probe: Microseconds(0.02 * nodes as f64),
+            search: Microseconds(0.10 * nodes as f64),
+            build: Microseconds(0.08 * nodes as f64),
             lanes: 8,
         }
     }
 
-    /// The modeled service time of one answered batch, in microseconds.
-    pub fn batch_service_us(&self, report: &BatchReport) -> f64 {
-        let mut lanes = vec![0.0f64; self.lanes.max(1)];
+    /// Rejects any cost that is not finite and non-negative
+    /// ([`HbdError::InvalidConfig`]): an infinite cost parks the modeled
+    /// server at +∞, so a queue behind it never drains, and a NaN cost makes
+    /// every modeled instant after it meaningless.
+    pub fn validate(&self) -> Result<()> {
+        let costs = [self.query_overhead, self.probe, self.search, self.build];
+        if costs.iter().all(|c| c.is_finite_non_negative()) {
+            Ok(())
+        } else {
+            Err(HbdError::invalid_config(format!(
+                "modeled costs must be finite and >= 0: {self:?}"
+            )))
+        }
+    }
+
+    /// The modeled service time of one answered batch.
+    pub fn batch_service(&self, report: &BatchReport) -> Microseconds {
+        let mut lanes = vec![Microseconds::ZERO; self.lanes.max(1)];
         let width = lanes.len();
         for (i, cost) in report.costs.iter().enumerate() {
             let per_probe = match cost.kind {
-                QueryKind::MaxJob => self.search_us,
-                QueryKind::Place | QueryKind::WhatIf => self.probe_us,
+                QueryKind::MaxJob => self.search,
+                QueryKind::Place | QueryKind::WhatIf => self.probe,
             };
             let private = if cost.private_scratch {
-                self.build_us
+                self.build
             } else {
-                0.0
+                Microseconds::ZERO
             };
-            lanes[i % width] += self.query_overhead_us + private + cost.probes as f64 * per_probe;
+            lanes[i % width] += self.query_overhead + private + cost.probes as f64 * per_probe;
         }
-        let slowest_lane = lanes.iter().copied().fold(0.0f64, f64::max);
-        report.stats.shared_scratch_builds as f64 * self.build_us + slowest_lane
+        let slowest_lane = lanes.iter().fold(Microseconds::ZERO, |a, &l| a.max(l));
+        report.stats.shared_scratch_builds as f64 * self.build + slowest_lane
     }
 }
 

@@ -20,7 +20,7 @@
 //!   success/failure/probe interleavings.
 
 use hbd_types::robust::{BreakerConfig, BreakerState, CircuitBreaker};
-use hbd_types::Seconds;
+use hbd_types::{Microseconds, Seconds};
 use orchestrator::admission::{
     AdmissionConfig, AdmissionController, Disposition, ShedPolicy, Ticket,
 };
@@ -84,8 +84,8 @@ fn random_tickets(seed: u64, count: usize, deadlines: bool) -> Vec<Ticket> {
             Ticket {
                 id: i as u64,
                 query: random_query(&mut rng),
-                arrival_us: now,
-                deadline_us,
+                arrival: Microseconds(now),
+                deadline: Microseconds(deadline_us),
                 class: rng.gen_range(0..4),
             }
         })
@@ -102,7 +102,7 @@ fn drive(
     let mut controller = AdmissionController::new(config, ModeledLatency::for_cluster(NODES));
     let mut out = Vec::new();
     for ticket in tickets {
-        controller.run_until(service, ticket.arrival_us, threads, &mut out);
+        controller.run_until(service, ticket.arrival, threads, &mut out);
         controller.offer(ticket.clone(), &mut out);
     }
     controller.drain(service, threads, &mut out);
@@ -155,7 +155,7 @@ proptest! {
                                      ModeledLatency::for_cluster(NODES));
         let mut replay = Vec::new();
         for ticket in &tickets {
-            controller.run_until(&fresh, ticket.arrival_us, 1, &mut replay);
+            controller.run_until(&fresh, ticket.arrival, 1, &mut replay);
             controller.offer(ticket.clone(), &mut replay);
         }
         controller.drain(&fresh, 1, &mut replay);
@@ -165,17 +165,17 @@ proptest! {
         prop_assert_eq!(stats.shed(), shed as u64);
 
         // No answer past its deadline; shed instants and retry hints sane.
-        let deadline_of: BTreeMap<u64, f64> =
-            tickets.iter().map(|t| (t.id, t.deadline_us)).collect();
+        let deadline_of: BTreeMap<u64, Microseconds> =
+            tickets.iter().map(|t| (t.id, t.deadline)).collect();
         for disposition in &out {
             match disposition {
                 Disposition::Answered(a) => {
-                    prop_assert!(a.completed_us <= deadline_of[&a.id]);
-                    prop_assert!(a.sojourn_us >= 0.0);
+                    prop_assert!(a.completed <= deadline_of[&a.id]);
+                    prop_assert!(a.sojourn >= Microseconds::ZERO);
                 }
                 Disposition::Shed(s) => {
-                    prop_assert!(s.retry_after_us >= 0.0);
-                    prop_assert!(s.at_us.is_finite());
+                    prop_assert!(s.retry_after >= Microseconds::ZERO);
+                    prop_assert!(s.at.is_finite());
                 }
             }
         }
@@ -204,7 +204,7 @@ proptest! {
         );
 
         prop_assert_eq!(out.len(), tickets.len());
-        let mut last_completed = 0.0f64;
+        let mut last_completed = Microseconds::ZERO;
         let mut by_id: BTreeMap<u64, &Disposition> = BTreeMap::new();
         for disposition in &out {
             by_id.insert(disposition.id(), disposition);
@@ -213,8 +213,8 @@ proptest! {
             match by_id[&ticket.id] {
                 Disposition::Answered(a) => {
                     // FIFO: completion order follows offer order.
-                    prop_assert!(a.completed_us >= last_completed);
-                    last_completed = a.completed_us;
+                    prop_assert!(a.completed >= last_completed);
+                    last_completed = a.completed;
                     // Bit-identical to the unqueued oracle answer.
                     let oracle = service.answer_batch(
                         std::slice::from_ref(&ticket.query), 1);
