@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-const CLUSTERS: [usize; 3] = [1024, 4096, 16384];
+const CLUSTERS: [usize; 4] = [1024, 4096, 16_384, 65_536];
 const DELTAS: [usize; 3] = [1, 16, 256];
 
 fn store(nodes: usize) -> Arc<SnapshotStore> {

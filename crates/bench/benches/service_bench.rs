@@ -108,7 +108,7 @@ fn what_if_batch(nodes: usize) -> Vec<PlacementQuery> {
 fn bench_what_if(c: &mut Criterion) {
     let mut group = c.benchmark_group("what_if");
     group.sample_size(10);
-    for &nodes in &[4096usize, 16_384] {
+    for &nodes in &[4096usize, 16_384, 65_536] {
         let service = PlacementService::new(store_of(nodes, 0.02));
         let queries = what_if_batch(nodes);
         let _ = service.answer_batch(&queries, 1);

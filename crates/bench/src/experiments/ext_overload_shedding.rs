@@ -92,7 +92,8 @@ fn drive(
     deadline: Microseconds,
     threads: usize,
 ) -> DriveOutcome {
-    let mut controller = AdmissionController::new(config, ModeledLatency::for_cluster(NODES));
+    let mut controller = AdmissionController::new(config, ModeledLatency::for_cluster(NODES))
+        .expect("the cluster model is valid");
     let mut dispositions = Vec::with_capacity(queries.len());
     for (i, query) in queries.iter().enumerate() {
         controller.run_until(service, arrivals[i], threads, &mut dispositions);

@@ -32,7 +32,7 @@
 //! `threads`) plus the fact that no wall-clock ever enters the model.
 
 use crate::service::{ModeledLatency, PlacementAnswer, PlacementQuery, PlacementService};
-use hbd_types::Microseconds;
+use hbd_types::{Microseconds, Result};
 use std::collections::VecDeque;
 
 /// What to do with an arriving ticket when the queue is full.
@@ -191,16 +191,29 @@ pub struct AdmissionController {
 
 impl AdmissionController {
     /// A controller with an empty queue and an idle modeled server.
-    pub fn new(config: AdmissionConfig, model: ModeledLatency) -> Self {
+    ///
+    /// Fails with
+    /// [`HbdError::InvalidConfig`](hbd_types::HbdError::InvalidConfig) when
+    /// a modeled cost fails [`ModeledLatency::validate`]: an infinite cost
+    /// would park the modeled server at +∞, and [`drain`](Self::drain)
+    /// would return with tickets still queued. With finite costs the
+    /// server's free instant stays finite as long as every offered arrival
+    /// is finite (as [`crate::client::RetryingClient::run_session`] checks
+    /// up front). Every batch start is then finite, hence before `drain`'s
+    /// infinite horizon, and every batch pops at least the front ticket —
+    /// served or shed — since its start is `≥ front.arrival`, so `drain`
+    /// answers or sheds every queued ticket.
+    pub fn new(config: AdmissionConfig, model: ModeledLatency) -> Result<Self> {
+        model.validate()?;
         let prior = model.query_overhead + model.search;
-        AdmissionController {
+        Ok(AdmissionController {
             config,
             model,
             pending: VecDeque::new(),
             free_at: Microseconds::ZERO,
             ewma_query: prior,
             stats: AdmissionStats::default(),
-        }
+        })
     }
 
     /// Running counters.
@@ -352,12 +365,8 @@ impl AdmissionController {
 
     /// Serves every remaining queued ticket (the end-of-stream flush),
     /// appending the dispositions to `out`: `run_until` with no horizon.
-    /// Precondition: every queued arrival and the model's costs are finite
-    /// (so is the server's free instant, then), as
-    /// [`crate::client::RetryingClient::run_session`] checks up front. Every
-    /// batch start is then finite, hence before the infinite horizon, and
-    /// every batch pops at least the front ticket — served or shed — since
-    /// its start is `≥ front.arrival`, so the loop terminates.
+    /// It leaves no ticket queued when every offered arrival is finite (see
+    /// [`new`](Self::new)).
     pub fn drain(
         &mut self,
         service: &PlacementService,
@@ -470,6 +479,7 @@ mod tests {
             },
             ModeledLatency::for_cluster(128),
         )
+        .expect("the cluster model is valid")
     }
 
     fn sheds(out: &[Disposition]) -> Vec<(u64, ShedReason)> {
@@ -639,7 +649,8 @@ mod tests {
                 policy: ShedPolicy::RejectNewest,
             },
             ModeledLatency::for_cluster(128),
-        );
+        )
+        .expect("the cluster model is valid");
         let mut out = Vec::new();
         ctl.offer(ticket(0, 0.0, f64::INFINITY), &mut out);
         ctl.offer(ticket(1, 1.0, 2.0), &mut out);
@@ -664,5 +675,29 @@ mod tests {
         assert_eq!(stats.batches, 2);
         assert_eq!(stats.answered, 5);
         assert_eq!(stats.max_backlog, 5);
+    }
+
+    #[test]
+    fn non_finite_or_negative_costs_are_rejected_at_construction() {
+        // With an infinite per-query overhead the first batch would complete
+        // at +∞, and `drain` would stop with the next ticket still queued.
+        let config = AdmissionConfig {
+            capacity: usize::MAX,
+            batch_cap: 1,
+            policy: ShedPolicy::RejectNewest,
+        };
+        for bad in [f64::INFINITY, f64::NAN, -1.0] {
+            let model = ModeledLatency {
+                query_overhead: Microseconds(bad),
+                ..ModeledLatency::for_cluster(128)
+            };
+            assert!(
+                matches!(
+                    AdmissionController::new(config, model),
+                    Err(hbd_types::HbdError::InvalidConfig { .. })
+                ),
+                "query_overhead {bad}"
+            );
+        }
     }
 }

@@ -223,7 +223,7 @@ impl RetryingClient {
         marks: &[Microseconds],
         threads: usize,
     ) -> Result<ClientReport> {
-        model.validate()?;
+        let controller = AdmissionController::new(self.config.admission, model)?;
         let mut instants = queries
             .iter()
             .map(|q| q.arrival)
@@ -249,7 +249,7 @@ impl RetryingClient {
         let mut session = Session {
             service,
             config: &self.config,
-            controller: AdmissionController::new(self.config.admission, model),
+            controller,
             breaker: CircuitBreaker::new(self.config.breaker),
             healthy: service.store().load(),
             events: EventQueue::new(),

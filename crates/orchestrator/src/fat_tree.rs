@@ -24,6 +24,7 @@ use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
 use hbd_types::{HbdError, NodeId, Result};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use topology::runscan::{scan_khop_runs, RunSink, RunSummary};
 use topology::{FatTree, FaultSet};
 
@@ -74,36 +75,43 @@ pub struct FatTreeOrchestrator {
 /// counts for the constrained part, and per-sub-line suffix folds of the
 /// segments' [`RunSummary`]s plus summaries of the trailing partial rack
 /// for the residual line (see [`FatTreeOrchestrator::placed_count_cached`]).
-/// The prefix sums also steer the winning cut past every segment that
-/// places nothing, and a patch shifts them by the count change of the
-/// segments it re-summarizes instead of re-summing them.
 /// Which nodes a segment or the residual line covers is layout, read from
 /// the [`DeploymentStrategy`] when needed.
-#[derive(Debug, Default)]
+///
+/// The segments live in one `Arc`-shared [`DomainChunk`] per aggregation
+/// domain, and the suffix folds in one `Arc`-shared slice per sub-line, so
+/// that a [`patch`](FatTreeOrchestrator::patch_scratch) copies only the
+/// chunks and folds its delta dirties and shares every other one with the
+/// scratch it was patched from. A prefix sum is split the same way: the
+/// counts of the domains before the segment's, kept per domain here, plus
+/// the counts before it inside its domain, kept in its chunk. Both levels
+/// also steer the winning cut past every domain and segment that places
+/// nothing.
+#[derive(Debug)]
 pub(crate) struct SearchScratch {
-    /// One entry per sub-line segment, in segment order. Shorter than the
-    /// segment pool when a domain starts past the end of the sub-lines
+    /// One chunk per aggregation domain with segments, in domain order:
+    /// segment `s` is slot `s % p` of chunk `s / p`. Shorter than the
+    /// domain pool when a domain starts past the end of the sub-lines
     /// (mirrors the `break` in the uncached loop).
-    segments: Vec<SegmentCache>,
+    chunks: Vec<DomainChunk>,
     /// The fault set this scratch was built from. It doubles as the
-    /// per-domain fingerprint: a patch compares its words over each
-    /// aggregation domain with [`FaultSet::range_eq`] to decide what to
+    /// per-domain fingerprint: a patch diffs its words against the new
+    /// fault set ([`FaultSet::iter_diff_range`]) to decide what to
     /// re-summarize.
     raw: FaultSet,
     /// `raw` with the ToR expansion applied in every aggregation domain. A
     /// probe with `a` aligned domains reads this set below the cutoff
     /// `a × nodes_per_aggregation_domain` and `raw` from the cutoff on.
     expanded: FaultSet,
-    /// `raw_prefix[s]`: the raw node counts of the first `s` segments, summed.
-    raw_prefix: Vec<usize>,
-    /// `aligned_prefix[s]`: `aligned_nodes` summed over the first `s`
-    /// segments.
-    aligned_prefix: Vec<usize>,
-    /// For sub-line `i` and domain `q`, `suffix[i * (domains + 1) + q]` is
-    /// the fold of the raw summaries of sub-line `i`'s segments in domains
-    /// `q..domains` (`domains = segments.len() / p`); the last entry of each
+    /// `raw_cum[q]`: the raw node counts of every segment of the first `q`
+    /// chunks, summed (`chunks.len() + 1` entries).
+    raw_cum: Vec<usize>,
+    /// `aligned_cum[q]`: `aligned_nodes` summed the same way.
+    aligned_cum: Vec<usize>,
+    /// `suffix[i][q]` is the fold of the raw summaries of sub-line `i`'s
+    /// segments in domains `q..chunks.len()`; the last entry of each
     /// sub-line is the empty summary.
-    suffix: Vec<RunSummary>,
+    suffix: Vec<Arc<[RunSummary]>>,
     /// Summary of the trailing partial rack (the end of the deployment
     /// order past the sub-lines, in no segment) under `raw`.
     tail_raw: RunSummary,
@@ -111,30 +119,88 @@ pub(crate) struct SearchScratch {
     tail_expanded: RunSummary,
 }
 
+/// One aggregation domain's segments, one [`ChunkSlot`] per sub-line.
+type DomainChunk = Arc<[ChunkSlot]>;
+
+/// A segment's cache and where its domain's prefix sums stand before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChunkSlot {
+    cache: SegmentCache,
+    /// Raw node counts of the domain's segments before this one, summed.
+    raw_before: usize,
+    /// `aligned_nodes` of the domain's segments before this one, summed.
+    aligned_before: usize,
+}
+
+impl SearchScratch {
+    /// The chunk and slot of segment `seg`: every chunk holds p slots.
+    fn locate(&self, seg: usize) -> (usize, usize) {
+        let p = self.chunks.first().map_or(1, |chunk| chunk.len());
+        (seg / p, seg % p)
+    }
+
+    /// How many segments the scratch covers.
+    fn segment_count(&self) -> usize {
+        self.chunks.len() * self.chunks.first().map_or(0, |chunk| chunk.len())
+    }
+
+    /// The cache of segment `seg`.
+    #[cfg(test)]
+    fn segment(&self, seg: usize) -> &SegmentCache {
+        let (q, i) = self.locate(seg);
+        &self.chunks[q][i].cache
+    }
+
+    /// The raw node counts of the first `s` segments, summed.
+    fn raw_prefix(&self, s: usize) -> usize {
+        let (q, i) = self.locate(s);
+        self.raw_cum[q] + self.chunks.get(q).map_or(0, |chunk| chunk[i].raw_before)
+    }
+
+    /// `aligned_nodes` of the first `s` segments, summed.
+    fn aligned_prefix(&self, s: usize) -> usize {
+        let (q, i) = self.locate(s);
+        self.aligned_cum[q]
+            + self
+                .chunks
+                .get(q)
+                .map_or(0, |chunk| chunk[i].aligned_before)
+    }
+}
+
 /// What a probe needs of one sub-line segment: the run summary of its raw
 /// faults (its raw node count is `summary.placed(m)`, and an unaligned
 /// probe's residual line folds it) and the nodes it places when its
-/// aggregation domain is aligned.
+/// aggregation domain is aligned (the same for every segment of a domain,
+/// see [`FatTreeOrchestrator::domain_aligned_nodes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SegmentCache {
     summary: RunSummary,
     aligned_nodes: usize,
 }
 
-impl SegmentCache {
-    /// Summarizes the segment `nodes` under the raw and the expanded faults.
-    fn new(
-        nodes: impl Iterator<Item = NodeId> + Clone,
-        request: &OrchestrationRequest,
-        raw: &FaultSet,
-        expanded: &FaultSet,
-    ) -> Self {
-        let (k, m) = (request.k, request.nodes_per_group);
-        SegmentCache {
-            summary: RunSummary::scan(nodes.clone(), k, m, |n| raw.is_faulty(*n)),
-            aligned_nodes: RunSummary::scan(nodes, k, m, |n| expanded.is_faulty(*n)).placed(m),
-        }
+/// The run summary of segment `nodes` under `faults`.
+fn summarize(
+    nodes: impl Iterator<Item = NodeId>,
+    request: &OrchestrationRequest,
+    faults: &FaultSet,
+) -> RunSummary {
+    RunSummary::scan(nodes, request.k, request.nodes_per_group, |n| {
+        faults.is_faulty(*n)
+    })
+}
+
+/// Fills in the in-domain prefix sums of `slots`, whose caches are set:
+/// returns the domain's raw and aligned totals.
+fn sum_chunk(slots: &mut [ChunkSlot], m: usize) -> (usize, usize) {
+    let (mut raw, mut aligned) = (0, 0);
+    for slot in slots {
+        slot.raw_before = raw;
+        slot.aligned_before = aligned;
+        raw += slot.cache.summary.placed(m);
+        aligned += slot.cache.aligned_nodes;
     }
+    (raw, aligned)
 }
 
 /// What one `FatTreeOrchestrator::patch_scratch` call re-derived versus
@@ -203,18 +269,26 @@ impl FatTreeOrchestrator {
     }
 
     /// `faults` with the ToR expansion applied in every aggregation domain;
-    /// ids past the last domain stay raw. Each faulty node's ToR is filled
-    /// with one [`FaultSet::insert_range`], and a ToR already filled is
-    /// skipped, so the cost is O(faulty nodes + words) for any ToR width.
-    /// Shared by the cold scratch build and
-    /// [`patch_scratch`](Self::patch_scratch).
+    /// ids past the last domain stay raw. The cold scratch build's
+    /// expansion; a patch re-expands only its dirty domains, through the
+    /// same [`fill_tors`](Self::fill_tors).
     fn expand_domains(&self, faults: &FaultSet) -> FaultSet {
-        let p = self.deployment.sublines();
         let mut expanded = faults.clone();
         let in_domains =
             self.alignment_constraints() * self.fat_tree.nodes_per_aggregation_domain();
+        self.fill_tors(faults, &mut expanded, 0, in_domains);
+        expanded
+    }
+
+    /// Fills the ToR of every node of `faults` with an id in `lo..hi` into
+    /// `expanded`, for a range of whole aggregation domains. Each faulty
+    /// node's ToR is filled with one [`FaultSet::insert_range`], and a ToR
+    /// already filled is skipped, so the cost is O(faulty nodes + words) for
+    /// any ToR width.
+    fn fill_tors(&self, faults: &FaultSet, expanded: &mut FaultSet, lo: usize, hi: usize) {
+        let p = self.deployment.sublines();
         let mut filled_to = 0;
-        for node in faults.iter_range(0, in_domains) {
+        for node in faults.iter_range(lo, hi) {
             if node.index() < filled_to {
                 continue;
             }
@@ -222,7 +296,6 @@ impl FatTreeOrchestrator {
             expanded.insert_range(start, end);
             filled_to = start + p;
         }
-        expanded
     }
 
     /// The per-node expansion [`expand_domains`](Self::expand_domains)
@@ -362,108 +435,155 @@ impl FatTreeOrchestrator {
     /// aggregation domain is aligned: ToRs never straddle domains
     /// (`nodes_per_aggregation_domain = p × tors_per_domain`), so the ToR
     /// expansion sourced from other domains cannot touch the segment's nodes.
-    /// Each segment is therefore summarized exactly twice per search — once
-    /// raw, once aligned — instead of once per probe. The same argument lets
-    /// a probe with `a` aligned domains read one expanded set below the
-    /// domain cutoff instead of a per-`a` effective set.
+    /// Each segment is therefore summarized once raw per search, and each
+    /// domain once aligned (see
+    /// [`domain_aligned_nodes`](Self::domain_aligned_nodes)), instead of once
+    /// per probe. The same argument lets a probe with `a` aligned domains
+    /// read one expanded set below the domain cutoff instead of a per-`a`
+    /// effective set.
     pub(crate) fn search_scratch(
         &self,
         request: &OrchestrationRequest,
         faults: &FaultSet,
     ) -> SearchScratch {
+        let p = self.deployment.sublines();
+        let m = request.nodes_per_group;
         let expanded = self.expand_domains(faults);
-        let segments: Vec<SegmentCache> = (0..self.segment_constraints())
-            .map_while(|seg| {
-                let nodes = self.segment_nodes(seg)?;
-                Some(SegmentCache::new(nodes, request, faults, &expanded))
+        let (mut raw_cum, mut aligned_cum) = (vec![0], vec![0]);
+        let chunks: Vec<DomainChunk> = (0..self.alignment_constraints())
+            .map_while(|domain| {
+                // A domain has all p segments or none.
+                let aligned_nodes = self.domain_aligned_nodes(request, &expanded, domain)?;
+                let mut chunk: DomainChunk = (0..p)
+                    .map(|subline| {
+                        let nodes = self
+                            .segment_nodes(domain * p + subline)
+                            .expect("the domain's first segment is defined");
+                        let cache = SegmentCache {
+                            summary: summarize(nodes, request, faults),
+                            aligned_nodes,
+                        };
+                        ChunkSlot {
+                            cache,
+                            raw_before: 0,
+                            aligned_before: 0,
+                        }
+                    })
+                    .collect();
+                let slots = Arc::get_mut(&mut chunk).expect("a fresh chunk is unshared");
+                let (raw, aligned) = sum_chunk(slots, m);
+                raw_cum.push(raw_cum[domain] + raw);
+                aligned_cum.push(aligned_cum[domain] + aligned);
+                Some(chunk)
             })
             .collect();
-        let prefix = |count: &dyn Fn(&SegmentCache) -> usize| {
-            std::iter::once(0)
-                .chain(segments.iter().scan(0, |sum, cache| {
-                    *sum += count(cache);
-                    Some(*sum)
-                }))
-                .collect::<Vec<usize>>()
-        };
-        let raw_prefix = prefix(&|cache| cache.summary.placed(request.nodes_per_group));
-        let aligned_prefix = prefix(&|cache| cache.aligned_nodes);
+        let domains = chunks.len();
+        let mut suffix: Vec<Arc<[RunSummary]>> = (0..p)
+            .map(|_| std::iter::repeat_n(RunSummary::default(), domains + 1).collect())
+            .collect();
+        Self::refold(request, &chunks, &mut suffix, &vec![domains; p]);
         let mut scratch = SearchScratch {
-            segments,
+            chunks,
             raw: faults.clone(),
             expanded,
-            raw_prefix,
-            aligned_prefix,
-            ..SearchScratch::default()
+            raw_cum,
+            aligned_cum,
+            suffix,
+            tail_raw: RunSummary::default(),
+            tail_expanded: RunSummary::default(),
         };
-        self.derive_probe_tables(request, &mut scratch, |_| true);
+        self.summarize_tail(request, &mut scratch);
         scratch
     }
 
-    /// Fills the run-summary tables of `scratch` from its segments and fault
-    /// sets: refolds the suffix summaries of every sub-line `refold` selects
-    /// (a fresh scratch's empty `suffix` is sized first, so a cold build
-    /// selects all), and rebuilds the trailing-rack summaries. The segment
-    /// prefix sums are the caller's: a cold build sums them, a patch shifts
-    /// the old ones.
-    fn derive_probe_tables(
+    /// The nodes each segment of `domain` places under the `expanded` view,
+    /// or `None` when the domain has no segment. Every sub-line's segment
+    /// of a domain reads the same faults there: its position `j` is node
+    /// `i + j·p` of ToR `j`, which the expansion makes faulty exactly when
+    /// ToR `j` holds a raw fault, whatever the sub-line `i`. So one scan of
+    /// sub-line 0's segment counts them all.
+    fn domain_aligned_nodes(
         &self,
         request: &OrchestrationRequest,
-        scratch: &mut SearchScratch,
-        refold: impl Fn(usize) -> bool,
+        expanded: &FaultSet,
+        domain: usize,
+    ) -> Option<usize> {
+        let nodes = self.segment_nodes(domain * self.deployment.sublines())?;
+        Some(summarize(nodes, request, expanded).placed(request.nodes_per_group))
+    }
+
+    /// Refolds the suffix folds (see [`SearchScratch::suffix`]) of every
+    /// sub-line `i` with `to[i] > 0` over domains `to[i] - 1` down to 0,
+    /// each from the fold above it; a sub-line with `to[i] = 0` keeps its
+    /// folds. A shared fold slice is copied once before it is written. The
+    /// chunks are walked from the highest domain down, each once.
+    fn refold(
+        request: &OrchestrationRequest,
+        chunks: &[DomainChunk],
+        suffix: &mut [Arc<[RunSummary]>],
+        to: &[usize],
     ) {
         let (k, m) = (request.k, request.nodes_per_group);
-        let p = self.deployment.sublines();
-        let domains = scratch.segments.len() / p;
-        scratch
-            .suffix
-            .resize(p * (domains + 1), RunSummary::default());
-        for (subline, folds) in scratch.suffix.chunks_mut(domains + 1).enumerate() {
-            if !refold(subline) {
-                continue;
-            }
-            for domain in (0..domains).rev() {
-                let segment = &scratch.segments[domain * p + subline];
-                folds[domain] = segment.summary.then(folds[domain + 1], k, m);
+        let top = to.iter().copied().max().unwrap_or(0);
+        let mut dirty: Vec<(usize, usize, &mut [RunSummary])> = suffix
+            .iter_mut()
+            .zip(to)
+            .enumerate()
+            .filter(|(_, (_, &to))| to > 0)
+            .map(|(subline, (folds, &to))| (subline, to, Arc::make_mut(folds)))
+            .collect();
+        for domain in (0..top).rev() {
+            let chunk = &chunks[domain];
+            for (subline, to, folds) in &mut dirty {
+                if domain < *to {
+                    folds[domain] = chunk[*subline].cache.summary.then(folds[domain + 1], k, m);
+                }
             }
         }
+    }
 
+    /// Summarizes the trailing partial rack under both fault views.
+    fn summarize_tail(&self, request: &OrchestrationRequest, scratch: &mut SearchScratch) {
         let tail = self.deployment.trailing_rack();
-        let summarize =
-            |faults: &FaultSet| RunSummary::scan(tail.clone(), k, m, |n| faults.is_faulty(*n));
-        scratch.tail_raw = summarize(&scratch.raw);
-        scratch.tail_expanded = summarize(&scratch.expanded);
+        scratch.tail_raw = summarize(tail.clone(), request, &scratch.raw);
+        scratch.tail_expanded = summarize(tail, request, &scratch.expanded);
     }
 
     /// Derives the scratch for `faults` from a scratch previously built (or
     /// patched) for the same `(k, nodes_per_group)` key under a different
     /// fault set — the incremental half of the oracle-vs-fast-solver pair
     /// whose oracle is the cold [`search_scratch`](Self::search_scratch)
-    /// rebuild. The work that follows the delta rather than the cluster:
+    /// rebuild. The patch copies only what its delta dirties:
     ///
-    /// * an aggregation domain whose fault words are unchanged
-    ///   ([`FaultSet::range_eq`] against the old scratch's `raw` set)
-    ///   contributes nothing — its segments are copied, and its expanded
-    ///   words are unchanged too because the ToR expansion never crosses a
-    ///   domain boundary;
-    /// * inside a dirty domain, only segments with a raw or an expanded
-    ///   fault bit flipped on their own nodes are re-summarized; every other
-    ///   segment is copied;
-    /// * the segment prefix sums are carried over and shifted by the running
-    ///   count change of the re-summarized segments, in the same pass;
+    /// * one masked XOR pass ([`FaultSet::iter_diff_range`] against the old
+    ///   scratch's `raw` set) finds the raw flips in domain order; an
+    ///   aggregation domain without one shares its chunk with the old
+    ///   scratch, and its expanded words are kept too, because the ToR
+    ///   expansion never crosses a domain boundary;
+    /// * a dirty domain's expanded words are rebuilt from the new raw words
+    ///   ([`FaultSet::copy_range`] plus [`fill_tors`](Self::fill_tors)), and
+    ///   its chunk is copied once: a segment with a raw or an expanded fault
+    ///   bit flipped among the domain's ids of its sub-line is re-summarized
+    ///   under the view whose bits flipped (one aligned scan serves the
+    ///   whole domain), and the in-chunk prefix sums are redone;
+    /// * the per-domain prefix sums are carried over and shifted by the
+    ///   running count change of the dirty chunks, in the same pass;
     /// * only sub-lines with a raw-dirty segment refold their suffix
-    ///   summaries.
+    ///   summaries, and only from their highest raw-dirty domain down; every
+    ///   other sub-line shares its folds.
     ///
-    /// What stays O(cluster) is word-level or a plain copy: the expanded set
-    /// is rebuilt by [`expand_domains`](Self::expand_domains) (one range
-    /// fill per faulty ToR), and the segment, prefix-sum and suffix vectors
-    /// are cloned from the old scratch.
+    /// So a patch costs O(domains) pointer and count work plus O(dirty
+    /// segments), plus word-level passes over the fault sets (the XOR pass
+    /// and two copies), and the old and the new scratch share every clean
+    /// chunk and fold.
     ///
     /// Bit-exactness versus the cold rebuild follows from a segment's
     /// [`SegmentCache`] being a deterministic function of the fault bits on
     /// the segment's own nodes: unchanged bits imply an identical value, so
-    /// copying it is indistinguishable from recomputing it. Pinned
-    /// field-for-field by the patch proptests below.
+    /// sharing it is indistinguishable from recomputing it. Pinned by the
+    /// patch proptests below, which compare every segment, prefix sum and
+    /// suffix read with a cold rebuild, and check that clean chunks and
+    /// folds are shared.
     pub(crate) fn patch_scratch(
         &self,
         request: &OrchestrationRequest,
@@ -473,69 +593,92 @@ impl FatTreeOrchestrator {
         let p = self.deployment.sublines();
         let npd = self.fat_tree.nodes_per_aggregation_domain();
         let m = request.nodes_per_group;
+        let domains = self.alignment_constraints();
 
-        let expanded = self.expand_domains(faults);
-        let mut raw_dirty = vec![false; old.segments.len()];
-        let mut aligned_dirty = vec![false; old.segments.len()];
+        // Ids past the last domain are never expanded: they follow `faults`.
+        let mut expanded = old.expanded.clone();
+        expanded.copy_range(faults, domains * npd, usize::MAX);
+        let mut chunks = old.chunks.clone();
+        let (mut raw_cum, mut aligned_cum) = (old.raw_cum.clone(), old.aligned_cum.clone());
+        // Per sub-line, one past its highest raw-dirty domain (0: clean).
+        let mut refold_to = vec![0; p];
+        let mut dirty = vec![(false, false); p];
         let mut stats = ScratchPatchStats::default();
-        // Marks the owning segment of every node of `domain` that is faulty
-        // in exactly one of `new` and `old`.
-        let mark_flips = |flags: &mut [bool], domain: usize, new: &FaultSet, old: &FaultSet| {
+        // The running count change of the chunks patched so far: every
+        // per-domain sum past a chunk moves by its change. The shifted sums
+        // are exact, so the wrapping add never wraps.
+        let (mut raw_shift, mut aligned_shift) = (0isize, 0isize);
+        // The raw flips in id order: one masked XOR pass over the domains'
+        // words finds the dirty domains and their raw-dirty sub-lines.
+        let mut raw_flips = faults
+            .iter_diff_range(&old.raw, 0, domains * npd)
+            .peekable();
+        for domain in 0..domains {
             let (lo, hi) = (domain * npd, (domain + 1) * npd);
-            let added = new.iter_range(lo, hi).filter(|n| !old.is_faulty(*n));
-            let removed = old.iter_range(lo, hi).filter(|n| !new.is_faulty(*n));
-            for node in added.chain(removed) {
-                if let Some(flag) = flags.get_mut(domain * p + node.index() % p) {
-                    *flag = true;
+            if raw_flips.peek().is_some_and(|node| node.index() < hi) {
+                stats.domains_patched += 1;
+                dirty.fill((false, false));
+                while let Some(node) = raw_flips.next_if(|node| node.index() < hi) {
+                    dirty[node.index() % p].0 = true;
+                }
+                expanded.copy_range(faults, lo, hi);
+                self.fill_tors(faults, &mut expanded, lo, hi);
+                if let Some(chunk) = chunks.get_mut(domain) {
+                    for node in expanded.iter_diff_range(&old.expanded, lo, hi) {
+                        dirty[node.index() % p].1 = true;
+                    }
+                    let (old_raw, old_aligned) = (
+                        old.raw_cum[domain + 1] - old.raw_cum[domain],
+                        old.aligned_cum[domain + 1] - old.aligned_cum[domain],
+                    );
+                    let slots = Arc::make_mut(chunk);
+                    let mut aligned_nodes = None;
+                    for (subline, &(raw_dirty, aligned_dirty)) in dirty.iter().enumerate() {
+                        if !(raw_dirty || aligned_dirty) {
+                            continue;
+                        }
+                        stats.segments_reorchestrated += 1;
+                        let cache = &mut slots[subline].cache;
+                        if raw_dirty {
+                            let nodes = self
+                                .segment_nodes(domain * p + subline)
+                                .expect("segment was defined when the old scratch was built");
+                            cache.summary = summarize(nodes, request, faults);
+                            refold_to[subline] = domain + 1;
+                        }
+                        if aligned_dirty {
+                            cache.aligned_nodes = *aligned_nodes.get_or_insert_with(|| {
+                                self.domain_aligned_nodes(request, &expanded, domain)
+                                    .expect("the domain has a chunk")
+                            });
+                        }
+                    }
+                    let (new_raw, new_aligned) = sum_chunk(slots, m);
+                    raw_shift += new_raw as isize - old_raw as isize;
+                    aligned_shift += new_aligned as isize - old_aligned as isize;
                 }
             }
-        };
-
-        for domain in 0..self.alignment_constraints() {
-            if faults.range_eq(&old.raw, domain * npd, (domain + 1) * npd) {
-                continue;
+            if domain < chunks.len() {
+                raw_cum[domain + 1] = raw_cum[domain + 1].wrapping_add_signed(raw_shift);
+                aligned_cum[domain + 1] =
+                    aligned_cum[domain + 1].wrapping_add_signed(aligned_shift);
             }
-            stats.domains_patched += 1;
-            mark_flips(&mut raw_dirty, domain, faults, &old.raw);
-            mark_flips(&mut aligned_dirty, domain, &expanded, &old.expanded);
         }
+        stats.segments_reused = chunks.len() * p - stats.segments_reorchestrated;
 
-        let mut segments = old.segments.clone();
-        let mut raw_prefix = old.raw_prefix.clone();
-        let mut aligned_prefix = old.aligned_prefix.clone();
-        let mut refold = vec![false; p];
-        // The running count change of the segments re-summarized so far:
-        // every prefix sum past a segment moves by its change. The shifted
-        // sums are exact, so the wrapping add never wraps.
-        let (mut raw_shift, mut aligned_shift) = (0isize, 0isize);
-        for (seg, cache) in segments.iter_mut().enumerate() {
-            if raw_dirty[seg] || aligned_dirty[seg] {
-                stats.segments_reorchestrated += 1;
-                let nodes = self
-                    .segment_nodes(seg)
-                    .expect("segment was defined when the old scratch was built");
-                let fresh = SegmentCache::new(nodes, request, faults, &expanded);
-                raw_shift += fresh.summary.placed(m) as isize - cache.summary.placed(m) as isize;
-                aligned_shift += fresh.aligned_nodes as isize - cache.aligned_nodes as isize;
-                refold[seg % p] |= raw_dirty[seg];
-                *cache = fresh;
-            } else {
-                stats.segments_reused += 1;
-            }
-            raw_prefix[seg + 1] = raw_prefix[seg + 1].wrapping_add_signed(raw_shift);
-            aligned_prefix[seg + 1] = aligned_prefix[seg + 1].wrapping_add_signed(aligned_shift);
-        }
-
+        let mut suffix = old.suffix.clone();
+        Self::refold(request, &chunks, &mut suffix, &refold_to);
         let mut scratch = SearchScratch {
-            segments,
+            chunks,
             raw: faults.clone(),
             expanded,
-            raw_prefix,
-            aligned_prefix,
-            suffix: old.suffix.clone(),
-            ..SearchScratch::default()
+            raw_cum,
+            aligned_cum,
+            suffix,
+            tail_raw: RunSummary::default(),
+            tail_expanded: RunSummary::default(),
         };
-        self.derive_probe_tables(request, &mut scratch, |subline| refold[subline]);
+        self.summarize_tail(request, &mut scratch);
         (scratch, stats)
     }
 
@@ -545,10 +688,11 @@ impl FatTreeOrchestrator {
     /// [`GroupCutter`] with a cut at each segment end, then the residual
     /// line does, and no fault set is cloned.
     ///
-    /// The cut follows the scratch's counts: a constrained segment whose
-    /// cached count is 0 (`aligned_nodes` in an aligned domain, the raw
-    /// summary's count otherwise, read as a prefix-sum step) is skipped.
-    /// That is exact because the cut after each segment discards any
+    /// The cut follows the scratch's counts: a whole domain whose count is 0
+    /// is skipped on its per-domain sums, and inside a domain a constrained
+    /// segment whose count is 0 (its step in the chunk's aligned prefix sums
+    /// in an aligned domain, in the raw ones otherwise) is skipped. That is
+    /// exact because the cut after each segment discards any
     /// partial group, so a segment that places nothing leaves no trace.
     /// Emission order differs from the uncached path, but
     /// [`assign_dp_ranks`](Self::assign_dp_ranks) sorts groups by their
@@ -561,23 +705,41 @@ impl FatTreeOrchestrator {
         scratch: &SearchScratch,
         n_constraints: usize,
     ) -> PlacementScheme {
+        let p = self.deployment.sublines();
+        let m = request.nodes_per_group;
         let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
-        let aligned = (aligned_domains * self.deployment.sublines()).min(constrained);
-        let mut cutter = GroupCutter::new(request.nodes_per_group);
-        for seg in 0..constrained {
-            let prefix = if seg < aligned {
-                &scratch.aligned_prefix
+        let mut cutter = GroupCutter::new(m);
+        let constrained_chunks = scratch.chunks.iter().take(constrained.div_ceil(p));
+        for (domain, chunk) in constrained_chunks.enumerate() {
+            let aligned = domain < aligned_domains;
+            let cum = if aligned {
+                &scratch.aligned_cum
             } else {
-                &scratch.raw_prefix
+                &scratch.raw_cum
             };
-            if prefix[seg + 1] == prefix[seg] {
+            let total = cum[domain + 1] - cum[domain];
+            if total == 0 {
                 continue;
             }
-            let nodes = self
-                .segment_nodes(seg)
-                .expect("every scratch segment is defined");
-            self.scan_view(request, scratch, aligned_domains, nodes, &mut cutter);
-            cutter.cut();
+            let before = |slot: &ChunkSlot| {
+                if aligned {
+                    slot.aligned_before
+                } else {
+                    slot.raw_before
+                }
+            };
+            let ends = chunk.iter().skip(1).map(before).chain([total]);
+            let slots = chunk.iter().zip(ends).enumerate();
+            for (subline, (slot, end)) in slots.take(constrained - domain * p) {
+                if end == before(slot) {
+                    continue;
+                }
+                let nodes = self
+                    .segment_nodes(domain * p + subline)
+                    .expect("every scratch segment is defined");
+                self.scan_view(request, scratch, aligned_domains, nodes, &mut cutter);
+                cutter.cut();
+            }
         }
         let residual = self.residual_line(constrained);
         self.scan_view(request, scratch, aligned_domains, residual, &mut cutter);
@@ -611,14 +773,13 @@ impl FatTreeOrchestrator {
         let (k, m) = (request.k, request.nodes_per_group);
         let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
         let aligned = (aligned_domains * p).min(constrained);
-        let segments = scratch.aligned_prefix[aligned] + scratch.raw_prefix[constrained]
-            - scratch.raw_prefix[aligned];
+        let segments = scratch.aligned_prefix(aligned) + scratch.raw_prefix(constrained)
+            - scratch.raw_prefix(aligned);
 
-        let domains = scratch.segments.len() / p;
         let mut line = RunSummary::default();
-        for subline in 0..p {
+        for (subline, folds) in scratch.suffix.iter().enumerate() {
             let from = self.residual_from(subline, constrained);
-            line = line.then(scratch.suffix[subline * (domains + 1) + from], k, m);
+            line = line.then(folds[from], k, m);
         }
         let tail_start = self.deployment.subline_length() * p;
         let tail = if tail_start < aligned_domains * self.fat_tree.nodes_per_aggregation_domain() {
@@ -643,12 +804,9 @@ impl FatTreeOrchestrator {
         let p = self.deployment.sublines();
         let m = request.nodes_per_group;
         let (constrained, aligned_domains) = self.probe_split(scratch, n_constraints);
-        let segments: usize = scratch
-            .segments
-            .iter()
-            .enumerate()
-            .take(constrained)
-            .map(|(seg, cache)| {
+        let segments: usize = (0..constrained)
+            .map(|seg| {
+                let cache = scratch.segment(seg);
                 if seg / p < aligned_domains {
                     cache.aligned_nodes
                 } else {
@@ -667,7 +825,7 @@ impl FatTreeOrchestrator {
     /// constrained segments and of aligned aggregation domains.
     fn probe_split(&self, scratch: &SearchScratch, n_constraints: usize) -> (usize, usize) {
         let n_segments = self.segment_constraints();
-        let constrained = n_constraints.min(n_segments).min(scratch.segments.len());
+        let constrained = n_constraints.min(n_segments).min(scratch.segment_count());
         let aligned_domains = n_constraints
             .saturating_sub(n_segments)
             .min(self.alignment_constraints());
@@ -870,9 +1028,11 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
-    /// The patch path's oracle: a patched scratch must be indistinguishable,
-    /// field for field, from a cold [`FatTreeOrchestrator::search_scratch`]
-    /// rebuild against the same fault set.
+    /// The patch path's oracle: a patched scratch must be indistinguishable
+    /// from a cold [`FatTreeOrchestrator::search_scratch`] rebuild against
+    /// the same fault set in everything a probe or a cut reads: both fault
+    /// views, every segment, every prefix sum, every suffix fold and both
+    /// trailing-rack summaries.
     fn assert_matches_cold_rebuild(
         orch: &FatTreeOrchestrator,
         req: &OrchestrationRequest,
@@ -882,13 +1042,22 @@ mod tests {
         let cold = orch.search_scratch(req, faults);
         assert_eq!(patched.raw, cold.raw);
         assert_eq!(patched.expanded, cold.expanded);
-        assert_eq!(patched.segments.len(), cold.segments.len());
-        for (seg, (p, c)) in patched.segments.iter().zip(&cold.segments).enumerate() {
-            assert_eq!(p, c, "segment {seg}");
+        assert_eq!(patched.segment_count(), cold.segment_count());
+        for seg in 0..cold.segment_count() {
+            assert_eq!(patched.segment(seg), cold.segment(seg), "segment {seg}");
         }
-        assert_eq!(patched.raw_prefix, cold.raw_prefix);
-        assert_eq!(patched.aligned_prefix, cold.aligned_prefix);
-        assert_eq!(patched.suffix, cold.suffix, "sub-line suffix folds");
+        for s in 0..=cold.segment_count() {
+            assert_eq!(patched.raw_prefix(s), cold.raw_prefix(s), "raw prefix {s}");
+            assert_eq!(
+                patched.aligned_prefix(s),
+                cold.aligned_prefix(s),
+                "aligned prefix {s}"
+            );
+        }
+        assert_eq!(patched.suffix.len(), cold.suffix.len());
+        for (subline, (folds, cold_folds)) in patched.suffix.iter().zip(&cold.suffix).enumerate() {
+            assert_eq!(folds[..], cold_folds[..], "sub-line {subline} suffix folds");
+        }
         assert_eq!(patched.tail_raw, cold.tail_raw);
         assert_eq!(patched.tail_expanded, cold.tail_expanded);
         cold
@@ -1087,7 +1256,7 @@ mod tests {
         let (patched, stats) = orch.patch_scratch(&req, &scratch, &faults);
         assert_eq!(stats.domains_patched, 0);
         assert_eq!(stats.segments_reorchestrated, 0);
-        assert_eq!(stats.segments_reused, scratch.segments.len());
+        assert_eq!(stats.segments_reused, scratch.segment_count());
         assert_matches_cold_rebuild(&orch, &req, &patched, &faults);
     }
 
@@ -1103,7 +1272,7 @@ mod tests {
         let new = FaultSet::from_nodes((0..orch.fat_tree().nodes() / p).map(|t| NodeId(t * p)));
         let (patched, stats) = orch.patch_scratch(&req, &scratch, &new);
         assert_eq!(stats.domains_patched, orch.alignment_constraints());
-        assert_eq!(stats.segments_reorchestrated, scratch.segments.len());
+        assert_eq!(stats.segments_reorchestrated, scratch.segment_count());
         assert_eq!(stats.segments_reused, 0);
         assert_matches_cold_rebuild(&orch, &req, &patched, &new);
     }
@@ -1124,7 +1293,7 @@ mod tests {
         assert!(stats.segments_reorchestrated <= orch.deployment().sublines());
         assert_eq!(
             stats.segments_reused + stats.segments_reorchestrated,
-            scratch.segments.len()
+            scratch.segment_count()
         );
         assert_matches_cold_rebuild(&orch, &req, &patched, &bumped);
     }
@@ -1274,7 +1443,9 @@ mod tests {
         /// The word-level ToR expansion equals the per-node oracle for ToR
         /// widths that divide a word, straddle words and fill one, and on
         /// the layouts whose last domain or rack is cut short. Ids past the
-        /// cluster stay raw in both.
+        /// cluster stay raw in both. Under the expansion, every sub-line's
+        /// segment of a domain reads the same faults position by position,
+        /// which lets one scan count the aligned nodes of the whole domain.
         #[test]
         fn word_level_expansion_matches_the_per_node_oracle(
             faulty in proptest::collection::vec(0usize..700, 0..300),
@@ -1291,14 +1462,33 @@ mod tests {
             ] {
                 let orch =
                     FatTreeOrchestrator::new(FatTree::new(nodes, p, tors).unwrap()).unwrap();
+                let expanded = orch.expand_domains(&faults);
                 prop_assert_eq!(
-                    orch.expand_domains(&faults),
-                    orch.expand_domains_per_node(&faults),
+                    &expanded,
+                    &orch.expand_domains_per_node(&faults),
                     "layout ({}, {}, {})",
                     nodes,
                     p,
                     tors
                 );
+                let pattern = |seg: usize| {
+                    orch.segment_nodes(seg)
+                        .map(|nodes| nodes.map(|n| expanded.is_faulty(n)).collect::<Vec<bool>>())
+                };
+                for domain in 0..orch.alignment_constraints() {
+                    for subline in 1..p {
+                        prop_assert_eq!(
+                            pattern(domain * p + subline),
+                            pattern(domain * p),
+                            "layout ({}, {}, {}), domain {}, sub-line {}",
+                            nodes,
+                            p,
+                            tors,
+                            domain,
+                            subline
+                        );
+                    }
+                }
             }
         }
 
@@ -1339,7 +1529,7 @@ mod tests {
                     let (patched, stats) = orch.patch_scratch(&req, &scratch, &live);
                     prop_assert_eq!(
                         stats.segments_reused + stats.segments_reorchestrated,
-                        scratch.segments.len()
+                        scratch.segment_count()
                     );
                     let cold = assert_matches_cold_rebuild(&orch, &req, &patched, &live);
                     for n in 0..=orch.segment_constraints() + orch.alignment_constraints() {
@@ -1367,6 +1557,75 @@ mod tests {
                         prop_assert_eq!(fast, slow, "threads {}", threads);
                         prop_assert_eq!(fast_probes, slow_probes, "threads {}", threads);
                     }
+                    scratch = patched;
+                }
+            }
+        }
+
+        /// A patch copies nothing clean: the chunk of every domain whose
+        /// fault words did not change, and the suffix folds of every
+        /// sub-line with no raw flip in a domain with segments, are the
+        /// base scratch's own allocations (`Arc::ptr_eq`), and the patched
+        /// scratch reads like a cold rebuild. Deltas toggle WhatIf-sized
+        /// (1–8) and publish-sized (16, 256) sets of ids, chained so that a
+        /// patched scratch is a base too, at the 16,384-node serving
+        /// geometry and on the layouts whose last domain is cut short or
+        /// has no segment; a few ids lie past the cluster.
+        #[test]
+        fn patches_share_every_clean_chunk_and_fold(
+            initial in proptest::collection::vec(0usize..20_000, 0..400),
+            deltas in proptest::collection::vec(
+                (proptest::collection::vec(0usize..20_000, 256), 0usize..10),
+                1..4,
+            ),
+            m in 1usize..17,
+            k in 1usize..5,
+        ) {
+            let req = OrchestrationRequest {
+                job_nodes: m,
+                nodes_per_group: m,
+                k,
+            };
+            for (nodes, tors) in [(16_384, 8), (512, 8), (520, 5), (481, 5)] {
+                let orch = FatTreeOrchestrator::new(FatTree::new(nodes, 16, tors).unwrap()).unwrap();
+                let (p, npd) = (16, 16 * tors);
+                let span = nodes + 40;
+                let mut live = FaultSet::from_nodes(initial.iter().map(|&id| NodeId(id % span)));
+                let mut scratch = orch.search_scratch(&req, &live);
+                for (ids, width) in &deltas {
+                    let width = [1, 2, 3, 4, 5, 6, 7, 8, 16, 256][*width];
+                    let mut next = live.clone();
+                    for &id in &ids[..width] {
+                        let node = NodeId(id % span);
+                        if !next.add(node) {
+                            next.remove(node);
+                        }
+                    }
+                    let (patched, _) = orch.patch_scratch(&req, &scratch, &next);
+                    assert_matches_cold_rebuild(&orch, &req, &patched, &next);
+                    for (domain, chunk) in scratch.chunks.iter().enumerate() {
+                        if next.range_eq(&live, domain * npd, (domain + 1) * npd) {
+                            prop_assert!(
+                                Arc::ptr_eq(chunk, &patched.chunks[domain]),
+                                "clean domain {} copied",
+                                domain
+                            );
+                        }
+                    }
+                    let raw_dirty: BTreeSet<usize> = next
+                        .iter_diff_range(&live, 0, scratch.chunks.len() * npd)
+                        .map(|node| node.index() % p)
+                        .collect();
+                    for (subline, folds) in scratch.suffix.iter().enumerate() {
+                        if !raw_dirty.contains(&subline) {
+                            prop_assert!(
+                                Arc::ptr_eq(folds, &patched.suffix[subline]),
+                                "clean sub-line {} refolded",
+                                subline
+                            );
+                        }
+                    }
+                    live = next;
                     scratch = patched;
                 }
             }

@@ -99,7 +99,8 @@ fn drive(
     config: AdmissionConfig,
     threads: usize,
 ) -> Vec<Disposition> {
-    let mut controller = AdmissionController::new(config, ModeledLatency::for_cluster(NODES));
+    let mut controller = AdmissionController::new(config, ModeledLatency::for_cluster(NODES))
+        .expect("the cluster model is valid");
     let mut out = Vec::new();
     for ticket in tickets {
         controller.run_until(service, ticket.arrival, threads, &mut out);
@@ -152,7 +153,8 @@ proptest! {
         let fresh = service();
         let mut controller =
             AdmissionController::new(AdmissionConfig { capacity, batch_cap, policy },
-                                     ModeledLatency::for_cluster(NODES));
+                                     ModeledLatency::for_cluster(NODES))
+                .expect("the cluster model is valid");
         let mut replay = Vec::new();
         for ticket in &tickets {
             controller.run_until(&fresh, ticket.arrival, 1, &mut replay);

@@ -30,6 +30,28 @@ pub struct FaultSet {
 
 const WORD_BITS: usize = u64::BITS as usize;
 
+/// The bits of word `w` that hold ids in `lo..hi`, for a word that
+/// overlaps the range (`lo / 64 <= w <= (hi - 1) / 64`).
+fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let base = w * WORD_BITS;
+    let low = if lo > base { !0u64 << (lo - base) } else { !0 };
+    let high = if hi < base + WORD_BITS {
+        !0u64 >> (base + WORD_BITS - hi)
+    } else {
+        !0
+    };
+    low & high
+}
+
+/// The ids of the set bits of `word`, the `w`-th word, in ascending order.
+fn word_ids(w: usize, word: u64) -> impl Iterator<Item = NodeId> {
+    std::iter::successors((word != 0).then_some(word), |v| {
+        let rest = v & (v - 1);
+        (rest != 0).then_some(rest)
+    })
+    .map(move |v| NodeId(w * WORD_BITS + v.trailing_zeros() as usize))
+}
+
 impl FaultSet {
     /// Creates an empty fault set (fully healthy cluster).
     pub fn new() -> Self {
@@ -109,13 +131,10 @@ impl FaultSet {
 
     /// Iterates over the faulty nodes in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(i, &word)| {
-            std::iter::successors((word != 0).then_some(word), |w| {
-                let rest = w & (w - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(move |w| NodeId(i * WORD_BITS + w.trailing_zeros() as usize))
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| word_ids(w, word))
     }
 
     /// Fault ratio over a cluster of `total_nodes` nodes.
@@ -177,68 +196,75 @@ impl FaultSet {
         self.words.get(i).copied().unwrap_or(0)
     }
 
-    /// Whether `self` and `other` agree on every node id in `lo..hi` — a
-    /// masked word-wise comparison following the `count_in_range` idiom,
-    /// O(words touched). This is the segment-fingerprint check of the
-    /// incremental publish path: a placement segment whose fault words are
-    /// unchanged across epochs needs no re-orchestration.
+    /// Whether `self` and `other` agree on every node id in `lo..hi`: a
+    /// masked word-wise comparison, O(words touched), that stops at the
+    /// first id [`iter_diff_range`](Self::iter_diff_range) would yield.
     pub fn range_eq(&self, other: &FaultSet, lo: usize, hi: usize) -> bool {
-        if lo >= hi {
-            return true;
-        }
+        self.iter_diff_range(other, lo, hi).next().is_none()
+    }
+
+    /// Iterates in ascending order over the ids in `lo..hi` that are faulty
+    /// in exactly one of `self` and `other` — a masked word-wise XOR,
+    /// O(words touched + ids yielded). Capacity differences are invisible:
+    /// words past either set's storage read as all-healthy.
+    pub fn iter_diff_range<'a>(
+        &'a self,
+        other: &'a FaultSet,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = NodeId> + 'a {
         let hi = hi.min(self.words.len().max(other.words.len()) * WORD_BITS);
+        let words = if lo < hi {
+            lo / WORD_BITS..(hi - 1) / WORD_BITS + 1
+        } else {
+            0..0
+        };
+        words
+            .map(move |w| {
+                (
+                    w,
+                    (self.word_at(w) ^ other.word_at(w)) & range_mask(w, lo, hi),
+                )
+            })
+            .filter(|&(_, diff)| diff != 0)
+            .flat_map(|(w, diff)| word_ids(w, diff))
+    }
+
+    /// Makes `self` agree with `src` on every node id in `lo..hi` and leaves
+    /// every other id as it was — a masked word copy, O(words touched), that
+    /// keeps [`len`](Self::len) exact. The incremental scratch patch uses it
+    /// to carry new raw faults into an expanded set one domain at a time.
+    pub fn copy_range(&mut self, src: &FaultSet, lo: usize, hi: usize) {
+        let hi = hi.min(self.words.len().max(src.words.len()) * WORD_BITS);
         if lo >= hi {
-            return true;
+            return;
         }
-        let (lo_word, lo_bit) = (lo / WORD_BITS, lo % WORD_BITS);
-        let hi_word = (hi - 1) / WORD_BITS;
+        let (lo_word, hi_word) = (lo / WORD_BITS, (hi - 1) / WORD_BITS);
+        if hi_word >= self.words.len() {
+            self.words.resize(hi_word + 1, 0);
+        }
         for w in lo_word..=hi_word {
-            let mut mask = !0u64;
-            if w == lo_word {
-                mask &= !0u64 << lo_bit;
-            }
-            if w == hi_word {
-                let hi_bit = hi - hi_word * WORD_BITS;
-                if hi_bit < WORD_BITS {
-                    mask &= !0u64 >> (WORD_BITS - hi_bit);
-                }
-            }
-            if (self.word_at(w) ^ other.word_at(w)) & mask != 0 {
-                return false;
-            }
+            let mask = range_mask(w, lo, hi);
+            let word = &mut self.words[w];
+            let copied = (*word & !mask) | (src.word_at(w) & mask);
+            self.len = self.len + copied.count_ones() as usize - word.count_ones() as usize;
+            *word = copied;
         }
-        true
     }
 
     /// Iterates over the faulty nodes with ids in `lo..hi` in ascending
     /// order, touching only the words covering the range.
     pub fn iter_range(&self, lo: usize, hi: usize) -> impl Iterator<Item = NodeId> + '_ {
         let hi = hi.min(self.words.len() * WORD_BITS);
-        let lo = lo.min(hi);
-        let lo_word = lo / WORD_BITS;
-        let hi_word = hi.div_ceil(WORD_BITS);
-        self.words[lo_word..hi_word]
-            .iter()
-            .enumerate()
-            .flat_map(move |(off, &word)| {
-                let i = lo_word + off;
-                let mut w = word;
-                if i == lo_word {
-                    w &= !0u64 << (lo % WORD_BITS);
-                }
-                let base = i * WORD_BITS;
-                if base + WORD_BITS > hi {
-                    let hi_bit = hi - base;
-                    if hi_bit < WORD_BITS {
-                        w &= !0u64 >> (WORD_BITS - hi_bit);
-                    }
-                }
-                std::iter::successors((w != 0).then_some(w), |v| {
-                    let rest = v & (v - 1);
-                    (rest != 0).then_some(rest)
-                })
-                .map(move |v| NodeId(i * WORD_BITS + v.trailing_zeros() as usize))
-            })
+        let words = if lo < hi {
+            lo / WORD_BITS..(hi - 1) / WORD_BITS + 1
+        } else {
+            0..0
+        };
+        words
+            .map(move |w| (w, self.words[w] & range_mask(w, lo, hi)))
+            .filter(|&(_, word)| word != 0)
+            .flat_map(|(w, word)| word_ids(w, word))
     }
 
     /// Marks every node with an id in `lo..hi` as faulty — a masked word
@@ -253,13 +279,7 @@ impl FaultSet {
             self.words.resize(hi_word + 1, 0);
         }
         for w in lo_word..=hi_word {
-            let mut mask = !0u64;
-            if w == lo_word {
-                mask &= !0u64 << (lo % WORD_BITS);
-            }
-            if w == hi_word {
-                mask &= !0u64 >> (WORD_BITS - 1 - (hi - 1) % WORD_BITS);
-            }
+            let mask = range_mask(w, lo, hi);
             let word = &mut self.words[w];
             self.len += (mask & !*word).count_ones() as usize;
             *word |= mask;
@@ -594,6 +614,40 @@ mod tests {
             }
             prop_assert_eq!(filled.len(), added.len());
             prop_assert_eq!(&filled.words, &added.words);
+        }
+
+        /// The masked XOR iterator yields exactly the ids where per-bit
+        /// membership differs, and a range copy equals per-bit `add` /
+        /// `remove` over the same ids, in `len` too. The sets differ in
+        /// capacity, so words past one set's storage are covered.
+        #[test]
+        fn range_diff_and_copy_are_per_bit(
+            dst in proptest::collection::vec(0usize..300, 0..40),
+            src in proptest::collection::vec(0usize..400, 0..40),
+            lo in 0usize..400,
+            width in 0usize..200,
+        ) {
+            let mut copied = FaultSet::from_nodes(dst.iter().map(|&id| NodeId(id)));
+            let src = FaultSet::from_nodes(src.iter().map(|&id| NodeId(id)));
+            let hi = lo + width;
+            let differing: Vec<usize> = (lo..hi)
+                .filter(|&id| copied.is_faulty(NodeId(id)) != src.is_faulty(NodeId(id)))
+                .collect();
+            let diff: Vec<usize> = copied.iter_diff_range(&src, lo, hi).map(|n| n.index()).collect();
+            prop_assert_eq!(&diff, &differing);
+            prop_assert_eq!(copied.range_eq(&src, lo, hi), differing.is_empty());
+            let mut per_bit = copied.clone();
+            for id in lo..hi {
+                if src.is_faulty(NodeId(id)) {
+                    per_bit.add(NodeId(id));
+                } else {
+                    per_bit.remove(NodeId(id));
+                }
+            }
+            copied.copy_range(&src, lo, hi);
+            prop_assert_eq!(copied.len(), per_bit.len());
+            prop_assert_eq!(&copied, &per_bit);
+            prop_assert!(copied.range_eq(&src, lo, hi));
         }
     }
 

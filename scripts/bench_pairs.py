@@ -29,6 +29,11 @@ whether the gap between the medians exceeds the parent's quartile distance.
 A metric whose median got worse by more than its `BENCHMARK.json` bound is
 flagged, and the script then exits 1.
 
+Next to `peak_rss_mb` it prints how much of the median change the call log
+alone explains: perfbench keeps one 8-byte `f64` per timed op, so a side
+that times more ops (parsed from the `# <workload> timed N ops` line) peaks
+8 B x (difference in median ops) higher without any other memory growth.
+
 Within each pair it also compares the `# <workload> fingerprint ...` lines
 (exact counts and answer digest, printed at every `--trace`) and prints, per
 workload, whether every pair matched or the first line that differs. A
@@ -106,7 +111,9 @@ def run_once(binary, cwd, workload, seed, seconds, trace):
         sys.exit(f"{binary} {workload} seed {seed}: exit {done.returncode}, incorrect run\n"
                  f"{lines[-1] if lines else ''}\n{done.stderr[-2000:]}")
     fingerprint = [line for line in lines if line.startswith(f"# {workload} fingerprint ")]
-    return {name: m["value"] for name, m in result["metrics"].items()}, fingerprint
+    timed = [line for line in lines if line.startswith(f"# {workload} timed ")]
+    ops = int(timed[0].split()[3]) if timed else None
+    return {name: m["value"] for name, m in result["metrics"].items()}, fingerprint, ops
 
 
 def report_fingerprints(workload, seeds, parent, change):
@@ -127,7 +134,18 @@ def quartiles(values):
     return q1, q3
 
 
-def report(workload, declared, parent, change):
+CALL_LOG_BYTES_PER_OP = 8
+
+
+def call_log_note(parent_ops, change_ops, rss_change_mb):
+    """The part of a peak_rss_mb change that the per-op call log explains."""
+    parent_med, change_med = statistics.median(parent_ops), statistics.median(change_ops)
+    log_mb = CALL_LOG_BYTES_PER_OP * (change_med - parent_med) / 2**20
+    return (f"  {'':<34} call log: 8 B x ({change_med:.0f} - {parent_med:.0f}) median timed ops"
+            f" = {log_mb:+.3f} MB of the {rss_change_mb:+.3f} MB median change")
+
+
+def report(workload, declared, parent, change, ops):
     """Prints one workload's table; returns the names of flagged metrics."""
     flagged = []
     print(f"{workload}: {len(parent)} pairs")
@@ -155,6 +173,8 @@ def report(workload, declared, parent, change):
             line += f"  <-- worse by more than the {bound:.0%} bound"
             flagged.append(f"{workload}.{name}")
         print(line)
+        if name == "peak_rss_mb" and None not in ops["parent"] + ops["change"]:
+            print(call_log_note(ops["parent"], ops["change"], c_med - p_med))
     return flagged
 
 
@@ -191,15 +211,18 @@ def main():
     for workload in workloads:
         results = {"parent": [], "change": []}
         fingerprints = {"parent": [], "change": []}
+        ops = {"parent": [], "change": []}
         seeds = [args.first_seed + i for i in range(args.runs)]
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 binary, cwd = builds[side]
-                metrics, fingerprint = run_once(binary, cwd, workload, seed, seconds, args.trace)
+                metrics, fingerprint, timed = run_once(binary, cwd, workload, seed, seconds,
+                                                       args.trace)
                 results[side].append(metrics)
                 fingerprints[side].append(fingerprint)
-        flagged += report(workload, declared, results["parent"], results["change"])
+                ops[side].append(timed)
+        flagged += report(workload, declared, results["parent"], results["change"], ops)
         report_fingerprints(workload, seeds, fingerprints["parent"], fingerprints["change"])
     if flagged:
         sys.exit(f"worse than parent by more than the bound: {', '.join(flagged)}")
