@@ -11,7 +11,7 @@ fn bench_utilization(c: &mut Criterion) {
     let faults = FaultSet::from_nodes(
         IidFaultModel::new(720, 0.05).sample_exact(&mut StdRng::seed_from_u64(1)),
     );
-    for arch in paper_architectures(720, 4, 32) {
+    for arch in paper_architectures(720, 4, 32).expect("valid architectures") {
         group.bench_with_input(
             BenchmarkId::from_parameter(arch.name().to_string()),
             &arch,

@@ -23,7 +23,9 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
             "mean (%)",
         ];
         let mut rows = Vec::new();
-        for arch in paper_architectures(config.nodes, config.node_size.gpus(), tp) {
+        for arch in paper_architectures(config.nodes, config.node_size.gpus(), tp)
+            .expect("valid architectures")
+        {
             let points =
                 waste_over_trace_par(arch.as_ref(), study.trace(), tp, samples, ctx.threads);
             let cdf = waste_cdf(&points);

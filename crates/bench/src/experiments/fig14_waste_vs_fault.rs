@@ -16,7 +16,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     let trials = ctx.count(10);
     let mut tables = Vec::new();
     for (tp_index, tp) in [8usize, 16, 32, 64].into_iter().enumerate() {
-        let archs = paper_architectures(nodes, 4, tp);
+        let archs = paper_architectures(nodes, 4, tp).expect("valid architectures");
         let mut header: Vec<String> = vec!["fault ratio (%)".to_string()];
         header.extend(archs.iter().map(|a| a.name().to_string()));
         let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();

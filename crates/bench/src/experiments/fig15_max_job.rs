@@ -18,6 +18,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     );
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let arch_names: Vec<String> = paper_architectures(config.nodes, 4, 32)
+        .expect("valid architectures")
         .iter()
         .map(|a| a.name().to_string())
         .collect();
@@ -25,7 +26,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     for tp in [8usize, 16, 32, 64] {
         let study = ClusterStudy::new(config.clone(), tp, Seconds::from_days(days), ctx.seed)
             .expect("valid study");
-        for (i, arch) in paper_architectures(config.nodes, 4, tp).iter().enumerate() {
+        let archs = paper_architectures(config.nodes, 4, tp).expect("valid architectures");
+        for (i, arch) in archs.iter().enumerate() {
             let job =
                 max_job_over_trace_par(arch.as_ref(), study.trace(), tp, samples, ctx.threads);
             table[i].push(job.to_string());

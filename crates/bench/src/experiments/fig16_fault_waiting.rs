@@ -14,7 +14,7 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     for tp in [8usize, 16, 32, 64] {
         let study = ClusterStudy::new(config.clone(), tp, Seconds::from_days(days), ctx.seed)
             .expect("valid study");
-        let archs = paper_architectures(config.nodes, 4, tp);
+        let archs = paper_architectures(config.nodes, 4, tp).expect("valid architectures");
         let job_scales: Vec<usize> = [0.80, 0.85, 0.90, 0.95, 1.0]
             .iter()
             .map(|f| ((2880.0 * f) as usize / tp) * tp)

@@ -13,7 +13,8 @@ pub fn run(ctx: &RunCtx) -> Vec<Table> {
     let samples = ctx.count(58);
     let study = ClusterStudy::new(config.clone(), tp, Seconds::from_days(days), ctx.seed)
         .expect("valid study");
-    let archs = paper_architectures(config.nodes, config.node_size.gpus(), tp);
+    let archs = paper_architectures(config.nodes, config.node_size.gpus(), tp)
+        .expect("valid architectures");
     let series: Vec<(String, Vec<f64>)> = archs
         .iter()
         .map(|arch| {

@@ -84,7 +84,8 @@ pub struct Workload {
 impl Workload {
     /// A trace-driven workload: sorts the arrivals by time (stable, so
     /// same-instant arrivals keep their input order).
-    pub fn from_arrivals(mut arrivals: Vec<JobArrival>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_arrivals(mut arrivals: Vec<JobArrival>) -> Self {
         arrivals.sort_by(|a, b| a.at.value().total_cmp(&b.at.value()));
         Workload { arrivals }
     }

@@ -157,7 +157,7 @@ mod tests {
     fn paper_ranking_holds_on_the_fault_model() {
         // At a 5% node fault ratio with TP-32, the ordering of Fig 14b:
         // InfiniteHBD(K=3) < NVL-576 < NVL-72 < TPUv4 / SiP-Ring.
-        let archs = paper_architectures(720, 4, 32);
+        let archs = paper_architectures(720, 4, 32).unwrap();
         let mut measured = std::collections::HashMap::new();
         for arch in &archs {
             let points = waste_vs_fault_ratio_par(arch.as_ref(), 32, &[0.05], 8, 5, 1);

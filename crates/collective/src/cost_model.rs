@@ -39,7 +39,7 @@ impl AlphaBeta {
     }
 
     /// Inverse bandwidth in seconds per byte.
-    pub fn beta(&self) -> f64 {
+    fn beta(&self) -> f64 {
         1.0 / (self.bandwidth.value() * 1e9)
     }
 
@@ -68,7 +68,7 @@ pub struct CollectiveCost {
 
 impl CollectiveCost {
     /// Effective per-rank bandwidth achieved by the collective.
-    pub fn effective_bandwidth(&self) -> GBps {
+    fn effective_bandwidth(&self) -> GBps {
         if self.time.value() <= 0.0 {
             return GBps::ZERO;
         }

@@ -135,7 +135,7 @@ impl HierarchicalAllReduce {
 
     /// Time for the *flat* alternative: one Ring-AllReduce over every GPU,
     /// paced by the slower inter-node link.
-    pub fn flat_time(&self, message: Bytes, inter: &AlphaBeta) -> Seconds {
+    fn flat_time(&self, message: Bytes, inter: &AlphaBeta) -> Seconds {
         RingAllReduce::new(self.ranks()).cost(message, inter).time
     }
 

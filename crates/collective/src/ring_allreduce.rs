@@ -38,7 +38,7 @@ impl RingAllReduce {
     }
 
     /// Bytes sent per rank per step for a `message` of bytes per rank.
-    pub fn bytes_per_step(&self, message: Bytes) -> Bytes {
+    fn bytes_per_step(&self, message: Bytes) -> Bytes {
         Bytes(message.value() / self.ranks as f64)
     }
 

@@ -21,7 +21,6 @@ pub struct RingAllReduceSim {
     /// `holdings[rank][chunk]` = set of source ranks whose contribution has
     /// been reduced into this rank's copy of the chunk.
     holdings: Vec<Vec<BTreeSet<usize>>>,
-    steps_executed: usize,
 }
 
 impl RingAllReduceSim {
@@ -34,18 +33,12 @@ impl RingAllReduceSim {
             holdings: (0..ranks)
                 .map(|r| (0..ranks).map(|_| BTreeSet::from([r])).collect())
                 .collect(),
-            steps_executed: 0,
         }
     }
 
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.ranks
-    }
-
-    /// Number of steps executed so far.
-    pub fn steps_executed(&self) -> usize {
-        self.steps_executed
     }
 
     /// Runs the whole algorithm: `n − 1` reduce-scatter steps followed by
@@ -65,7 +58,6 @@ impl RingAllReduceSim {
                 let dst = (r + 1) % n;
                 self.holdings[dst][chunk].extend(contribution);
             }
-            self.steps_executed += 1;
         }
         // All-gather: in step s, rank r sends its (now complete) chunk
         // (r + 1 - s) mod n to rank r+1, which replaces its copy.
@@ -80,7 +72,6 @@ impl RingAllReduceSim {
                 let dst = (r + 1) % n;
                 self.holdings[dst][chunk] = contribution;
             }
-            self.steps_executed += 1;
         }
     }
 
@@ -90,11 +81,6 @@ impl RingAllReduceSim {
         self.holdings
             .iter()
             .all(|rank| rank.iter().all(|chunk| *chunk == full))
-    }
-
-    /// The contributions reduced into `(rank, chunk)` so far.
-    pub fn holdings(&self, rank: usize, chunk: usize) -> &BTreeSet<usize> {
-        &self.holdings[rank][chunk]
     }
 }
 
@@ -110,6 +96,8 @@ pub struct BinaryExchangeSim {
     /// `blocks[holder]` = set of `(source, destination)` blocks currently held.
     blocks: Vec<BTreeSet<(usize, usize)>>,
     rounds_executed: usize,
+    /// Total blocks transferred so far (the volume the O(p·log p) bound
+    /// talks about).
     transfer_count: usize,
 }
 
@@ -140,12 +128,6 @@ impl BinaryExchangeSim {
     /// Rounds executed so far.
     pub fn rounds_executed(&self) -> usize {
         self.rounds_executed
-    }
-
-    /// Total blocks transferred so far (the volume the O(p·log p) bound talks
-    /// about).
-    pub fn blocks_transferred(&self) -> usize {
-        self.transfer_count
     }
 
     /// Runs all `log₂ p` rounds.
@@ -186,11 +168,6 @@ impl BinaryExchangeSim {
                 && (0..self.ranks).all(|src| blocks.contains(&(src, holder)))
         })
     }
-
-    /// The blocks currently held by `rank`.
-    pub fn blocks_at(&self, rank: usize) -> &BTreeSet<(usize, usize)> {
-        &self.blocks[rank]
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +182,6 @@ mod tests {
             assert!(!sim.is_complete() || ranks == 1);
             sim.run();
             assert!(sim.is_complete(), "ring of {ranks} ranks did not complete");
-            assert_eq!(sim.steps_executed(), 2 * (ranks - 1));
         }
     }
 
@@ -213,7 +189,7 @@ mod tests {
     fn ring_allreduce_partial_state_is_not_complete() {
         let sim = RingAllReduceSim::new(4);
         assert!(!sim.is_complete());
-        assert_eq!(sim.holdings(2, 2).len(), 1);
+        assert_eq!(sim.holdings[2][2].len(), 1);
     }
 
     #[test]
@@ -234,7 +210,7 @@ mod tests {
             let p = 1usize << log_p;
             let mut sim = BinaryExchangeSim::new(p);
             sim.run();
-            assert_eq!(sim.blocks_transferred(), p * p / 2 * log_p);
+            assert_eq!(sim.transfer_count, p * p / 2 * log_p);
         }
     }
 
@@ -255,7 +231,7 @@ mod tests {
         let mut outgoing: Vec<Vec<(usize, usize)>> = vec![Vec::new(); 8];
         for (i, out) in outgoing.iter_mut().enumerate() {
             let partner = i ^ bit;
-            for &(src, dst) in sim.blocks_at(i) {
+            for &(src, dst) in &sim.blocks[i] {
                 if dst & bit == partner & bit {
                     out.push((src, dst));
                 }

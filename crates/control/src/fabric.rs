@@ -3,9 +3,7 @@
 //! §5.2: "At the device level, the node fabric manager configures individual
 //! OCSTrx modules and handles topology switching." The fabric manager owns the
 //! node's fabric bundles (the `K` bundles wired to the inter-node fiber plant)
-//! and executes [`BundleAction`]s issued by the cluster manager, tracking how
-//! many reconfigurations it performed and how long the hardware spent
-//! switching.
+//! and executes [`BundleAction`]s issued by the cluster manager.
 
 use crate::plan::BundleAction;
 use hbd_types::{HbdError, Microseconds, NodeId, Result};
@@ -29,28 +27,15 @@ pub enum CommandOutcome {
 pub struct FabricManager {
     node: NodeId,
     bundles: Vec<Bundle>,
-    reconfigurations: u64,
-    switching_time: Microseconds,
     /// Per-bundle newest command id executed via
     /// [`FabricManager::apply_versioned`] (0 = none yet; ids start at 1).
     last_command_ids: Vec<u64>,
-    /// Deliveries rejected by the version gate (duplicates + stale).
-    stale_commands: u64,
 }
 
 impl FabricManager {
     /// Creates a fabric manager with `k` single-module fabric bundles.
-    ///
-    /// Single-module bundles keep large-cluster simulations cheap; use
-    /// [`FabricManager::with_modules`] when per-module optics (loss, BER,
-    /// power) matter.
+    /// Single-module bundles keep large-cluster simulations cheap.
     pub fn new(node: NodeId, k: usize) -> Result<Self> {
-        Self::with_modules(node, k, 1)
-    }
-
-    /// Creates a fabric manager whose bundles hold `modules` OCSTrx each
-    /// (the paper's reference node uses 8 × 800 Gbps per bundle).
-    pub fn with_modules(node: NodeId, k: usize, modules: usize) -> Result<Self> {
         if k == 0 {
             return Err(HbdError::invalid_config(
                 "a fabric manager needs at least one bundle",
@@ -61,19 +46,15 @@ impl FabricManager {
             // A freshly powered-on OCSTrx bundle boots into the safe intra-node
             // loopback and carries no fabric traffic until the cluster manager
             // assigns it a role.
-            let mut bundle = Bundle::new(modules)?;
+            let mut bundle = Bundle::new(1)?;
             bundle.activate_loopback()?;
             bundle.set_idle();
             bundles.push(bundle);
         }
-        let k = bundles.len();
         Ok(FabricManager {
             node,
             bundles,
-            reconfigurations: 0,
-            switching_time: Microseconds::ZERO,
             last_command_ids: vec![0; k],
-            stale_commands: 0,
         })
     }
 
@@ -82,27 +63,12 @@ impl FabricManager {
         self.node
     }
 
-    /// Number of fabric bundles under management.
-    pub fn bundle_count(&self) -> usize {
-        self.bundles.len()
-    }
-
     /// Current state of a bundle.
     pub fn bundle_state(&self, bundle: usize) -> Result<BundleState> {
         self.bundles
             .get(bundle)
             .map(Bundle::state)
             .ok_or_else(|| HbdError::unknown_entity(format!("bundle {bundle} on {}", self.node)))
-    }
-
-    /// Total OCSTrx reconfigurations executed so far.
-    pub fn reconfigurations(&self) -> u64 {
-        self.reconfigurations
-    }
-
-    /// Cumulative hardware switching time.
-    pub fn switching_time(&self) -> Microseconds {
-        self.switching_time
     }
 
     /// Applies one action to one bundle, returning the hardware switching
@@ -116,20 +82,15 @@ impl FabricManager {
         if b.state() == action.state() {
             return Ok(Microseconds::ZERO);
         }
-        let latency = match action {
-            BundleAction::ActivatePrimary => b.activate_primary()?,
-            BundleAction::ActivateBackup => b.activate_backup()?,
-            BundleAction::Loopback => b.activate_loopback()?,
+        match action {
+            BundleAction::ActivatePrimary => b.activate_primary(),
+            BundleAction::ActivateBackup => b.activate_backup(),
+            BundleAction::Loopback => b.activate_loopback(),
             BundleAction::Idle => {
                 b.set_idle();
-                Microseconds::ZERO
+                Ok(Microseconds::ZERO)
             }
-        };
-        if latency > Microseconds::ZERO {
-            self.reconfigurations += 1;
-            self.switching_time += latency;
         }
-        Ok(latency)
     }
 
     /// Applies one command through the at-least-once delivery gate the
@@ -139,7 +100,7 @@ impl FabricManager {
     /// *newer* directive for the same bundle always has a *larger* id). The
     /// fabric manager executes a delivery only when its id is strictly newer
     /// than the last id executed on that bundle; duplicated or reordered
-    /// stale deliveries are counted and ignored — last-writer-wins, which
+    /// stale deliveries are ignored — last-writer-wins, which
     /// keeps retransmissions and overtaking messages idempotent.
     pub fn apply_versioned(
         &mut self,
@@ -152,16 +113,10 @@ impl FabricManager {
             .get(bundle)
             .ok_or_else(|| HbdError::unknown_entity(format!("bundle {bundle} on {}", self.node)))?;
         if command_id <= last {
-            self.stale_commands += 1;
             return Ok(CommandOutcome::Stale);
         }
         self.last_command_ids[bundle] = command_id;
         Ok(CommandOutcome::Applied(self.apply(bundle, action)?))
-    }
-
-    /// Deliveries rejected by the version gate so far.
-    pub fn stale_commands(&self) -> u64 {
-        self.stale_commands
     }
 }
 
@@ -173,7 +128,7 @@ mod tests {
     fn construction_requires_at_least_one_bundle() {
         assert!(FabricManager::new(NodeId(0), 0).is_err());
         let fm = FabricManager::new(NodeId(0), 3).unwrap();
-        assert_eq!(fm.bundle_count(), 3);
+        assert_eq!(fm.bundles.len(), 3);
         assert_eq!(fm.node(), NodeId(0));
         for b in 0..3 {
             assert_eq!(fm.bundle_state(b).unwrap(), BundleState::Idle);
@@ -186,19 +141,15 @@ mod tests {
         let t = fm.apply(0, BundleAction::ActivatePrimary).unwrap();
         assert!(t > Microseconds::ZERO);
         assert_eq!(fm.bundle_state(0).unwrap(), BundleState::ActivePrimary);
-        assert_eq!(fm.reconfigurations(), 1);
 
         // Re-applying the same action is a no-op.
         let t2 = fm.apply(0, BundleAction::ActivatePrimary).unwrap();
         assert_eq!(t2, Microseconds::ZERO);
-        assert_eq!(fm.reconfigurations(), 1);
 
         // Switching to backup is a real reconfiguration again.
         let t3 = fm.apply(0, BundleAction::ActivateBackup).unwrap();
         assert!(t3 > Microseconds::ZERO);
         assert_eq!(fm.bundle_state(0).unwrap(), BundleState::ActiveBackup);
-        assert_eq!(fm.reconfigurations(), 2);
-        assert!(fm.switching_time() >= t + t3);
     }
 
     #[test]
@@ -219,7 +170,7 @@ mod tests {
 
     #[test]
     fn reconfiguration_latency_is_in_the_paper_range() {
-        let mut fm = FabricManager::with_modules(NodeId(3), 2, 8).unwrap();
+        let mut fm = FabricManager::new(NodeId(3), 2).unwrap();
         let t = fm.apply(0, BundleAction::ActivatePrimary).unwrap();
         assert!(t.value() >= 60.0 && t.value() <= 80.0, "latency {t}");
     }

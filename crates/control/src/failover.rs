@@ -72,14 +72,7 @@ mod tests {
             .map(|n| {
                 plan.node(NodeId(n))
                     .iter()
-                    .filter(|(_, a)| {
-                        a.is_active()
-                            && !matches!(
-                                a,
-                                crate::BundleAction::ActivatePrimary
-                                    | crate::BundleAction::ActivateBackup
-                            )
-                    })
+                    .filter(|(_, a)| *a == crate::BundleAction::Loopback)
                     .count()
             })
             .sum();

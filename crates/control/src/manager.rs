@@ -60,7 +60,7 @@ impl ControlLatencies {
     }
 
     /// Sum of the software components.
-    pub fn software_total(&self) -> Seconds {
+    fn software_total(&self) -> Seconds {
         self.detection + self.planning + self.dispatch
     }
 }
@@ -130,11 +130,6 @@ impl ClusterManager {
     /// The failover planner in use.
     pub fn planner(&self) -> &FailoverPlanner {
         &self.planner
-    }
-
-    /// The currently-deployed ring plan.
-    pub fn deployed_plan(&self) -> &RingPlan {
-        &self.deployed
     }
 
     /// The current fault set.
@@ -310,7 +305,7 @@ mod tests {
     #[test]
     fn initial_convergence_deploys_the_full_cycle() {
         let mgr = manager(24, 2);
-        assert_eq!(mgr.deployed_plan().len(), 24);
+        assert_eq!(mgr.deployed.len(), 24);
         assert_eq!(mgr.usable_gpus(16), 96);
         assert!(mgr.timeline().commands_applied() > 0);
     }
@@ -374,7 +369,7 @@ mod tests {
         assert_eq!(report.segments, 1);
         assert_eq!(report.faulty_nodes, 2);
         // The wrapping chain has two loopback endpoints now.
-        let plan = mgr.deployed_plan();
+        let plan = &mgr.deployed;
         let loopbacks: usize = (0..32)
             .map(|n| {
                 plan.node(NodeId(n))
@@ -465,7 +460,7 @@ mod tests {
         assert!(mgr.timeline().is_monotone());
         // The deployed plan still matches a fresh plan.
         let fresh = mgr.planner().plan(mgr.faults()).unwrap();
-        assert_eq!(mgr.deployed_plan(), &fresh);
+        assert_eq!(mgr.deployed, fresh);
     }
 
     #[test]
@@ -488,7 +483,7 @@ mod tests {
             // The deployed plan always matches a fresh plan for the same
             // fault set.
             let fresh = mgr.planner().plan(mgr.faults()).unwrap();
-            assert_eq!(mgr.deployed_plan(), &fresh, "diverged at step {step}");
+            assert_eq!(mgr.deployed, fresh, "diverged at step {step}");
         }
     }
 }

@@ -30,7 +30,7 @@ pub enum BundleAction {
 
 impl BundleAction {
     /// Whether the action makes the bundle part of the active ring.
-    pub fn is_active(self) -> bool {
+    fn is_active(self) -> bool {
         !matches!(self, BundleAction::Idle)
     }
 
@@ -79,11 +79,6 @@ impl NodeDirective<'_> {
             .iter()
             .enumerate()
             .filter_map(|(b, a)| a.map(|a| (b, a)))
-    }
-
-    /// Number of bundles that carry ring traffic under this directive.
-    pub fn active_bundles(&self) -> usize {
-        self.iter().filter(|(_, a)| a.is_active()).count()
     }
 }
 
@@ -331,7 +326,7 @@ mod tests {
         assert_eq!(d6.action(1), BundleAction::ActivateBackup);
         assert_eq!(d6.action(0), BundleAction::ActivatePrimary);
         // The faulty node receives no directives.
-        assert_eq!(plan.node(NodeId(5)).active_bundles(), 0);
+        assert_eq!(plan.node(NodeId(5)).iter().count(), 0);
         // The surviving 11 nodes form one chain closed by loopback at its two
         // ends.
         let loopbacks: usize = (0..12)

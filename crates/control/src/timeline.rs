@@ -113,15 +113,11 @@ impl Timeline {
             .fold(Microseconds::ZERO, |a, b| a + b)
     }
 
-    /// The timestamp of the most recent event, if any.
-    pub fn last_at(&self) -> Option<Seconds> {
-        self.events.last().map(|e| e.at)
-    }
-
     /// Whether timestamps are non-decreasing in insertion order — the
     /// replayability property the cluster manager's clock clamping and the
     /// simulator's event-queue ordering both guarantee.
-    pub fn is_monotone(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_monotone(&self) -> bool {
         self.events
             .windows(2)
             .all(|w| w[0].at.value() <= w[1].at.value())
@@ -154,7 +150,7 @@ mod tests {
         assert_eq!(timeline.len(), 4);
         assert_eq!(timeline.commands_applied(), 1);
         assert_eq!(timeline.total_switching_time(), Microseconds(70.0));
-        assert_eq!(timeline.last_at(), Some(Seconds(1.0)));
+        assert_eq!(timeline.events().last().map(|e| e.at), Some(Seconds(1.0)));
         assert!(timeline.is_monotone());
     }
 

@@ -93,7 +93,7 @@ impl Wiring {
     /// fiber runs to the node `d` positions later in deployment order, `−d`
     /// to the node `d` positions earlier. `None` if the bundle index is not a
     /// fabric bundle of this wiring.
-    pub fn port_offset(&self, port: FabricPort) -> Option<isize> {
+    fn port_offset(&self, port: FabricPort) -> Option<isize> {
         if port.bundle >= self.k || port.path == PathId::Loopback {
             return None;
         }
@@ -126,23 +126,6 @@ impl Wiring {
         } else {
             Some(offset)
         }
-    }
-
-    /// The port whose fiber spans the given signed offset, if any.
-    pub fn port_for_offset(&self, offset: isize) -> Option<FabricPort> {
-        let d = offset.unsigned_abs();
-        if d == 0 || d > self.k {
-            return None;
-        }
-        for bundle in 0..self.k {
-            for path in [PathId::External1, PathId::External2] {
-                let port = FabricPort { bundle, path };
-                if self.port_offset(port) == Some(offset) {
-                    return Some(port);
-                }
-            }
-        }
-        None
     }
 
     /// The node reached by the given port of `node`, or `None` if the fiber
@@ -254,20 +237,19 @@ mod tests {
 
     #[test]
     fn port_for_offset_inverts_port_offset() {
+        // Every offset ±1..=±K is spanned by exactly one port, and no port
+        // spans anything else.
         for k in [2usize, 3, 4, 5] {
             let wiring = Wiring::new(32, k, true).unwrap();
-            for d in 1..=k as isize {
-                for offset in [d, -d] {
-                    let port = wiring.port_for_offset(offset).expect("covered offset");
-                    assert_eq!(
-                        wiring.port_offset(port),
-                        Some(offset),
-                        "K={k} offset={offset}"
-                    );
-                }
-            }
-            assert!(wiring.port_for_offset(0).is_none());
-            assert!(wiring.port_for_offset(k as isize + 1).is_none());
+            let mut offsets: Vec<isize> = (0..k)
+                .flat_map(|bundle| {
+                    [PathId::External1, PathId::External2]
+                        .map(|path| wiring.port_offset(FabricPort { bundle, path }).unwrap())
+                })
+                .collect();
+            offsets.sort_unstable();
+            let expected: Vec<isize> = (-(k as isize)..=k as isize).filter(|&d| d != 0).collect();
+            assert_eq!(offsets, expected, "K={k}");
         }
     }
 

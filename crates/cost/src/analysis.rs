@@ -20,22 +20,17 @@ pub struct NormalizedCost {
 }
 
 impl NormalizedCost {
-    /// Computes the row for one architecture BOM.
-    pub fn from_bom(bom: &ArchitectureBom) -> Self {
-        NormalizedCost {
-            name: bom.name.clone(),
-            cost_per_gpu: bom.cost_per_gpu().value(),
-            watts_per_gpu: bom.power_per_gpu().value(),
-            cost_per_gbyteps: bom.cost_per_gbyteps(),
-            watts_per_gbyteps: bom.power_per_gbyteps(),
-        }
-    }
-
     /// Computes every Table-6 row.
     pub fn table6() -> Vec<NormalizedCost> {
         ArchitectureBom::table6_rows()
             .iter()
-            .map(Self::from_bom)
+            .map(|bom| NormalizedCost {
+                name: bom.name.clone(),
+                cost_per_gpu: bom.cost_per_gpu().value(),
+                watts_per_gpu: bom.power_per_gpu().value(),
+                cost_per_gbyteps: bom.cost_per_gbyteps(),
+                watts_per_gbyteps: bom.power_per_gbyteps(),
+            })
             .collect()
     }
 }

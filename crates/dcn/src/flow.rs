@@ -20,12 +20,6 @@ impl Flow {
     pub fn new(src: NodeId, dst: NodeId, bytes: Bytes) -> Self {
         Flow { src, dst, bytes }
     }
-
-    /// Whether source and destination are the same node (the flow never enters
-    /// the DCN — e.g. two TP ranks of the same group on one node).
-    pub fn is_local(&self) -> bool {
-        self.src == self.dst
-    }
 }
 
 /// The links a flow traverses, in order, plus the topological distance class.
@@ -54,11 +48,21 @@ impl Route {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{DcnNetwork, NetworkParams};
 
     #[test]
     fn local_flow_detection() {
-        assert!(Flow::new(NodeId(3), NodeId(3), Bytes(1.0)).is_local());
-        assert!(!Flow::new(NodeId(3), NodeId(4), Bytes(1.0)).is_local());
+        // A flow between a node and itself never enters the DCN.
+        let fat_tree = topology::FatTree::new(8, 4, 2).unwrap();
+        let net = DcnNetwork::new(fat_tree, NetworkParams::non_blocking(4, 4)).unwrap();
+        let local = net
+            .route(&Flow::new(NodeId(3), NodeId(3), Bytes(1.0)))
+            .unwrap();
+        assert!(local.links.is_empty());
+        let remote = net
+            .route(&Flow::new(NodeId(3), NodeId(4), Bytes(1.0)))
+            .unwrap();
+        assert!(!remote.links.is_empty());
     }
 
     #[test]

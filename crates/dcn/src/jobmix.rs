@@ -87,7 +87,7 @@ impl ExclusionLedger {
     /// A ledger seeded with an initial fault set. The seed counts as already
     /// published state only if the paired store was created with the same
     /// faults; otherwise call [`publish`](Self::publish) once to align.
-    pub fn with_faults(faults: &FaultSet) -> Self {
+    fn with_faults(faults: &FaultSet) -> Self {
         ExclusionLedger {
             faulty: faults.clone(),
             placed: FaultSet::new(),
@@ -202,12 +202,6 @@ impl ExclusionLedger {
     /// Number of nodes currently owned by placements.
     pub fn placed_nodes(&self) -> usize {
         self.placed.len()
-    }
-
-    /// The net exclusion flips accumulated since the last publish. Empty
-    /// exactly when a publish would be a no-op.
-    pub fn pending_delta(&self) -> &SnapshotDelta {
-        &self.pending
     }
 
     /// Takes the pending delta out of the ledger (leaving it empty), for
@@ -414,8 +408,9 @@ mod tests {
         let mut ledger = ExclusionLedger::new();
         assert!(ledger.fault(NodeId(3)));
         assert!(!ledger.fault(NodeId(3)), "double fault is idempotent");
-        let scheme =
-            PlacementScheme::from_groups(vec![TpGroup::new(vec![NodeId(3), NodeId(4), NodeId(5)])]);
+        let scheme = PlacementScheme {
+            groups: vec![TpGroup::new(vec![NodeId(3), NodeId(4), NodeId(5)])],
+        };
         // Node 3 is faulty AND placed: it must survive either reason ending.
         ledger.place(&scheme);
         assert_eq!(ledger.placed_nodes(), 3);
@@ -451,7 +446,7 @@ mod tests {
         ]);
         assert_eq!(changed, 3);
         assert_eq!(ledger.faulty().len(), 3);
-        assert_eq!(ledger.pending_delta().faulted.len(), 3);
+        assert_eq!(ledger.pending.faulted.len(), 3);
         // The repair wave cancels the not-yet-published faults, so the
         // pending delta collapses instead of growing.
         let changed = ledger.apply_availability_burst([
@@ -461,8 +456,8 @@ mod tests {
         ]);
         assert_eq!(changed, 2, "repairing a healthy node is absorbed");
         assert_eq!(ledger.faulty().len(), 1);
-        assert_eq!(ledger.pending_delta().faulted.len(), 1);
-        assert!(ledger.pending_delta().released.is_empty());
+        assert_eq!(ledger.pending.faulted.len(), 1);
+        assert!(ledger.pending.released.is_empty());
     }
 
     /// Double-occupying a node breaks the placements-are-disjoint contract:
@@ -475,9 +470,13 @@ mod tests {
     fn double_occupy_panics_in_debug_builds() {
         use orchestrator::TpGroup;
         let mut ledger = ExclusionLedger::new();
-        let scheme = PlacementScheme::from_groups(vec![TpGroup::new(vec![NodeId(7), NodeId(8)])]);
+        let scheme = PlacementScheme {
+            groups: vec![TpGroup::new(vec![NodeId(7), NodeId(8)])],
+        };
         ledger.place(&scheme);
-        let overlapping = PlacementScheme::from_groups(vec![TpGroup::new(vec![NodeId(8)])]);
+        let overlapping = PlacementScheme {
+            groups: vec![TpGroup::new(vec![NodeId(8)])],
+        };
         ledger.place(&overlapping);
     }
 
@@ -489,7 +488,9 @@ mod tests {
     fn release_of_unknown_job_panics_in_debug_builds() {
         use orchestrator::TpGroup;
         let mut ledger = ExclusionLedger::new();
-        let unknown = PlacementScheme::from_groups(vec![TpGroup::new(vec![NodeId(2)])]);
+        let unknown = PlacementScheme {
+            groups: vec![TpGroup::new(vec![NodeId(2)])],
+        };
         ledger.release(&unknown);
     }
 
@@ -503,7 +504,9 @@ mod tests {
         let mut ledger = ExclusionLedger::new();
         ledger.fault(NodeId(1));
         assert_eq!(ledger.publish(&store), 1);
-        let scheme = PlacementScheme::from_groups(vec![TpGroup::new(vec![NodeId(4), NodeId(5)])]);
+        let scheme = PlacementScheme {
+            groups: vec![TpGroup::new(vec![NodeId(4), NodeId(5)])],
+        };
         ledger.place(&scheme);
         assert_eq!(ledger.publish(&store), 2);
         let snapshot = store.load();

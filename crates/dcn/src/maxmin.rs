@@ -363,11 +363,6 @@ impl MaxMinSolver {
     pub fn last_rounds(&self) -> usize {
         self.rounds
     }
-
-    /// Route classes the last solve grouped its flows into.
-    pub fn last_classes(&self) -> usize {
-        self.class_weight.len()
-    }
 }
 
 /// Computes max-min fair rates.
@@ -525,7 +520,7 @@ mod tests {
         let flows = vec![vec![0, 1], vec![0, 1], vec![0], vec![0, 1]];
         let mut solver = MaxMinSolver::new();
         solver.solve(&caps, &flows);
-        assert_eq!(solver.last_classes(), 2);
+        assert_eq!(solver.class_weight.len(), 2);
         let rates = solver.rates();
         assert_eq!(rates[0].to_bits(), rates[1].to_bits());
         assert_eq!(rates[0].to_bits(), rates[3].to_bits());

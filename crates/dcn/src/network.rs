@@ -36,13 +36,6 @@ pub enum LinkKind {
     AggDown(usize, usize),
 }
 
-impl LinkKind {
-    /// Whether this is a ToR uplink or downlink (the oversubscribed tier).
-    pub fn is_tor_uplink(&self) -> bool {
-        matches!(self, LinkKind::TorUp(..) | LinkKind::TorDown(..))
-    }
-}
-
 /// One directed link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DcnLink {
@@ -247,7 +240,7 @@ impl DcnNetwork {
     /// than a linear combination: DP rings produce flows whose endpoints differ
     /// by a constant stride, and a weak hash would polarise all of them onto
     /// one plane — a real ECMP pathology, but not the one under study here.
-    pub fn ecmp_plane(&self, flow: &Flow) -> usize {
+    fn ecmp_plane(&self, flow: &Flow) -> usize {
         let mut h = ((flow.src.index() as u64) << 32) ^ (flow.dst.index() as u64);
         h ^= h >> 33;
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);

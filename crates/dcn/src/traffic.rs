@@ -42,20 +42,6 @@ impl TrafficSpec {
             dp_ring_wraps: false,
         }
     }
-
-    /// Uses an explicit per-pair volume.
-    pub fn per_pair(bytes: Bytes) -> Self {
-        TrafficSpec {
-            bytes_per_dp_pair: bytes,
-            dp_ring_wraps: false,
-        }
-    }
-
-    /// Makes the DP dimension wrap into a full ring.
-    pub fn with_wraparound(mut self) -> Self {
-        self.dp_ring_wraps = true;
-        self
-    }
 }
 
 impl Default for TrafficSpec {
@@ -107,11 +93,6 @@ pub struct LogicalShape {
 }
 
 impl LogicalShape {
-    /// A DP-only shape (the original single-dimension model).
-    pub fn dp_only(dp: usize) -> Self {
-        LogicalShape { dp, pp: 1, cp: 1 }
-    }
-
     /// The shape of an `llmsim` plan (its DP/PP/CP extents; TP lives inside
     /// one group and never reaches the DCN).
     pub fn of_plan(strategy: &ParallelismStrategy) -> Self {
@@ -174,18 +155,6 @@ pub struct TrafficProfile {
 }
 
 impl TrafficProfile {
-    /// A DP-only profile equivalent to the given [`TrafficSpec`].
-    pub fn from_spec(spec: &TrafficSpec) -> Self {
-        TrafficProfile {
-            dp_pair_bytes: spec.bytes_per_dp_pair,
-            pp_pair_bytes: Bytes(0.0),
-            cp_pair_bytes: Bytes(0.0),
-            cp_grad_pair_bytes: Bytes(0.0),
-            dp_ring_wraps: spec.dp_ring_wraps,
-            cp_ring_wraps: false,
-        }
-    }
-
     /// Derives the profile of an `llmsim` plan from the analytic per-pair
     /// volumes of [`CommModel::dcn_pair_volumes`].
     pub fn of_plan(model: &ModelConfig, strategy: &ParallelismStrategy, comm: &CommModel) -> Self {
@@ -244,11 +213,6 @@ impl JobTraffic {
             epochs,
             iterations: iterations.max(1),
         }
-    }
-
-    /// Total payload of one iteration.
-    pub fn bytes_per_iteration(&self) -> Bytes {
-        Bytes(self.epochs.iter().map(|e| e.total_bytes().value()).sum())
     }
 
     /// Total epoch instances a replay of this job processes
@@ -445,26 +409,45 @@ mod tests {
     use orchestrator::TpGroup;
 
     fn scheme(groups: &[&[usize]]) -> PlacementScheme {
-        PlacementScheme::from_groups(
-            groups
+        PlacementScheme {
+            groups: groups
                 .iter()
                 .map(|g| TpGroup::new(g.iter().map(|&n| NodeId(n)).collect()))
                 .collect(),
-        )
+        }
+    }
+
+    fn spec(bytes_per_dp_pair: Bytes, dp_ring_wraps: bool) -> TrafficSpec {
+        TrafficSpec {
+            bytes_per_dp_pair,
+            dp_ring_wraps,
+        }
+    }
+
+    /// The DP-only profile equivalent to `spec`.
+    fn dp_profile(spec: &TrafficSpec) -> TrafficProfile {
+        TrafficProfile {
+            dp_pair_bytes: spec.bytes_per_dp_pair,
+            pp_pair_bytes: Bytes(0.0),
+            cp_pair_bytes: Bytes(0.0),
+            cp_grad_pair_bytes: Bytes(0.0),
+            dp_ring_wraps: spec.dp_ring_wraps,
+            cp_ring_wraps: false,
+        }
     }
 
     fn grid_scheme(groups: usize, ranks: usize) -> PlacementScheme {
-        PlacementScheme::from_groups(
-            (0..groups)
+        PlacementScheme {
+            groups: (0..groups)
                 .map(|g| TpGroup::new((0..ranks).map(|r| NodeId(g * ranks + r)).collect()))
                 .collect(),
-        )
+        }
     }
 
     #[test]
     fn adjacent_groups_exchange_per_rank_flows_in_both_directions() {
         let scheme = scheme(&[&[0, 1], &[2, 3], &[4, 5]]);
-        let flows = dp_ring_flows(&scheme, &TrafficSpec::per_pair(Bytes::from_gib(1.0)));
+        let flows = dp_ring_flows(&scheme, &spec(Bytes::from_gib(1.0), false));
         // 2 group pairs x 2 ranks x 2 directions.
         assert_eq!(flows.len(), 8);
         assert!(flows.contains(&Flow::new(NodeId(0), NodeId(2), Bytes::from_gib(1.0))));
@@ -477,7 +460,7 @@ mod tests {
     #[test]
     fn wraparound_adds_the_closing_pairs() {
         let scheme = scheme(&[&[0], &[1], &[2]]);
-        let spec = TrafficSpec::per_pair(Bytes(1.0)).with_wraparound();
+        let spec = spec(Bytes(1.0), true);
         let flows = dp_ring_flows(&scheme, &spec);
         assert_eq!(flows.len(), 6);
         assert!(flows.contains(&Flow::new(NodeId(2), NodeId(0), Bytes(1.0))));
@@ -492,7 +475,7 @@ mod tests {
     #[test]
     fn mismatched_group_sizes_pair_the_common_prefix() {
         let scheme = scheme(&[&[0, 1, 2], &[3, 4]]);
-        let flows = dp_ring_flows(&scheme, &TrafficSpec::per_pair(Bytes(1.0)));
+        let flows = dp_ring_flows(&scheme, &spec(Bytes(1.0), false));
         assert_eq!(flows.len(), 4);
     }
 
@@ -500,11 +483,14 @@ mod tests {
     fn dp_only_matrix_reproduces_dp_ring_flows_exactly() {
         for wraps in [false, true] {
             let scheme = grid_scheme(5, 3);
-            let mut spec = TrafficSpec::per_pair(Bytes::from_gib(2.0));
-            spec.dp_ring_wraps = wraps;
+            let spec = spec(Bytes::from_gib(2.0), wraps);
             let matrix = TrafficMatrix::new(
-                LogicalShape::dp_only(scheme.len()),
-                TrafficProfile::from_spec(&spec),
+                LogicalShape {
+                    dp: scheme.len(),
+                    pp: 1,
+                    cp: 1,
+                },
+                dp_profile(&spec),
             );
             assert_eq!(
                 matrix.dp_flows(&scheme).unwrap(),
@@ -550,7 +536,8 @@ mod tests {
         assert_eq!(job.epochs[1].label, "sync");
         assert_eq!(job.iterations, 4);
         let expected = 5.0 * 32.0 + 7.0 * 24.0 + 11.0 * 24.0 + 13.0 * 24.0;
-        assert!((job.bytes_per_iteration().value() - expected).abs() < 1e-9);
+        let per_iteration: f64 = job.epochs.iter().map(|e| e.total_bytes().value()).sum();
+        assert!((per_iteration - expected).abs() < 1e-9);
         // The CP gradient flows land in the sync epoch, not the steady one.
         assert_eq!(job.epochs[1].flows.len(), 32 + 24);
     }
@@ -564,7 +551,7 @@ mod tests {
                 pp: 2,
                 cp: 2,
             },
-            TrafficProfile::from_spec(&TrafficSpec::default()),
+            dp_profile(&TrafficSpec::default()),
         );
         assert!(matrix.lower(&scheme, "bad", 1).is_err());
         let zero = TrafficMatrix::new(
@@ -573,7 +560,7 @@ mod tests {
                 pp: 1,
                 cp: 1,
             },
-            TrafficProfile::from_spec(&TrafficSpec::default()),
+            dp_profile(&TrafficSpec::default()),
         );
         assert!(zero.lower(&scheme, "zero", 1).is_err());
     }

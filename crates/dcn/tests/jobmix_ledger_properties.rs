@@ -82,7 +82,9 @@ fn build_scheme(start: usize, len: usize, active: &[Option<PlacementScheme>]) ->
         .take(len)
         .map(NodeId)
         .collect();
-    PlacementScheme::from_groups(vec![TpGroup::new(nodes)])
+    PlacementScheme {
+        groups: vec![TpGroup::new(nodes)],
+    }
 }
 
 proptest! {
@@ -190,7 +192,7 @@ proptest! {
                 let full_snapshot = full_store.load();
                 prop_assert_eq!(delta_snapshot.value.faults(), full_snapshot.value.faults());
                 prop_assert_eq!(delta_snapshot.value.faults(), delta_ledger.excluded());
-                prop_assert!(delta_ledger.pending_delta().is_empty());
+                prop_assert!(delta_ledger.take_pending_delta().is_empty());
                 match published {
                     // A skip is only legal when nothing flipped: the epoch
                     // must not have moved.

@@ -15,11 +15,11 @@ use topology::FatTree;
 
 /// A placement of `groups` TP groups of `ranks` nodes each, numbered densely.
 fn grid_scheme(groups: usize, ranks: usize) -> PlacementScheme {
-    PlacementScheme::from_groups(
-        (0..groups)
+    PlacementScheme {
+        groups: (0..groups)
             .map(|g| TpGroup::new((0..ranks).map(|r| NodeId(g * ranks + r)).collect()))
             .collect(),
-    )
+    }
 }
 
 fn total_bytes(flows: &[Flow]) -> f64 {
@@ -78,7 +78,8 @@ proptest! {
         // The lowered job conserves the sum of all four components.
         let job = matrix.lower(&scheme, "prop", 1).unwrap();
         let expected_total = expected_dp + expected_pp + expected_cp + expected_cp_grad;
-        prop_assert!(relative(job.bytes_per_iteration().value(), expected_total));
+        let per_iteration: f64 = job.epochs.iter().map(|e| e.total_bytes().value()).sum();
+        prop_assert!(relative(per_iteration, expected_total));
 
         // A mismatched placement is an error, not a panic.
         let wrong = grid_scheme(shape.groups() + 1, ranks);
@@ -136,12 +137,20 @@ proptest! {
         wraps in (0usize..2).prop_map(|b| b == 1),
     ) {
         let scheme = grid_scheme(groups, ranks);
-        let mut spec = TrafficSpec::per_pair(Bytes::from_gib(gib));
-        spec.dp_ring_wraps = wraps;
-        let matrix = TrafficMatrix::new(
-            LogicalShape::dp_only(groups),
-            TrafficProfile::from_spec(&spec),
-        );
+        let spec = TrafficSpec {
+            bytes_per_dp_pair: Bytes::from_gib(gib),
+            dp_ring_wraps: wraps,
+        };
+        // The DP-only profile equivalent to `spec`.
+        let profile = TrafficProfile {
+            dp_pair_bytes: spec.bytes_per_dp_pair,
+            pp_pair_bytes: Bytes(0.0),
+            cp_pair_bytes: Bytes(0.0),
+            cp_grad_pair_bytes: Bytes(0.0),
+            dp_ring_wraps: wraps,
+            cp_ring_wraps: false,
+        };
+        let matrix = TrafficMatrix::new(LogicalShape { dp: groups, pp: 1, cp: 1 }, profile);
 
         let legacy = dp_ring_flows(&scheme, &spec);
         let lowered = matrix.dp_flows(&scheme).unwrap();

@@ -22,7 +22,7 @@ use hbd_types::NodeId;
 use rand::Rng;
 
 /// Per-GPU fault probability implied by an 8-GPU-node fault probability.
-pub fn per_gpu_fault_probability(node8_fault_probability: f64) -> f64 {
+fn per_gpu_fault_probability(node8_fault_probability: f64) -> f64 {
     assert!(
         (0.0..1.0).contains(&node8_fault_probability),
         "probability must lie in [0, 1)"
@@ -31,14 +31,14 @@ pub fn per_gpu_fault_probability(node8_fault_probability: f64) -> f64 {
 }
 
 /// 4-GPU-node fault probability implied by an 8-GPU-node fault probability.
-pub fn node4_fault_probability(node8_fault_probability: f64) -> f64 {
+fn node4_fault_probability(node8_fault_probability: f64) -> f64 {
     let p = per_gpu_fault_probability(node8_fault_probability);
     1.0 - (1.0 - p).powi(4)
 }
 
 /// The Bayesian keep probability: given a faulty 8-GPU node, the probability
 /// that a specific 4-GPU half is faulty.
-pub fn conversion_probability(node8_fault_probability: f64) -> f64 {
+fn conversion_probability(node8_fault_probability: f64) -> f64 {
     if node8_fault_probability <= 0.0 {
         return 0.0;
     }

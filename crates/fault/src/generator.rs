@@ -70,7 +70,7 @@ impl GeneratorConfig {
 
     /// Mean time to failure implied by the steady-state ratio and the repair
     /// time: `ratio = mttr / (mttf + mttr)`.
-    pub fn mean_time_to_failure(&self) -> Seconds {
+    fn mean_time_to_failure(&self) -> Seconds {
         if self.steady_state_fault_ratio <= 0.0 {
             return Seconds(f64::INFINITY);
         }

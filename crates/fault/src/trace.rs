@@ -92,11 +92,6 @@ impl FaultTrace {
         nodes
     }
 
-    /// Instantaneous node fault ratio at time `t`.
-    pub fn fault_ratio_at(&self, t: Seconds) -> f64 {
-        self.faulty_nodes_at(t).len() as f64 / self.nodes as f64
-    }
-
     /// Samples the trace at `samples` evenly spaced instants, returning
     /// `(time, faulty node set)` pairs. This is the replay loop every
     /// fault-resilience experiment uses.
@@ -209,7 +204,6 @@ mod tests {
             vec![NodeId(2), NodeId(5)]
         );
         assert_eq!(trace.faulty_nodes_at(Seconds(800.0)), vec![NodeId(2)]);
-        assert!((trace.fault_ratio_at(Seconds(275.0)) - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cluster-level configuration shared by the topology, fault and cluster crates.
 
 use crate::error::{HbdError, Result};
-use crate::units::{Bytes, GBps, Gbps};
+use crate::units::{Bytes, Gbps};
 use serde::{Deserialize, Serialize};
 
 /// Number of GPUs per node.
@@ -22,17 +22,6 @@ impl NodeSize {
         match self {
             NodeSize::Four => 4,
             NodeSize::Eight => 8,
-        }
-    }
-
-    /// Constructs a node size from a GPU count.
-    pub fn from_gpus(gpus: usize) -> Result<Self> {
-        match gpus {
-            4 => Ok(NodeSize::Four),
-            8 => Ok(NodeSize::Eight),
-            other => Err(HbdError::invalid_config(format!(
-                "unsupported node size: {other} GPUs (expected 4 or 8)"
-            ))),
         }
     }
 }
@@ -63,16 +52,6 @@ impl GpuSpec {
             hbd_bandwidth: Gbps(6400.0),
             dcn_bandwidth: Gbps(400.0),
         }
-    }
-
-    /// HBD bandwidth expressed in GBps (payload bytes).
-    pub fn hbd_gbyteps(&self) -> GBps {
-        self.hbd_bandwidth.to_gbytes_per_sec()
-    }
-
-    /// DCN bandwidth expressed in GBps (payload bytes).
-    pub fn dcn_gbyteps(&self) -> GBps {
-        self.dcn_bandwidth.to_gbytes_per_sec()
     }
 }
 
@@ -197,9 +176,6 @@ mod tests {
     fn node_size_gpu_counts() {
         assert_eq!(NodeSize::Four.gpus(), 4);
         assert_eq!(NodeSize::Eight.gpus(), 8);
-        assert_eq!(NodeSize::from_gpus(4).unwrap(), NodeSize::Four);
-        assert_eq!(NodeSize::from_gpus(8).unwrap(), NodeSize::Eight);
-        assert!(NodeSize::from_gpus(6).is_err());
     }
 
     #[test]
@@ -209,8 +185,8 @@ mod tests {
         assert!((gpu.memory.as_gib() - 80.0).abs() < 1e-9);
         assert_eq!(gpu.hbd_bandwidth, Gbps(6400.0));
         assert_eq!(gpu.dcn_bandwidth, Gbps(400.0));
-        assert!((gpu.hbd_gbyteps().value() - 800.0).abs() < 1e-9);
-        assert!((gpu.dcn_gbyteps().value() - 50.0).abs() < 1e-9);
+        assert!((gpu.hbd_bandwidth.to_gbytes_per_sec().value() - 800.0).abs() < 1e-9);
+        assert!((gpu.dcn_bandwidth.to_gbytes_per_sec().value() - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -109,12 +109,6 @@ impl GpuId {
         NodeId(self.0 / gpus_per_node)
     }
 
-    /// Returns the local rank of this GPU within its node.
-    pub fn local_rank(self, gpus_per_node: usize) -> usize {
-        assert!(gpus_per_node > 0, "gpus_per_node must be positive");
-        self.0 % gpus_per_node
-    }
-
     /// Builds the global GPU id from a node and a local rank.
     pub fn from_node_rank(node: NodeId, local_rank: usize, gpus_per_node: usize) -> Self {
         assert!(
@@ -159,8 +153,7 @@ mod tests {
             for raw in 0..64usize {
                 let gpu = GpuId(raw);
                 let node = gpu.node(gpus_per_node);
-                let rank = gpu.local_rank(gpus_per_node);
-                assert_eq!(GpuId::from_node_rank(node, rank, gpus_per_node), gpu);
+                assert!(node.gpus(gpus_per_node).any(|g| g == gpu));
             }
         }
     }

@@ -184,11 +184,6 @@ impl Gbps {
 }
 
 impl GBps {
-    /// Converts to gigabits per second.
-    pub fn to_gbits_per_sec(self) -> Gbps {
-        Gbps(self.0 * 8.0)
-    }
-
     /// Time to transfer `bytes` at this bandwidth.
     pub fn transfer_time(self, bytes: Bytes) -> Seconds {
         assert!(self.0 > 0.0, "cannot transfer data over zero bandwidth");
@@ -281,7 +276,7 @@ mod tests {
         let rate = Gbps(800.0);
         let bytes_rate = rate.to_gbytes_per_sec();
         assert!((bytes_rate.value() - 100.0).abs() < 1e-12);
-        assert!((bytes_rate.to_gbits_per_sec().value() - 800.0).abs() < 1e-12);
+        assert!((bytes_rate.value() * 8.0 - rate.value()).abs() < 1e-12);
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn gpu_node_arithmetic_is_consistent_for_both_node_sizes() {
         let r = node_size.gpus();
         let gpu = GpuId(3 * r + (r - 1)); // last GPU of node 3
         assert_eq!(gpu.node(r), NodeId(3));
-        assert_eq!(gpu.local_rank(r), r - 1);
+        assert_eq!(NodeId(3).gpus(r).last(), Some(gpu));
         assert_eq!(GpuId::from_node_rank(NodeId(3), r - 1, r), gpu);
         assert_eq!(NodeId(3).gpus(r).count(), r);
     }
@@ -107,9 +107,14 @@ fn config_validation_reports_each_degenerate_parameter() {
 
 #[test]
 fn node_size_rejects_unsupported_gpu_counts() {
-    for gpus in [0usize, 1, 2, 6, 16] {
-        let err = NodeSize::from_gpus(gpus).unwrap_err();
-        assert!(err.to_string().contains("unsupported node size"));
+    // The enum admits only the two evaluated form factors, so a config that
+    // names any other GPU count fails to parse.
+    for gpus in ["0", "1", "2", "6", "16", "\"Six\""] {
+        assert!(serde_json::from_str::<NodeSize>(gpus).is_err(), "{gpus}");
+    }
+    for size in [NodeSize::Four, NodeSize::Eight] {
+        let json = serde_json::to_string(&size).unwrap();
+        assert_eq!(serde_json::from_str::<NodeSize>(&json).unwrap(), size);
     }
 }
 
@@ -126,7 +131,7 @@ fn cluster_config_round_trips_through_json() {
 fn gpu_spec_defaults_to_the_papers_h100() {
     let spec = GpuSpec::default();
     assert_eq!(spec, GpuSpec::h100());
-    assert!((spec.hbd_gbyteps().value() - 800.0).abs() < 1e-9);
+    assert!((spec.hbd_bandwidth.to_gbytes_per_sec().value() - 800.0).abs() < 1e-9);
     let json = serde_json::to_string(&spec).unwrap();
     let back: GpuSpec = serde_json::from_str(&json).unwrap();
     assert_eq!(back, spec);

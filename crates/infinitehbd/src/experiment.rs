@@ -96,16 +96,22 @@ impl ClusterStudy {
     ///
     /// The per-architecture trace replays fan out over up to `threads` scoped
     /// threads. The replay is deterministic (no RNG), so the reports are
-    /// identical for every thread count.
-    pub fn run_par(&self, samples: usize, threads: usize) -> Vec<StudyReport> {
+    /// identical for every thread count. Zero `samples` is an invalid
+    /// configuration.
+    pub fn run_par(&self, samples: usize, threads: usize) -> Result<Vec<StudyReport>> {
+        if samples == 0 {
+            return Err(HbdError::invalid_config(
+                "a study needs at least one trace sample",
+            ));
+        }
         let archs = paper_architectures(
             self.config.nodes,
             self.config.node_size.gpus(),
             self.tp_size,
-        );
-        par_map(threads, &archs, |_, arch| {
+        )?;
+        Ok(par_map(threads, &archs, |_, arch| {
             self.run_one(arch.as_ref(), samples)
-        })
+        }))
     }
 
     fn run_one(&self, arch: &dyn HbdArchitecture, samples: usize) -> StudyReport {
@@ -152,7 +158,7 @@ mod tests {
             7,
         )
         .unwrap();
-        let reports = study.run_par(30, 1);
+        let reports = study.run_par(30, 1).unwrap();
         assert_eq!(reports.len(), 8);
         let infinite = reports
             .iter()
@@ -181,7 +187,7 @@ mod tests {
             3,
         )
         .unwrap();
-        assert_eq!(study.run_par(10, 1), study.run_par(10, 4));
+        assert_eq!(study.run_par(10, 1).unwrap(), study.run_par(10, 4).unwrap());
     }
 
     #[test]
@@ -193,7 +199,8 @@ mod tests {
             3,
         )
         .unwrap()
-        .run_par(10, 1);
+        .run_par(10, 1)
+        .unwrap();
         let b = ClusterStudy::new(
             ClusterConfig::new(90, NodeSize::Four, 16, 4).unwrap(),
             16,
@@ -201,7 +208,20 @@ mod tests {
             3,
         )
         .unwrap()
-        .run_par(10, 1);
+        .run_par(10, 1)
+        .unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zero_samples_is_an_error_not_a_panic() {
+        let study = ClusterStudy::new(
+            ClusterConfig::new(90, NodeSize::Four, 16, 4).unwrap(),
+            16,
+            Seconds::from_days(10.0),
+            3,
+        )
+        .unwrap();
+        assert!(study.run_par(0, 1).is_err());
     }
 }

@@ -33,7 +33,7 @@ impl ComputeModel {
 
     /// Fraction of peak FLOPS achieved by GEMMs sharded over a TP group of
     /// `tp` GPUs.
-    pub fn gemm_efficiency(&self, tp: usize) -> f64 {
+    fn gemm_efficiency(&self, tp: usize) -> f64 {
         assert!(tp >= 1, "TP degree must be at least 1");
         let doublings = (tp as f64).log2();
         (self.base_efficiency * (1.0 - self.tp_doubling_penalty * doublings)).max(0.05)

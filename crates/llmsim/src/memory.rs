@@ -48,7 +48,7 @@ impl MemoryModel {
     ///
     /// MoE expert weights are additionally sharded over the EP dimension (each
     /// EP rank holds `experts / ep` experts).
-    pub fn per_gpu_bytes(&self, model: &ModelConfig, strategy: &ParallelismStrategy) -> Bytes {
+    fn per_gpu_bytes(&self, model: &ModelConfig, strategy: &ParallelismStrategy) -> Bytes {
         let shard = strategy.tp as f64 * strategy.pp as f64;
         let expert_params =
             model.moe_layers() as f64 * model.ffn_params_per_layer() * model.experts as f64;

@@ -252,14 +252,14 @@ mod tests {
         let mut sim = simulator();
         let model = ModelConfig::gpt_moe_1t();
         let ep_strategy = ParallelismStrategy::new(8, 8, 16).with_ep(8);
-        sim.imbalance = ExpertImbalance::balanced();
+        sim.imbalance = ExpertImbalance::default();
         let balanced = sim.estimate(&model, &ep_strategy).unwrap();
         sim.imbalance = ExpertImbalance::new(0.3);
         let skewed = sim.estimate(&model, &ep_strategy).unwrap();
         assert!(skewed.mfu < balanced.mfu);
         // TP sharding is immune to the imbalance.
         let tp_strategy = ParallelismStrategy::new(16, 8, 8);
-        sim.imbalance = ExpertImbalance::balanced();
+        sim.imbalance = ExpertImbalance::default();
         let tp_balanced = sim.estimate(&model, &tp_strategy).unwrap();
         sim.imbalance = ExpertImbalance::new(0.3);
         let tp_skewed = sim.estimate(&model, &tp_strategy).unwrap();

@@ -92,7 +92,7 @@ impl ModelConfig {
     }
 
     /// Attention parameters per layer: Q, K, V and output projections.
-    pub fn attention_params_per_layer(&self) -> f64 {
+    fn attention_params_per_layer(&self) -> f64 {
         4.0 * (self.hidden as f64) * (self.hidden as f64)
     }
 
@@ -108,7 +108,7 @@ impl ModelConfig {
     }
 
     /// Number of dense (non-MoE) layers.
-    pub fn dense_layers(&self) -> usize {
+    fn dense_layers(&self) -> usize {
         self.layers - self.moe_layers()
     }
 
@@ -133,7 +133,7 @@ impl ModelConfig {
     }
 
     /// Tokens processed per training iteration.
-    pub fn tokens_per_iteration(&self) -> f64 {
+    fn tokens_per_iteration(&self) -> f64 {
         (self.global_batch * self.seq_len) as f64
     }
 

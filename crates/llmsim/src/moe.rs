@@ -32,11 +32,6 @@ impl ExpertImbalance {
         ExpertImbalance { coefficient }
     }
 
-    /// Perfectly balanced experts.
-    pub fn balanced() -> Self {
-        Self::new(0.0)
-    }
-
     /// The 20 % production setting used by the §6.3 simulations.
     pub fn paper_production() -> Self {
         Self::new(0.20)
@@ -54,8 +49,9 @@ impl ExpertImbalance {
 }
 
 impl Default for ExpertImbalance {
+    /// Perfectly balanced experts.
     fn default() -> Self {
-        Self::balanced()
+        Self::new(0.0)
     }
 }
 
@@ -65,7 +61,7 @@ mod tests {
 
     #[test]
     fn balanced_experts_have_no_stretch() {
-        let imbalance = ExpertImbalance::balanced();
+        let imbalance = ExpertImbalance::default();
         assert_eq!(imbalance.compute_stretch(8), 1.0);
     }
 

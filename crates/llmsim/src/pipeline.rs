@@ -30,12 +30,6 @@ impl PipelineModel {
         let m = microbatches.max(1) as f64;
         (strategy.pp as f64 - 1.0) / (strategy.vpp as f64 * m)
     }
-
-    /// Multiplier applied to the steady-state iteration time to account for the
-    /// pipeline fill/drain bubble: `1 + bubble_ratio`.
-    pub fn bubble_multiplier(strategy: &ParallelismStrategy, microbatches: usize) -> f64 {
-        1.0 + Self::bubble_ratio(strategy, microbatches)
-    }
 }
 
 #[cfg(test)]
@@ -46,7 +40,6 @@ mod tests {
     fn no_pipeline_means_no_bubble() {
         let strategy = ParallelismStrategy::new(16, 1, 64);
         assert_eq!(PipelineModel::bubble_ratio(&strategy, 32), 0.0);
-        assert_eq!(PipelineModel::bubble_multiplier(&strategy, 32), 1.0);
     }
 
     #[test]

@@ -29,11 +29,11 @@ pub struct SearchSpace {
     pub vpp: Vec<usize>,
 }
 
-impl SearchSpace {
+impl Default for SearchSpace {
     /// The grid used by the paper's simulations (footnote 6). Virtual
     /// pipelining defaults to 1; the GPT-MoE runtime configuration of
     /// Appendix B (virtual pipeline = 3) can be expressed by overriding `vpp`.
-    pub fn paper_grid() -> Self {
+    fn default() -> Self {
         SearchSpace {
             tp: vec![1, 2, 4, 8, 16, 32, 64, 128],
             pp: vec![1, 2, 4, 8, 16],
@@ -41,19 +41,6 @@ impl SearchSpace {
             ep: vec![1, 2, 4, 8],
             vpp: vec![1],
         }
-    }
-
-    /// Restricts the TP candidates to at most `cap` GPUs (e.g. 8 for a DGX
-    /// node, 72 for NVL-72).
-    pub fn with_tp_cap(mut self, cap: usize) -> Self {
-        self.tp.retain(|&tp| tp <= cap);
-        self
-    }
-}
-
-impl Default for SearchSpace {
-    fn default() -> Self {
-        Self::paper_grid()
     }
 }
 
@@ -72,10 +59,7 @@ impl StrategySearch {
 
     /// Search with the paper's defaults.
     pub fn paper_defaults() -> Self {
-        Self::new(
-            TrainingSimulator::paper_defaults(),
-            SearchSpace::paper_grid(),
-        )
+        Self::new(TrainingSimulator::paper_defaults(), SearchSpace::default())
     }
 
     /// Enumerates every feasible strategy for `model` on `gpus` GPUs, together
@@ -138,8 +122,9 @@ impl StrategySearch {
         gpus: usize,
         cap: usize,
     ) -> Result<MfuEstimate> {
-        let constrained = StrategySearch::new(self.simulator, self.space.clone().with_tp_cap(cap));
-        constrained.optimal(model, gpus)
+        let mut space = self.space.clone();
+        space.tp.retain(|&tp| tp <= cap);
+        StrategySearch::new(self.simulator, space).optimal(model, gpus)
     }
 }
 
@@ -149,10 +134,13 @@ mod tests {
 
     #[test]
     fn paper_grid_contains_the_published_strategies() {
-        let space = SearchSpace::paper_grid();
+        let space = SearchSpace::default();
         assert!(space.tp.contains(&16) && space.tp.contains(&64));
         assert!(space.pp.contains(&16));
-        assert_eq!(space.clone().with_tp_cap(8).tp, vec![1, 2, 4, 8]);
+        let capped = StrategySearch::paper_defaults()
+            .optimal_with_tp_cap(&ModelConfig::llama31_405b(), 4096, 8)
+            .unwrap();
+        assert!(capped.strategy.tp <= 8);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`mzi`] / [`matrix`] — the optical routing fabric (which input lane reaches
 //!   which output port, how many MZI stages the light crosses, the per-stage
 //!   insertion loss),
-//! * [`path`] / [`transceiver`] — the three-way path state machine with
-//!   exclusive activation and reconfiguration latency,
+//! * [`path`] / [`transceiver`] — the three paths, their exclusive activation
+//!   and reconfiguration latency,
 //! * [`optics`] — insertion-loss and bit-error-rate models parameterised by
 //!   ambient temperature, calibrated to the paper's measurements (Figs 10a, 11
 //!   and 12),
@@ -43,6 +43,6 @@ pub use bundle::{Bundle, BundleState};
 pub use matrix::MziSwitchMatrix;
 pub use mzi::{MziElement, MziState};
 pub use optics::{BerModel, InsertionLossModel, OpticalConditions};
-pub use path::{PathId, PathState};
+pub use path::PathId;
 pub use power::PowerModel;
 pub use transceiver::{OcsTrx, TrxConfig};

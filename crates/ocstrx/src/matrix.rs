@@ -93,11 +93,6 @@ impl MziSwitchMatrix {
         self.lanes
     }
 
-    /// Number of stages of the internal loopback network.
-    pub fn loopback_stages(&self) -> usize {
-        self.loopback_stages
-    }
-
     /// Current target of `lane`.
     pub fn target(&self, lane: usize) -> Result<LaneTarget> {
         self.targets.get(lane).copied().ok_or_else(|| {
@@ -173,7 +168,7 @@ impl MziSwitchMatrix {
     /// goal called out in §4.1: "reduce stages count and light attenuation of
     /// output 1&2, while ensuring consistent light attenuation for them").
     /// Loopback paths additionally cross the internal multistage network.
-    pub fn stages_for(&self, path: PathId) -> usize {
+    fn stages_for(&self, path: PathId) -> usize {
         match path {
             PathId::External1 | PathId::External2 => 2,
             PathId::Loopback => 2 + self.loopback_stages,
@@ -249,7 +244,7 @@ mod tests {
     fn qsfp_dd_module_has_eight_lanes() {
         let matrix = MziSwitchMatrix::new(8).unwrap();
         assert_eq!(matrix.lanes(), 8);
-        assert!(matrix.loopback_stages() >= 3);
+        assert!(matrix.loopback_stages >= 3);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * the **bar / cross routing state** driven by the heater,
 //! * the **switching time** of the TO phase shifter (tens of microseconds — the
 //!   dominant term of the 60–80 µs reconfiguration latency),
-//! * the **per-element insertion loss** and **crosstalk** (extinction ratio),
-//!   which accumulate along the light path and feed the optics model.
+//! * the **per-element insertion loss**, which accumulates along the light
+//!   path and feeds the optics model.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,8 +51,6 @@ pub struct MziElement {
     /// Insertion loss contributed by this element when light passes through it,
     /// in dB. Typical SiPh MZI elements contribute a fraction of a dB.
     insertion_loss_db: f64,
-    /// Extinction ratio in dB: how much the unwanted output port is suppressed.
-    extinction_ratio_db: f64,
     /// Heater drive power required to hold the Cross state, in milliwatts.
     heater_power_mw: f64,
     /// Thermo-optic switching time in microseconds.
@@ -61,39 +59,13 @@ pub struct MziElement {
 
 impl MziElement {
     /// Default element parameters used by the OCSTrx model: 0.35 dB insertion
-    /// loss, 25 dB extinction ratio, 20 mW heater drive and 30 µs TO response.
+    /// loss, 20 mW heater drive and 30 µs TO response.
     pub fn new() -> Self {
         MziElement {
             state: MziState::Bar,
             insertion_loss_db: 0.35,
-            extinction_ratio_db: 25.0,
             heater_power_mw: 20.0,
             switch_time_us: 30.0,
-        }
-    }
-
-    /// Creates an element with explicit optical parameters.
-    pub fn with_parameters(
-        insertion_loss_db: f64,
-        extinction_ratio_db: f64,
-        heater_power_mw: f64,
-        switch_time_us: f64,
-    ) -> Self {
-        assert!(
-            insertion_loss_db >= 0.0,
-            "insertion loss cannot be negative"
-        );
-        assert!(
-            extinction_ratio_db > 0.0,
-            "extinction ratio must be positive"
-        );
-        assert!(switch_time_us > 0.0, "switch time must be positive");
-        MziElement {
-            state: MziState::Bar,
-            insertion_loss_db,
-            extinction_ratio_db,
-            heater_power_mw,
-            switch_time_us,
         }
     }
 
@@ -122,11 +94,6 @@ impl MziElement {
     /// Insertion loss of this element in dB.
     pub fn insertion_loss_db(&self) -> f64 {
         self.insertion_loss_db
-    }
-
-    /// Extinction ratio (crosstalk suppression) in dB.
-    pub fn extinction_ratio_db(&self) -> f64 {
-        self.extinction_ratio_db
     }
 
     /// Heater power currently dissipated, in milliwatts. The Bar state is the
@@ -195,19 +162,5 @@ mod tests {
         assert_eq!(element.heater_power_mw(), 0.0);
         element.set_state(MziState::Cross);
         assert!(element.heater_power_mw() > 0.0);
-    }
-
-    #[test]
-    fn custom_parameters_are_preserved() {
-        let element = MziElement::with_parameters(0.5, 30.0, 15.0, 25.0);
-        assert_eq!(element.insertion_loss_db(), 0.5);
-        assert_eq!(element.extinction_ratio_db(), 30.0);
-        assert_eq!(element.switch_time_us(), 25.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "insertion loss")]
-    fn negative_insertion_loss_is_rejected() {
-        let _ = MziElement::with_parameters(-0.1, 25.0, 20.0, 30.0);
     }
 }

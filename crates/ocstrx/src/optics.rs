@@ -30,16 +30,6 @@ pub struct OpticalConditions {
     pub oma_mw: f64,
 }
 
-impl OpticalConditions {
-    /// Room-temperature conditions with a healthy OMA.
-    pub fn room_temperature() -> Self {
-        OpticalConditions {
-            temperature_c: 25.0,
-            oma_mw: 1.0,
-        }
-    }
-}
-
 /// Statistical model of the core-module insertion loss.
 ///
 /// Loss is modelled as a truncated Gaussian whose mean rises mildly with
@@ -73,12 +63,12 @@ impl InsertionLossModel {
     }
 
     /// Lower bound of the observed support at the given temperature.
-    pub fn min_db(&self, temperature_c: f64) -> f64 {
+    fn min_db(&self, temperature_c: f64) -> f64 {
         (self.mean_db(temperature_c) - 3.0 * self.sigma_db).max(2.0)
     }
 
     /// Upper bound of the observed support at the given temperature.
-    pub fn max_db(&self, temperature_c: f64) -> f64 {
+    fn max_db(&self, temperature_c: f64) -> f64 {
         self.mean_db(temperature_c) + 3.0 * self.sigma_db
     }
 
@@ -145,7 +135,7 @@ impl BerModel {
 
     /// OMA threshold below which errors may occur at the given temperature.
     /// Below 50 °C the threshold is zero: the device is error-free at any OMA.
-    pub fn threshold_oma_mw(&self, temperature_c: f64) -> f64 {
+    fn threshold_oma_mw(&self, temperature_c: f64) -> f64 {
         if temperature_c < 40.0 {
             0.0
         } else {

@@ -1,5 +1,4 @@
-//! The three communication paths of an OCSTrx and their exclusive-activation
-//! state machine.
+//! The three communication paths of an OCSTrx.
 //!
 //! §4.1/§3 of the paper: an OCSTrx offers a *cross-lane loopback* path (Path 3)
 //! used to close GPU rings inside a node, and *two external paths* (Paths 1 and
@@ -35,7 +34,7 @@ impl PathId {
     }
 
     /// Paper numbering: Path 1, Path 2, Path 3.
-    pub fn paper_number(self) -> usize {
+    fn paper_number(self) -> usize {
         match self {
             PathId::External1 => 1,
             PathId::External2 => 2,
@@ -47,31 +46,6 @@ impl PathId {
 impl fmt::Display for PathId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Path {}", self.paper_number())
-    }
-}
-
-/// Activation state of one path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PathState {
-    /// The path is selected and carries the full transceiver bandwidth.
-    Active,
-    /// The path is physically wired but not selected; it carries no traffic and
-    /// can be activated by a reconfiguration (a backup link).
-    Standby,
-    /// The path's far end is known to be unusable (faulty neighbour, unplugged
-    /// fiber). It cannot be activated until repaired.
-    Down,
-}
-
-impl PathState {
-    /// Whether traffic can flow on a path in this state.
-    pub fn carries_traffic(self) -> bool {
-        matches!(self, PathState::Active)
-    }
-
-    /// Whether the path can be selected by a reconfiguration.
-    pub fn is_selectable(self) -> bool {
-        matches!(self, PathState::Active | PathState::Standby)
     }
 }
 
@@ -100,15 +74,5 @@ mod tests {
         let mut sorted = PathId::ALL.to_vec();
         sorted.dedup();
         assert_eq!(sorted.len(), 3);
-    }
-
-    #[test]
-    fn traffic_and_selectability_rules() {
-        assert!(PathState::Active.carries_traffic());
-        assert!(!PathState::Standby.carries_traffic());
-        assert!(!PathState::Down.carries_traffic());
-        assert!(PathState::Active.is_selectable());
-        assert!(PathState::Standby.is_selectable());
-        assert!(!PathState::Down.is_selectable());
     }
 }

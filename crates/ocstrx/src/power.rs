@@ -45,11 +45,10 @@ impl PowerModel {
 
     /// Core-module power with `path` active at `temperature_c`.
     pub fn core_power(&self, path: PathId, temperature_c: f64) -> Watts {
-        let base = match path {
-            PathId::Loopback => self.core_loopback_at_25c,
-            PathId::External1 | PathId::External2 => {
-                self.core_loopback_at_25c - self.external_path_discount
-            }
+        let base = if path.is_external() {
+            self.core_loopback_at_25c - self.external_path_discount
+        } else {
+            self.core_loopback_at_25c
         };
         let delta = self.temperature_slope_w_per_c * (temperature_c - 25.0);
         Watts((base.value() + delta).max(0.0))
@@ -58,21 +57,6 @@ impl PowerModel {
     /// Total module power with `path` active at `temperature_c`.
     pub fn total_power(&self, path: PathId, temperature_c: f64) -> Watts {
         self.peripheral + self.core_power(path, temperature_c)
-    }
-
-    /// Whether the module stays within the QSFP-DD power budget under the given
-    /// conditions.
-    pub fn within_budget(&self, path: PathId, temperature_c: f64) -> bool {
-        self.total_power(path, temperature_c).value() <= self.qsfp_dd_budget.value()
-    }
-
-    /// Worst-case core power across all paths at the given temperature; this is
-    /// the number the paper quotes as "less than 3.2 W".
-    pub fn worst_case_core_power(&self, temperature_c: f64) -> Watts {
-        PathId::ALL
-            .iter()
-            .map(|&p| self.core_power(p, temperature_c))
-            .fold(Watts::ZERO, Watts::max)
     }
 }
 
@@ -90,11 +74,11 @@ mod tests {
     fn core_power_stays_below_published_bound() {
         let model = PowerModel::paper_calibrated();
         for temp in [0.0, 25.0, 50.0, 85.0] {
-            assert!(
-                model.worst_case_core_power(temp).value() <= 3.2,
-                "core power exceeded 3.2 W at {temp}C"
-            );
-            assert!(model.worst_case_core_power(temp).value() >= 2.8);
+            for path in PathId::ALL {
+                let core = model.core_power(path, temp).value();
+                assert!(core <= 3.2, "core power exceeded 3.2 W at {temp}C");
+                assert!(core >= 2.8);
+            }
         }
     }
 
@@ -121,7 +105,7 @@ mod tests {
         let model = PowerModel::paper_calibrated();
         for temp in [0.0, 25.0, 50.0, 85.0] {
             for path in PathId::ALL {
-                assert!(model.within_budget(path, temp));
+                assert!(model.total_power(path, temp) <= model.qsfp_dd_budget);
                 assert!(model.total_power(path, temp).value() < 12.0);
                 assert!(model.total_power(path, temp).value() > 10.0);
             }

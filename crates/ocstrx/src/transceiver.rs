@@ -1,5 +1,5 @@
-//! The OCSTrx module: the path state machine, reconfiguration latency and the
-//! bandwidth-allocation rule.
+//! The OCSTrx module: exclusive path activation, reconfiguration latency and
+//! the bandwidth-allocation rule.
 //!
 //! The transceiver is the unit that the topology crate reasons about: it has
 //! exactly one *active* path at a time (time-division bandwidth allocation,
@@ -8,7 +8,7 @@
 
 use crate::matrix::MziSwitchMatrix;
 use crate::optics::{BerModel, InsertionLossModel, OpticalConditions};
-use crate::path::{PathId, PathState};
+use crate::path::PathId;
 use crate::power::PowerModel;
 use hbd_types::{Gbps, HbdError, Microseconds, Result, Watts};
 use serde::{Deserialize, Serialize};
@@ -28,7 +28,7 @@ pub struct TrxConfig {
 
 impl TrxConfig {
     /// The QSFP-DD 800 Gbps configuration evaluated in the paper.
-    pub fn qsfp_dd_800g() -> Self {
+    fn qsfp_dd_800g() -> Self {
         TrxConfig {
             line_rate: Gbps(800.0),
             lanes: 8,
@@ -38,7 +38,7 @@ impl TrxConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         if self.lanes == 0 || !self.lanes.is_multiple_of(2) {
             return Err(HbdError::invalid_config(format!(
                 "OCSTrx needs an even, positive lane count (got {})",
@@ -72,12 +72,9 @@ pub struct OcsTrx {
     loss_model: InsertionLossModel,
     ber_model: BerModel,
     power_model: PowerModel,
+    /// The one path carrying the full line rate; every other path carries
+    /// nothing (time-division bandwidth allocation).
     active: PathId,
-    states: [PathState; 3],
-    /// Total number of reconfigurations performed (telemetry).
-    reconfig_count: u64,
-    /// Accumulated reconfiguration time in microseconds (telemetry).
-    reconfig_time_us: f64,
 }
 
 impl OcsTrx {
@@ -88,7 +85,7 @@ impl OcsTrx {
     }
 
     /// Creates a transceiver with an explicit configuration.
-    pub fn with_config(config: TrxConfig) -> Result<Self> {
+    fn with_config(config: TrxConfig) -> Result<Self> {
         config.validate()?;
         Ok(OcsTrx {
             config,
@@ -97,59 +94,12 @@ impl OcsTrx {
             ber_model: BerModel::paper_calibrated(),
             power_model: PowerModel::paper_calibrated(),
             active: PathId::External1,
-            states: [PathState::Active, PathState::Standby, PathState::Standby],
-            reconfig_count: 0,
-            reconfig_time_us: 0.0,
         })
     }
 
     /// Static configuration.
     pub fn config(&self) -> &TrxConfig {
         &self.config
-    }
-
-    /// The currently active path.
-    pub fn active_path(&self) -> PathId {
-        self.active
-    }
-
-    /// State of a given path.
-    pub fn path_state(&self, path: PathId) -> PathState {
-        self.states[Self::idx(path)]
-    }
-
-    /// Bandwidth carried by `path` right now. The full line rate rides on the
-    /// active path; every other path carries zero — this is the "no redundant
-    /// link waste" property of Design 1.
-    pub fn bandwidth_on(&self, path: PathId) -> Gbps {
-        if path == self.active && self.states[Self::idx(path)].carries_traffic() {
-            self.config.line_rate
-        } else {
-            Gbps::ZERO
-        }
-    }
-
-    /// Marks a path as down (e.g. the neighbour node on that fiber failed).
-    /// If the active path goes down the transceiver stops carrying traffic
-    /// until it is reconfigured onto a selectable path.
-    pub fn mark_down(&mut self, path: PathId) {
-        self.states[Self::idx(path)] = PathState::Down;
-    }
-
-    /// Restores a previously-down path to standby.
-    pub fn mark_repaired(&mut self, path: PathId) {
-        if self.states[Self::idx(path)] == PathState::Down {
-            self.states[Self::idx(path)] = if self.active == path {
-                PathState::Active
-            } else {
-                PathState::Standby
-            };
-        }
-    }
-
-    /// Whether the transceiver is currently able to carry traffic.
-    pub fn is_carrying_traffic(&self) -> bool {
-        self.states[Self::idx(self.active)].carries_traffic()
     }
 
     /// Reconfigures the transceiver onto `path`, returning the end-to-end
@@ -159,26 +109,14 @@ impl OcsTrx {
     /// (thermo-optic) settling time from the MZI model, floored/capped by the
     /// configured bounds which also account for the controller firmware.
     pub fn reconfigure(&mut self, path: PathId) -> Result<Microseconds> {
-        if !self.states[Self::idx(path)].is_selectable() {
-            return Err(HbdError::invalid_operation(format!(
-                "cannot activate {path}: path is down"
-            )));
-        }
         if path == self.active {
             return Ok(Microseconds::ZERO);
         }
         let optical_settle = match path {
-            PathId::External1 => {
+            PathId::External1 | PathId::External2 => {
                 let mut t: f64 = 0.0;
                 for lane in 0..self.config.lanes {
-                    t = t.max(self.matrix.steer_external(lane, PathId::External1)?);
-                }
-                t
-            }
-            PathId::External2 => {
-                let mut t: f64 = 0.0;
-                for lane in 0..self.config.lanes {
-                    t = t.max(self.matrix.steer_external(lane, PathId::External2)?);
+                    t = t.max(self.matrix.steer_external(lane, path)?);
                 }
                 t
             }
@@ -197,15 +135,7 @@ impl OcsTrx {
             .max(self.config.reconfig_min.value())
             .min(self.config.reconfig_max.value());
 
-        // Demote the old active path, promote the new one.
-        let old = self.active;
-        if self.states[Self::idx(old)] == PathState::Active {
-            self.states[Self::idx(old)] = PathState::Standby;
-        }
-        self.states[Self::idx(path)] = PathState::Active;
         self.active = path;
-        self.reconfig_count += 1;
-        self.reconfig_time_us += latency;
         Ok(Microseconds(latency))
     }
 
@@ -239,29 +169,6 @@ impl OcsTrx {
     pub fn power(&self, temperature_c: f64) -> Watts {
         self.power_model.total_power(self.active, temperature_c)
     }
-
-    /// Number of reconfigurations performed since creation.
-    pub fn reconfiguration_count(&self) -> u64 {
-        self.reconfig_count
-    }
-
-    /// Total time spent reconfiguring since creation.
-    pub fn total_reconfiguration_time(&self) -> Microseconds {
-        Microseconds(self.reconfig_time_us)
-    }
-
-    /// Access to the underlying switch matrix (read-only).
-    pub fn matrix(&self) -> &MziSwitchMatrix {
-        &self.matrix
-    }
-
-    fn idx(path: PathId) -> usize {
-        match path {
-            PathId::External1 => 0,
-            PathId::External2 => 1,
-            PathId::Loopback => 2,
-        }
-    }
 }
 
 impl Default for OcsTrx {
@@ -273,29 +180,33 @@ impl Default for OcsTrx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::LaneTarget;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    const ROOM_TEMPERATURE: OpticalConditions = OpticalConditions {
+        temperature_c: 25.0,
+        oma_mw: 1.0,
+    };
 
     #[test]
     fn defaults_match_qsfp_dd_800g() {
         let trx = OcsTrx::new();
         assert_eq!(trx.config().line_rate, Gbps(800.0));
         assert_eq!(trx.config().lanes, 8);
-        assert_eq!(trx.active_path(), PathId::External1);
-        assert!(trx.is_carrying_traffic());
+        assert_eq!(trx.active, PathId::External1);
     }
 
     #[test]
     fn only_the_active_path_carries_bandwidth() {
-        let trx = OcsTrx::new();
-        assert_eq!(trx.bandwidth_on(PathId::External1), Gbps(800.0));
-        assert_eq!(trx.bandwidth_on(PathId::External2), Gbps::ZERO);
-        assert_eq!(trx.bandwidth_on(PathId::Loopback), Gbps::ZERO);
-        let total: f64 = PathId::ALL
-            .iter()
-            .map(|&p| trx.bandwidth_on(p).value())
-            .sum();
-        assert_eq!(total, 800.0);
+        // The module holds one active path, so the whole line rate rides on
+        // it: activating a path deactivates the previous one.
+        let mut trx = OcsTrx::new();
+        for path in [PathId::Loopback, PathId::External2, PathId::External1] {
+            trx.reconfigure(path).unwrap();
+            assert_eq!(trx.active, path);
+            assert_eq!(trx.config().line_rate, Gbps(800.0));
+        }
     }
 
     #[test]
@@ -305,8 +216,6 @@ mod tests {
         assert!(t.value() >= 60.0 && t.value() <= 80.0, "latency {t}");
         let t = trx.reconfigure(PathId::Loopback).unwrap();
         assert!(t.value() >= 60.0 && t.value() <= 80.0, "latency {t}");
-        assert_eq!(trx.reconfiguration_count(), 2);
-        assert!(trx.total_reconfiguration_time().value() >= 120.0);
     }
 
     #[test]
@@ -316,44 +225,31 @@ mod tests {
             trx.reconfigure(PathId::External1).unwrap(),
             Microseconds::ZERO
         );
-        assert_eq!(trx.reconfiguration_count(), 0);
+        trx.reconfigure(PathId::External2).unwrap();
+        assert_eq!(
+            trx.reconfigure(PathId::External2).unwrap(),
+            Microseconds::ZERO
+        );
     }
 
     #[test]
     fn reconfiguration_moves_the_full_bandwidth() {
         let mut trx = OcsTrx::new();
         trx.reconfigure(PathId::External2).unwrap();
-        assert_eq!(trx.bandwidth_on(PathId::External2), Gbps(800.0));
-        assert_eq!(trx.bandwidth_on(PathId::External1), Gbps::ZERO);
-        assert_eq!(trx.path_state(PathId::External1), PathState::Standby);
-        assert_eq!(trx.path_state(PathId::External2), PathState::Active);
-    }
-
-    #[test]
-    fn down_paths_cannot_be_activated_until_repaired() {
-        let mut trx = OcsTrx::new();
-        trx.mark_down(PathId::External2);
-        assert!(trx.reconfigure(PathId::External2).is_err());
-        trx.mark_repaired(PathId::External2);
-        assert!(trx.reconfigure(PathId::External2).is_ok());
-    }
-
-    #[test]
-    fn losing_the_active_path_stops_traffic() {
-        let mut trx = OcsTrx::new();
-        trx.mark_down(PathId::External1);
-        assert!(!trx.is_carrying_traffic());
-        assert_eq!(trx.bandwidth_on(PathId::External1), Gbps::ZERO);
-        // Failing over to the backup path restores traffic.
-        trx.reconfigure(PathId::External2).unwrap();
-        assert!(trx.is_carrying_traffic());
+        assert_eq!(trx.active, PathId::External2);
+        for lane in 0..trx.config().lanes {
+            assert_eq!(
+                trx.matrix.target(lane).unwrap(),
+                LaneTarget::External(PathId::External2)
+            );
+        }
     }
 
     #[test]
     fn loopback_path_has_higher_insertion_loss() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut trx = OcsTrx::new();
-        let cond = OpticalConditions::room_temperature();
+        let cond = ROOM_TEMPERATURE;
         let ext_losses: f64 = (0..200)
             .map(|_| trx.insertion_loss_db(cond, &mut rng))
             .sum::<f64>()
@@ -371,7 +267,6 @@ mod tests {
     fn power_stays_within_qsfp_dd_budget_across_paths() {
         let mut trx = OcsTrx::new();
         for path in PathId::ALL {
-            trx.mark_repaired(path);
             trx.reconfigure(path).unwrap();
             for temp in [0.0, 25.0, 50.0, 85.0] {
                 assert!(trx.power(temp).value() < 12.0);
@@ -382,7 +277,7 @@ mod tests {
     #[test]
     fn expected_ber_is_zero_at_room_temperature() {
         let trx = OcsTrx::new();
-        assert_eq!(trx.expected_ber(OpticalConditions::room_temperature()), 0.0);
+        assert_eq!(trx.expected_ber(ROOM_TEMPERATURE), 0.0);
     }
 
     #[test]

@@ -125,32 +125,6 @@ impl DeploymentStrategy {
                 HbdError::unknown_entity(format!("domain {domain} of sub-line {subline}"))
             })
     }
-
-    /// The HBD neighbours (main links) of a node: `n ± p`.
-    pub fn main_neighbours(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if let Some(prev) = node.checked_sub(self.nodes_per_tor) {
-            out.push(prev);
-        }
-        let next = node.offset(self.nodes_per_tor);
-        if next.index() < self.nodes {
-            out.push(next);
-        }
-        out
-    }
-
-    /// The HBD backup neighbours of a node: `n ± 2p`.
-    pub fn backup_neighbours(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        if let Some(prev) = node.checked_sub(2 * self.nodes_per_tor) {
-            out.push(prev);
-        }
-        let next = node.offset(2 * self.nodes_per_tor);
-        if next.index() < self.nodes {
-            out.push(next);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -225,20 +199,21 @@ mod tests {
 
     #[test]
     fn main_and_backup_neighbours_follow_fig7() {
+        // Within a sub-line the K-Hop Ring runs n → n + p: a node's main
+        // links reach n ± p (one hop) and its backup links n ± 2p (two hops),
+        // so HBD neighbours are never under the same ToR.
         let deploy = DeploymentStrategy::new(16, 4).unwrap();
-        assert_eq!(
-            deploy.main_neighbours(NodeId(5)),
-            vec![NodeId(1), NodeId(9)]
-        );
-        assert_eq!(deploy.backup_neighbours(NodeId(5)), vec![NodeId(13)]);
-        assert_eq!(deploy.main_neighbours(NodeId(0)), vec![NodeId(4)]);
-        assert_eq!(deploy.backup_neighbours(NodeId(14)), vec![NodeId(6)]);
-        // HBD neighbours are never under the same ToR.
-        for n in 0..16 {
-            for neighbour in deploy.main_neighbours(NodeId(n)) {
-                assert_ne!(n / 4, neighbour.index() / 4);
+        let order = deploy.deployment_order();
+        for subline in order.chunks(deploy.subline_length()) {
+            for pair in subline.windows(2) {
+                assert_eq!(pair[1].index(), pair[0].index() + 4);
+                assert_ne!(pair[0].index() / 4, pair[1].index() / 4);
+            }
+            for pair in subline.windows(3) {
+                assert_eq!(pair[2].index(), pair[0].index() + 8);
             }
         }
+        assert_eq!(&order[4..8], &[NodeId(1), NodeId(5), NodeId(9), NodeId(13)]);
     }
 
     #[test]

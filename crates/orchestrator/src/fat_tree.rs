@@ -1604,7 +1604,8 @@ mod tests {
                     let (patched, _) = orch.patch_scratch(&req, &scratch, &next);
                     assert_matches_cold_rebuild(&orch, &req, &patched, &next);
                     for (domain, chunk) in scratch.chunks.iter().enumerate() {
-                        if next.range_eq(&live, domain * npd, (domain + 1) * npd) {
+                        let mut dirty = next.iter_diff_range(&live, domain * npd, (domain + 1) * npd);
+                        if dirty.next().is_none() {
                             prop_assert!(
                                 Arc::ptr_eq(chunk, &patched.chunks[domain]),
                                 "clean domain {} copied",

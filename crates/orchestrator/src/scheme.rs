@@ -35,11 +35,6 @@ impl TpGroup {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// The node holding TP rank `rank` (by node position).
-    pub fn node_at(&self, rank: usize) -> Option<NodeId> {
-        self.nodes.get(rank).copied()
-    }
 }
 
 /// A complete placement scheme: the ordered TP groups selected for a job.
@@ -55,11 +50,6 @@ impl PlacementScheme {
         Self::default()
     }
 
-    /// Creates a scheme from groups.
-    pub fn from_groups(groups: Vec<TpGroup>) -> Self {
-        PlacementScheme { groups }
-    }
-
     /// Number of TP groups.
     pub fn len(&self) -> usize {
         self.groups.len()
@@ -73,11 +63,6 @@ impl PlacementScheme {
     /// Total nodes placed.
     pub fn nodes_placed(&self) -> usize {
         self.groups.iter().map(|g| g.len()).sum()
-    }
-
-    /// Total GPUs placed, given the node size.
-    pub fn gpus_placed(&self, gpus_per_node: usize) -> usize {
-        self.nodes_placed() * gpus_per_node
     }
 
     /// Appends a group.
@@ -138,35 +123,44 @@ mod tests {
 
     #[test]
     fn counting_and_ranks() {
-        let scheme = PlacementScheme::from_groups(vec![group(&[0, 1]), group(&[2, 3])]);
+        let scheme = PlacementScheme {
+            groups: vec![group(&[0, 1]), group(&[2, 3])],
+        };
         assert_eq!(scheme.len(), 2);
         assert_eq!(scheme.nodes_placed(), 4);
-        assert_eq!(scheme.gpus_placed(4), 16);
-        assert_eq!(scheme.groups[0].node_at(1), Some(NodeId(1)));
-        assert_eq!(scheme.groups[0].node_at(2), None);
+        assert_eq!(scheme.groups[0].nodes.get(1), Some(&NodeId(1)));
+        assert_eq!(scheme.groups[0].nodes.get(2), None);
         assert!(scheme.satisfies(4));
         assert!(!scheme.satisfies(5));
     }
 
     #[test]
     fn validation_catches_wrong_group_size() {
-        let scheme = PlacementScheme::from_groups(vec![group(&[0, 1, 2])]);
+        let scheme = PlacementScheme {
+            groups: vec![group(&[0, 1, 2])],
+        };
         assert!(scheme.validate(2, &BTreeSet::new()).is_err());
         assert!(scheme.validate(3, &BTreeSet::new()).is_ok());
     }
 
     #[test]
     fn validation_catches_duplicates_and_faulty_nodes() {
-        let scheme = PlacementScheme::from_groups(vec![group(&[0, 1]), group(&[1, 2])]);
+        let scheme = PlacementScheme {
+            groups: vec![group(&[0, 1]), group(&[1, 2])],
+        };
         assert!(scheme.validate(2, &BTreeSet::new()).is_err());
-        let scheme = PlacementScheme::from_groups(vec![group(&[0, 1])]);
+        let scheme = PlacementScheme {
+            groups: vec![group(&[0, 1])],
+        };
         let faulty: BTreeSet<NodeId> = [NodeId(1)].into_iter().collect();
         assert!(scheme.validate(2, &faulty).is_err());
     }
 
     #[test]
     fn truncate_and_extend() {
-        let mut scheme = PlacementScheme::from_groups(vec![group(&[0]), group(&[1]), group(&[2])]);
+        let mut scheme = PlacementScheme {
+            groups: vec![group(&[0]), group(&[1]), group(&[2])],
+        };
         scheme.truncate(2);
         assert_eq!(scheme.len(), 2);
         let mut other = PlacementScheme::new();

@@ -78,34 +78,18 @@ pub fn cross_tor_rate(scheme: &PlacementScheme, fat_tree: &FatTree, model: &Traf
     }
 }
 
-/// Fraction of *DCN* (DP/CP/PP) pairs that cross a ToR — a stricter view of the
-/// same placement, useful for debugging orchestration quality.
-pub fn cross_tor_pair_fraction(scheme: &PlacementScheme, fat_tree: &FatTree) -> f64 {
-    let mut pairs = 0usize;
-    let mut crossing = 0usize;
-    for pair in scheme.groups.windows(2) {
-        let (a, b) = (&pair[0], &pair[1]);
-        for rank in 0..a.len().min(b.len()) {
-            pairs += 1;
-            match fat_tree.distance(a.nodes[rank], b.nodes[rank]) {
-                Ok(d) if d.crosses_tor() => crossing += 1,
-                Ok(_) => {}
-                Err(_) => crossing += 1,
-            }
-        }
-    }
-    if pairs == 0 {
-        0.0
-    } else {
-        crossing as f64 / pairs as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scheme::TpGroup;
     use hbd_types::NodeId;
+
+    /// With no HBD volume and unit DP volume the rate is the fraction of
+    /// DP pairs that cross a ToR.
+    const DCN_PAIRS_ONLY: TrafficModel = TrafficModel {
+        tp_volume_per_node: 0.0,
+        dp_volume_per_pair: 1.0,
+    };
 
     fn tree() -> FatTree {
         FatTree::new(64, 4, 4).unwrap()
@@ -122,15 +106,17 @@ mod tests {
             cross_tor_rate(&scheme, &tree(), &TrafficModel::default()),
             0.0
         );
-        assert_eq!(cross_tor_pair_fraction(&scheme, &tree()), 0.0);
+        assert_eq!(cross_tor_rate(&scheme, &tree(), &DCN_PAIRS_ONLY), 0.0);
     }
 
     #[test]
     fn same_tor_dp_pairs_do_not_cross() {
         // Groups 0 and 1 have every rank's nodes under the same ToR (nodes 0-3
         // share ToR 0, 4-7 share ToR 1).
-        let scheme = PlacementScheme::from_groups(vec![group(&[0, 4]), group(&[1, 5])]);
-        assert_eq!(cross_tor_pair_fraction(&scheme, &tree()), 0.0);
+        let scheme = PlacementScheme {
+            groups: vec![group(&[0, 4]), group(&[1, 5])],
+        };
+        assert_eq!(cross_tor_rate(&scheme, &tree(), &DCN_PAIRS_ONLY), 0.0);
         assert_eq!(
             cross_tor_rate(&scheme, &tree(), &TrafficModel::default()),
             0.0
@@ -141,8 +127,10 @@ mod tests {
     fn cross_tor_pairs_are_counted() {
         // Rank-0 pair 0<->8 crosses ToRs (ToR 0 vs ToR 2); rank-1 pair 1<->9
         // crosses as well.
-        let scheme = PlacementScheme::from_groups(vec![group(&[0, 1]), group(&[8, 9])]);
-        assert_eq!(cross_tor_pair_fraction(&scheme, &tree()), 1.0);
+        let scheme = PlacementScheme {
+            groups: vec![group(&[0, 1]), group(&[8, 9])],
+        };
+        assert_eq!(cross_tor_rate(&scheme, &tree(), &DCN_PAIRS_ONLY), 1.0);
         let rate = cross_tor_rate(&scheme, &tree(), &TrafficModel::paper_tp32());
         // 2 crossing pairs x 50 over (4 nodes x 450 + 2 x 50) = 100 / 1900.
         assert!((rate - 100.0 / 1900.0).abs() < 1e-12);
@@ -153,14 +141,16 @@ mod tests {
         // A long chain of single-node groups, each in a different ToR: every DP
         // pair crosses, and the rate approaches dp / (tp + dp) ~ 10%.
         let groups: Vec<TpGroup> = (0..16).map(|i| group(&[i * 4])).collect();
-        let scheme = PlacementScheme::from_groups(groups);
+        let scheme = PlacementScheme { groups };
         let rate = cross_tor_rate(&scheme, &tree(), &TrafficModel::paper_tp32());
         assert!(rate > 0.08 && rate < 0.11, "rate {rate}");
     }
 
     #[test]
     fn out_of_range_nodes_count_as_crossing() {
-        let scheme = PlacementScheme::from_groups(vec![group(&[0]), group(&[999])]);
-        assert_eq!(cross_tor_pair_fraction(&scheme, &tree()), 1.0);
+        let scheme = PlacementScheme {
+            groups: vec![group(&[0]), group(&[999])],
+        };
+        assert_eq!(cross_tor_rate(&scheme, &tree(), &DCN_PAIRS_ONLY), 1.0);
     }
 }

@@ -199,7 +199,8 @@ impl FaultSet {
     /// Whether `self` and `other` agree on every node id in `lo..hi`: a
     /// masked word-wise comparison, O(words touched), that stops at the
     /// first id [`iter_diff_range`](Self::iter_diff_range) would yield.
-    pub fn range_eq(&self, other: &FaultSet, lo: usize, hi: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn range_eq(&self, other: &FaultSet, lo: usize, hi: usize) -> bool {
         self.iter_diff_range(other, lo, hi).next().is_none()
     }
 
@@ -386,26 +387,12 @@ impl UtilizationReport {
         }
     }
 
-    /// Healthy GPUs (usable + wasted).
-    pub fn healthy_gpus(&self) -> usize {
-        self.total_gpus - self.faulty_gpus
-    }
-
     /// The paper's *GPU waste ratio*: wasted healthy GPUs over total GPUs.
     pub fn waste_ratio(&self) -> f64 {
         if self.total_gpus == 0 {
             0.0
         } else {
             self.wasted_healthy_gpus as f64 / self.total_gpus as f64
-        }
-    }
-
-    /// Fraction of all GPUs that are usable.
-    pub fn usable_ratio(&self) -> f64 {
-        if self.total_gpus == 0 {
-            0.0
-        } else {
-            self.usable_gpus as f64 / self.total_gpus as f64
         }
     }
 
@@ -705,9 +692,8 @@ mod tests {
     fn utilization_report_accounts_for_every_gpu() {
         let report = UtilizationReport::new(2880, 40, 2816);
         assert_eq!(report.wasted_healthy_gpus, 24);
-        assert_eq!(report.healthy_gpus(), 2840);
+        assert_eq!(report.usable_gpus + report.wasted_healthy_gpus, 2840);
         assert!((report.waste_ratio() - 24.0 / 2880.0).abs() < 1e-12);
-        assert!((report.usable_ratio() - 2816.0 / 2880.0).abs() < 1e-12);
         assert_eq!(report.tp_groups(32), 88);
     }
 
@@ -721,6 +707,6 @@ mod tests {
     fn empty_cluster_report_is_all_zero() {
         let report = UtilizationReport::new(0, 0, 0);
         assert_eq!(report.waste_ratio(), 0.0);
-        assert_eq!(report.usable_ratio(), 0.0);
+        assert_eq!(report.tp_groups(8), 0);
     }
 }

@@ -137,13 +137,6 @@ impl FatTree {
         })
     }
 
-    /// The nodes attached to the given ToR, in deployment order.
-    pub fn nodes_under_tor(&self, tor: ToRId) -> Vec<NodeId> {
-        let start = tor.index() * self.nodes_per_tor;
-        let end = ((tor.index() + 1) * self.nodes_per_tor).min(self.nodes);
-        (start..end).map(NodeId).collect()
-    }
-
     fn check(&self, node: NodeId) -> Result<()> {
         if node.index() >= self.nodes {
             Err(HbdError::unknown_entity(format!(
@@ -226,9 +219,14 @@ mod tests {
     #[test]
     fn nodes_under_tor_lists_the_rack() {
         let tree = FatTree::new(20, 8, 2).unwrap();
-        assert_eq!(tree.nodes_under_tor(ToRId(0)).len(), 8);
+        let rack = |tor: usize| {
+            (0..20)
+                .filter(|&n| tree.tor_of(NodeId(n)).unwrap() == ToRId(tor))
+                .count()
+        };
+        assert_eq!(rack(0), 8);
         // The last rack is partial.
-        assert_eq!(tree.nodes_under_tor(ToRId(2)).len(), 4);
+        assert_eq!(rack(2), 4);
     }
 
     #[test]

@@ -44,28 +44,32 @@ pub use runscan::{scan_khop_runs, RunSink};
 pub use sip_ring::SipRing;
 pub use tpuv4::TpuV4;
 
+use hbd_types::Result;
+
 /// Convenience constructor: builds every architecture evaluated in the paper for
 /// a cluster of `nodes` nodes with `gpus_per_node` GPUs each, in the order used
 /// by the figures (InfiniteHBD K=2, InfiniteHBD K=3, Big-Switch, TPUv4, NVL-36,
 /// NVL-72, NVL-576, SiP-Ring).
 ///
 /// `tp_size` (in GPUs) is needed because SiP-Ring's static ring size is tied to
-/// the TP size it was deployed for.
+/// the TP size it was deployed for. Returns an error when the rings cannot be
+/// built: no nodes, no GPUs per node, or a `tp_size` that is not a positive
+/// multiple of `gpus_per_node`.
 pub fn paper_architectures(
     nodes: usize,
     gpus_per_node: usize,
     tp_size: usize,
-) -> Vec<Box<dyn HbdArchitecture>> {
-    vec![
-        Box::new(KHopRing::new(nodes, gpus_per_node, 2).expect("valid K=2 ring")),
-        Box::new(KHopRing::new(nodes, gpus_per_node, 3).expect("valid K=3 ring")),
+) -> Result<Vec<Box<dyn HbdArchitecture>>> {
+    Ok(vec![
+        Box::new(KHopRing::new(nodes, gpus_per_node, 2)?),
+        Box::new(KHopRing::new(nodes, gpus_per_node, 3)?),
         Box::new(BigSwitch::new(nodes, gpus_per_node)),
         Box::new(TpuV4::new(nodes, gpus_per_node)),
         Box::new(Nvl::new(nodes, gpus_per_node, NvlVariant::Nvl36)),
         Box::new(Nvl::new(nodes, gpus_per_node, NvlVariant::Nvl72)),
         Box::new(Nvl::new(nodes, gpus_per_node, NvlVariant::Nvl576)),
-        Box::new(SipRing::new(nodes, gpus_per_node, tp_size).expect("valid SiP-Ring")),
-    ]
+        Box::new(SipRing::new(nodes, gpus_per_node, tp_size)?),
+    ])
 }
 
 #[cfg(test)]
@@ -74,7 +78,7 @@ mod tests {
 
     #[test]
     fn paper_architecture_set_is_complete() {
-        let archs = paper_architectures(720, 4, 32);
+        let archs = paper_architectures(720, 4, 32).unwrap();
         assert_eq!(archs.len(), 8);
         let names: Vec<&str> = archs.iter().map(|a| a.name()).collect();
         assert!(names.contains(&"InfiniteHBD(K=2)"));
@@ -92,7 +96,7 @@ mod tests {
 
     #[test]
     fn healthy_cluster_has_no_waste_for_infinitehbd() {
-        let archs = paper_architectures(720, 4, 32);
+        let archs = paper_architectures(720, 4, 32).unwrap();
         let faults = FaultSet::default();
         for arch in &archs {
             let report = arch.utilization(&faults, 32);
@@ -102,5 +106,15 @@ mod tests {
                 assert_eq!(report.wasted_healthy_gpus, 0, "{}", arch.name());
             }
         }
+    }
+
+    #[test]
+    fn invalid_caller_input_is_an_error_not_a_panic() {
+        // A TP size that is not a multiple of the node size cannot deploy
+        // SiP-Ring, and an empty cluster cannot close a K-Hop ring.
+        assert!(paper_architectures(720, 4, 30).is_err());
+        assert!(paper_architectures(720, 4, 0).is_err());
+        assert!(paper_architectures(0, 4, 32).is_err());
+        assert!(paper_architectures(720, 0, 32).is_err());
     }
 }

@@ -70,7 +70,7 @@ impl Nvl {
     }
 
     /// Nodes per domain.
-    pub fn nodes_per_domain(&self) -> usize {
+    fn nodes_per_domain(&self) -> usize {
         (self.variant.domain_gpus() / self.gpus_per_node).max(1)
     }
 
@@ -80,7 +80,7 @@ impl Nvl {
     }
 
     /// Healthy GPUs in each domain under the given fault pattern.
-    pub fn healthy_gpus_per_domain(&self, faults: &FaultSet) -> Vec<usize> {
+    fn healthy_gpus_per_domain(&self, faults: &FaultSet) -> Vec<usize> {
         let per_domain = self.nodes_per_domain();
         (0..self.domains())
             .map(|d| {

@@ -43,13 +43,8 @@ impl SipRing {
         })
     }
 
-    /// Ring size in GPUs.
-    pub fn ring_gpus(&self) -> usize {
-        self.ring_gpus
-    }
-
     /// Nodes per ring.
-    pub fn nodes_per_ring(&self) -> usize {
+    fn nodes_per_ring(&self) -> usize {
         self.ring_gpus / self.gpus_per_node
     }
 
@@ -60,7 +55,7 @@ impl SipRing {
     }
 
     /// Whether ring `r` is intact (contains no faulty node).
-    pub fn ring_intact(&self, ring: usize, faults: &FaultSet) -> bool {
+    fn ring_intact(&self, ring: usize, faults: &FaultSet) -> bool {
         let per_ring = self.nodes_per_ring();
         let start = ring * per_ring;
         faults.count_in_range(start, start + per_ring) == 0

@@ -36,7 +36,7 @@ impl TpuV4 {
     }
 
     /// Nodes per cube.
-    pub fn nodes_per_cube(&self) -> usize {
+    fn nodes_per_cube(&self) -> usize {
         (CUBE_GPUS / self.gpus_per_node).max(1)
     }
 
@@ -46,7 +46,7 @@ impl TpuV4 {
     }
 
     /// Healthy GPUs per cube under the given fault pattern.
-    pub fn healthy_gpus_per_cube(&self, faults: &FaultSet) -> Vec<usize> {
+    fn healthy_gpus_per_cube(&self, faults: &FaultSet) -> Vec<usize> {
         let per_cube = self.nodes_per_cube();
         (0..self.cubes())
             .map(|c| {

@@ -36,9 +36,8 @@ proptest! {
         let hbd = SipRing::new(nodes, gpus_per_node, ring_gpus).unwrap();
         prop_assert_eq!(hbd.nodes(), nodes);
         prop_assert_eq!(hbd.gpus_per_node(), gpus_per_node);
-        prop_assert_eq!(hbd.nodes_per_ring(), ring_nodes);
         // Whole rings only: the ring partition never over-counts the cluster.
-        prop_assert!(hbd.rings() * hbd.nodes_per_ring() <= nodes);
+        prop_assert_eq!(hbd.rings(), nodes / ring_nodes);
 
         let faults = random_faults(nodes, ratio, seed);
         let tp = gpus_per_node << tp_exp;
@@ -69,7 +68,9 @@ proptest! {
         let ring_gpus = ring_nodes * gpus_per_node;
         let hbd = SipRing::new(nodes, gpus_per_node, ring_gpus).unwrap();
         let faults = random_faults(nodes, ratio, seed);
-        let intact = (0..hbd.rings()).filter(|&r| hbd.ring_intact(r, &faults)).count();
+        let intact = (0..hbd.rings())
+            .filter(|&r| faults.count_in_range(r * ring_nodes, (r + 1) * ring_nodes) == 0)
+            .count();
         let report = hbd.utilization(&faults, ring_gpus);
         prop_assert_eq!(report.usable_gpus, intact * ring_gpus);
         let healthy = hbd.utilization(&FaultSet::new(), ring_gpus);

@@ -21,7 +21,7 @@ fn main() -> Result<()> {
         "\n{:<18} {:>12} {:>12} {:>14} {:>16}",
         "architecture", "mean waste", "max waste", "min job (GPU)", "wait@90% job"
     );
-    for report in study.run_par(348, 1) {
+    for report in study.run_par(348, 1)? {
         println!(
             "{:<18} {:>11.2}% {:>11.2}% {:>14} {:>15.1}%",
             report.architecture,

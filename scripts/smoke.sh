@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+echo "==> public surface (scripts/loc.py)"
+# Fails when a pub fn has no caller outside tests and benches and is not
+# listed, with its reason, in the script's KEEP table (or when a KEEP entry
+# is no longer test-only).
+python3 scripts/loc.py
+
 echo "==> cargo build --release"
 cargo build --release
 

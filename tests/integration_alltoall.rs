@@ -41,7 +41,9 @@ fn speedup_grows_with_group_size_for_large_blocks() {
     let block = Bytes::from_mb(32.0);
     let mut previous = 0.0f64;
     for p in [8usize, 16, 32, 64] {
-        let speedup = FastSwitchAllToAll::new(p).speedup_over_ring(block, &link);
+        let schedule = FastSwitchAllToAll::new(p);
+        let speedup = schedule.ring_fallback(block, &link).value()
+            / schedule.cost(block, &link).total().value();
         assert!(
             speedup > previous,
             "speedup must grow with p: {speedup} at p={p}"

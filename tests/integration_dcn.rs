@@ -84,7 +84,10 @@ fn non_blocking_fabric_makes_placement_irrelevant_for_slowdown() {
     // regardless of placement). This is the ablation that justifies why the
     // paper evaluates on oversubscribed DCNs.
     let network = DcnNetwork::new(tree, NetworkParams::non_blocking(16, 4)).expect("network");
-    let spec = TrafficSpec::per_pair(Bytes::from_gib(2.0));
+    let spec = TrafficSpec {
+        bytes_per_dp_pair: Bytes::from_gib(2.0),
+        dp_ring_wraps: false,
+    };
     let reports: Vec<_> = [&optimized, &baseline]
         .iter()
         .map(|scheme| {
@@ -186,10 +189,14 @@ fn cross_tor_byte_fraction_tracks_the_orchestrator_metric() {
         .report(&network);
 
     // Every DP pair moves the same volume, so the flow-level cross-ToR byte
-    // fraction must agree with the orchestrator's own pair-level accounting —
-    // the two layers of the stack measure the same thing.
-    let pair_fraction =
-        infinitehbd::orchestrator::traffic::cross_tor_pair_fraction(&optimized, &tree);
+    // fraction must agree with the orchestrator's own pair-level accounting
+    // (its cross-ToR rate with no HBD volume) — the two layers of the stack
+    // measure the same thing.
+    let dcn_pairs_only = TrafficModel {
+        tp_volume_per_node: 0.0,
+        dp_volume_per_pair: 1.0,
+    };
+    let pair_fraction = cross_tor_rate(&optimized, &tree, &dcn_pairs_only);
     assert!(
         (report.cross_tor_byte_fraction - pair_fraction).abs() < 0.02,
         "byte fraction {} vs pair fraction {}",

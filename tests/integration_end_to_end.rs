@@ -15,7 +15,7 @@ fn cluster_study_reproduces_the_architecture_ranking() {
         99,
     )
     .unwrap();
-    let reports = study.run_par(60, 1);
+    let reports = study.run_par(60, 1).unwrap();
     let waste = |name: &str| {
         reports
             .iter()
@@ -31,13 +31,12 @@ fn cluster_study_reproduces_the_architecture_ranking() {
 
 #[test]
 fn ocstrx_failover_keeps_a_ring_connected() {
-    // Device-level fail-over (mark primary down, switch to backup) corresponds
+    // Device-level fail-over (switch the bundle to its backup fiber) corresponds
     // to the topology-level bypass: a single faulty node does not break the
     // K-hop ring's healthy segment.
-    let mut bundle = Bundle::for_6_4_tbps_gpu();
-    bundle.mark_path_down(PathId::External1);
-    assert!(bundle.activate_backup().is_ok());
-    assert_eq!(bundle.delivered_bandwidth(), Gbps(6400.0));
+    let mut bundle = Bundle::new(8).unwrap();
+    let bypass = bundle.activate_backup().unwrap();
+    assert!(bypass.value() >= 60.0 && bypass.value() <= 80.0);
 
     let ring = KHopRing::new(64, 4, 2).unwrap();
     let faults = FaultSet::from_nodes([NodeId(13)]);
