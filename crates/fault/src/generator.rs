@@ -52,18 +52,23 @@ impl GeneratorConfig {
                 "generator needs at least one node",
             ));
         }
-        if self.duration.value() <= 0.0 {
-            return Err(HbdError::invalid_config("duration must be positive"));
+        // NaN fails both comparisons, so each check asks for what is valid.
+        if !(self.duration.is_finite() && self.duration.value() > 0.0) {
+            return Err(HbdError::invalid_config(format!(
+                "duration must be finite and positive, got {}",
+                self.duration
+            )));
         }
         if !(0.0..1.0).contains(&self.steady_state_fault_ratio) {
             return Err(HbdError::invalid_config(
                 "steady-state fault ratio must lie in [0, 1)",
             ));
         }
-        if self.mean_time_to_repair.value() <= 0.0 {
-            return Err(HbdError::invalid_config(
-                "mean time to repair must be positive",
-            ));
+        if !(self.mean_time_to_repair.is_finite() && self.mean_time_to_repair.value() > 0.0) {
+            return Err(HbdError::invalid_config(format!(
+                "mean time to repair must be finite and positive, got {}",
+                self.mean_time_to_repair
+            )));
         }
         Ok(())
     }
@@ -108,19 +113,36 @@ impl TraceGenerator {
     /// Generates a fault trace using the supplied RNG. Deterministic for a
     /// given RNG seed.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> FaultTrace {
+        let mut events = Vec::new();
+        self.renew(rng, |node, start, end| {
+            events.push(FaultEvent::new(node, Seconds(start), Seconds(end)));
+        });
+        FaultTrace::new(self.config.nodes, self.config.duration, events)
+            .expect("generated events are in range by construction")
+    }
+
+    /// Runs the per-node renewal process, the only code that draws from
+    /// `rng`: calls `fault(node, start, end)` for every repair period, node by
+    /// node in ascending order and, within a node, in time order (a period
+    /// starts no earlier than the previous one ends). Every time lies in
+    /// `[0, duration]`.
+    pub(crate) fn renew<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        mut fault: impl FnMut(NodeId, f64, f64),
+    ) {
         let mttf = self.config.mean_time_to_failure().value();
         let mttr = self.config.mean_time_to_repair.value();
         let duration = self.config.duration.value();
-        let mut events = Vec::new();
 
-        for node in 0..self.config.nodes {
+        for node in (0..self.config.nodes).map(NodeId) {
             // Start each node in steady state: with probability `ratio` it is
             // already in a repair period at t = 0.
             let mut t = 0.0;
             if rng.gen::<f64>() < self.config.steady_state_fault_ratio {
                 let remaining = exponential(rng, mttr);
                 let end = (t + remaining).min(duration);
-                events.push(FaultEvent::new(NodeId(node), Seconds(t), Seconds(end)));
+                fault(node, t, end);
                 t = end;
             }
             loop {
@@ -132,16 +154,13 @@ impl TraceGenerator {
                 // Repair period.
                 let repair = exponential(rng, mttr);
                 let end = (t + repair).min(duration);
-                events.push(FaultEvent::new(NodeId(node), Seconds(t), Seconds(end)));
+                fault(node, t, end);
                 t = end;
                 if t >= duration {
                     break;
                 }
             }
         }
-
-        FaultTrace::new(self.config.nodes, self.config.duration, events)
-            .expect("generated events are in range by construction")
     }
 }
 
@@ -173,6 +192,36 @@ mod tests {
         let mut cfg = GeneratorConfig::paper_8gpu_cluster();
         cfg.duration = Seconds(-1.0);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_duration_or_repair_time_is_an_error_not_a_hang() {
+        // A NaN or +inf duration never ends the renewal loop, and a NaN
+        // repair time trips `FaultEvent::new`'s assert: both must be caught
+        // before the first draw.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for config in [
+                GeneratorConfig {
+                    duration: Seconds(bad),
+                    ..GeneratorConfig::paper_8gpu_cluster()
+                },
+                GeneratorConfig {
+                    mean_time_to_repair: Seconds(bad),
+                    ..GeneratorConfig::paper_8gpu_cluster()
+                },
+            ] {
+                for err in [
+                    config.validate().unwrap_err(),
+                    TraceGenerator::new(config).unwrap_err(),
+                    crate::generate_events(&config, 1).unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(err, HbdError::InvalidConfig { .. }),
+                        "{config:?}: {err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,15 +15,18 @@ pub struct FaultTrace {
 }
 
 impl FaultTrace {
-    /// Creates a trace, validating that every event references an in-range node
-    /// and lies within the trace duration. Events are stored sorted by start
-    /// time.
+    /// Creates a trace, validating that the duration is finite and positive,
+    /// and that every event references an in-range node and spans finite,
+    /// non-negative times with `start <= end <= duration`. Events are stored
+    /// sorted by start time.
     pub fn new(nodes: usize, duration: Seconds, mut events: Vec<FaultEvent>) -> Result<Self> {
         if nodes == 0 {
             return Err(HbdError::invalid_config("a trace needs at least one node"));
         }
-        if duration.value() <= 0.0 {
-            return Err(HbdError::invalid_config("trace duration must be positive"));
+        if !(duration.is_finite() && duration.value() > 0.0) {
+            return Err(HbdError::invalid_config(format!(
+                "trace duration must be finite and positive, got {duration}"
+            )));
         }
         for event in &events {
             if event.node.index() >= nodes {
@@ -32,9 +35,14 @@ impl FaultTrace {
                     event.node
                 )));
             }
-            if event.start.value() < 0.0 || event.end.value() > duration.value() {
+            // `FaultEvent`'s fields are public, so a struct literal or a
+            // deserialized event may hold any times; NaN fails every check.
+            if !(event.start.is_finite_non_negative()
+                && event.start.value() <= event.end.value()
+                && event.end.value() <= duration.value())
+            {
                 return Err(HbdError::invalid_config(format!(
-                    "fault on {} ({} .. {}) lies outside the trace duration {duration}",
+                    "fault on {} ({} .. {}) is not a finite interval within the trace duration {duration}",
                     event.node, event.start, event.end
                 )));
             }
@@ -43,7 +51,7 @@ impl FaultTrace {
             a.start
                 .value()
                 .partial_cmp(&b.start.value())
-                .expect("fault times are finite")
+                .expect("fault times are finite after the checks above")
         });
         Ok(FaultTrace {
             nodes,
@@ -176,6 +184,44 @@ mod tests {
             vec![FaultEvent::new(NodeId(1), Seconds(5.0), Seconds(20.0))]
         )
         .is_err());
+    }
+
+    #[test]
+    fn non_finite_or_inverted_times_are_an_error_not_a_panic() {
+        // `FaultEvent`'s fields are public, so these bypass `FaultEvent::new`.
+        let event = |start: f64, end: f64| FaultEvent {
+            node: NodeId(0),
+            start: Seconds(start),
+            end: Seconds(end),
+        };
+        for duration in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(matches!(
+                FaultTrace::new(2, Seconds(duration), vec![]),
+                Err(HbdError::InvalidConfig { .. })
+            ));
+        }
+        for (start, end) in [
+            (f64::NAN, 1.0),
+            (1.0, f64::NAN),
+            (f64::NAN, f64::NAN),
+            (f64::NEG_INFINITY, 1.0),
+            (1.0, f64::INFINITY),
+            (-1.0, 1.0),
+            (5.0, 4.0),
+        ] {
+            // Two bad events used to reach the start-time sort's `expect`.
+            let events = vec![event(start, end), event(start, end)];
+            assert!(
+                matches!(
+                    FaultTrace::new(2, Seconds(10.0), events),
+                    Err(HbdError::InvalidConfig { .. })
+                ),
+                "[{start}, {end})"
+            );
+        }
+        assert!(
+            FaultTrace::new(2, Seconds(10.0), vec![event(-0.0, 0.0), event(10.0, 10.0)]).is_ok()
+        );
     }
 
     #[test]

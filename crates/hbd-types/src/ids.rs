@@ -6,6 +6,7 @@
 //! the arithmetic used by the topology and orchestration algorithms (e.g. "node
 //! `n` connects to node `n ± r`") straightforward.
 
+use crate::error::{HbdError, Result};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -109,13 +110,23 @@ impl GpuId {
         NodeId(self.0 / gpus_per_node)
     }
 
-    /// Builds the global GPU id from a node and a local rank.
-    pub fn from_node_rank(node: NodeId, local_rank: usize, gpus_per_node: usize) -> Self {
-        assert!(
-            local_rank < gpus_per_node,
-            "local rank {local_rank} out of range for {gpus_per_node}-GPU node"
-        );
-        GpuId(node.0 * gpus_per_node + local_rank)
+    /// Builds the global GPU id from a node and a local rank. A rank outside
+    /// `0..gpus_per_node` is an [`HbdError::UnknownEntity`], and so is an id
+    /// past `usize::MAX`.
+    pub fn from_node_rank(node: NodeId, local_rank: usize, gpus_per_node: usize) -> Result<Self> {
+        let unknown = || {
+            HbdError::unknown_entity(format!(
+                "local rank {local_rank} of {node} with {gpus_per_node} GPUs per node"
+            ))
+        };
+        if local_rank >= gpus_per_node {
+            return Err(unknown());
+        }
+        node.0
+            .checked_mul(gpus_per_node)
+            .and_then(|base| base.checked_add(local_rank))
+            .map(GpuId)
+            .ok_or_else(unknown)
     }
 }
 
@@ -184,9 +195,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn from_node_rank_rejects_out_of_range_rank() {
-        let _ = GpuId::from_node_rank(NodeId(0), 4, 4);
+        for (node, rank, gpus_per_node) in [(0, 4, 4), (3, 0, 0), (usize::MAX, 1, 8)] {
+            assert!(matches!(
+                GpuId::from_node_rank(NodeId(node), rank, gpus_per_node),
+                Err(HbdError::UnknownEntity { .. })
+            ));
+        }
+        assert_eq!(GpuId::from_node_rank(NodeId(2), 3, 4), Ok(GpuId(11)));
     }
 
     #[test]

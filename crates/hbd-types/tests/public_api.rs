@@ -70,7 +70,7 @@ fn gpu_node_arithmetic_is_consistent_for_both_node_sizes() {
         let gpu = GpuId(3 * r + (r - 1)); // last GPU of node 3
         assert_eq!(gpu.node(r), NodeId(3));
         assert_eq!(NodeId(3).gpus(r).last(), Some(gpu));
-        assert_eq!(GpuId::from_node_rank(NodeId(3), r - 1, r), gpu);
+        assert_eq!(GpuId::from_node_rank(NodeId(3), r - 1, r), Ok(gpu));
         assert_eq!(NodeId(3).gpus(r).count(), r);
     }
 }

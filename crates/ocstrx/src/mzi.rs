@@ -14,6 +14,7 @@
 //! * the **per-element insertion loss**, which accumulates along the light
 //!   path and feeds the optics model.
 
+use hbd_types::{HbdError, Result};
 use serde::{Deserialize, Serialize};
 
 /// Routing state of a 2×2 MZI element.
@@ -26,13 +27,18 @@ pub enum MziState {
 }
 
 impl MziState {
-    /// Output port that input `input` (0 or 1) is routed to in this state.
-    pub fn route(self, input: usize) -> usize {
-        assert!(input < 2, "MZI element has two inputs");
-        match self {
+    /// Output port that input `input` (0 or 1) is routed to in this state;
+    /// any other input is an [`HbdError::UnknownEntity`].
+    pub fn route(self, input: usize) -> Result<usize> {
+        if input >= 2 {
+            return Err(HbdError::unknown_entity(format!(
+                "input port {input} of a 2x2 MZI element"
+            )));
+        }
+        Ok(match self {
             MziState::Bar => input,
             MziState::Cross => 1 - input,
-        }
+        })
     }
 
     /// The opposite state.
@@ -86,8 +92,8 @@ impl MziElement {
     }
 
     /// Routes an input port (0/1) to an output port according to the current
-    /// state.
-    pub fn route(&self, input: usize) -> usize {
+    /// state, as [`MziState::route`] does.
+    pub fn route(&self, input: usize) -> Result<usize> {
         self.state.route(input)
     }
 
@@ -123,20 +129,29 @@ mod tests {
 
     #[test]
     fn bar_state_routes_straight_through() {
-        assert_eq!(MziState::Bar.route(0), 0);
-        assert_eq!(MziState::Bar.route(1), 1);
+        assert_eq!(MziState::Bar.route(0), Ok(0));
+        assert_eq!(MziState::Bar.route(1), Ok(1));
     }
 
     #[test]
     fn cross_state_swaps_ports() {
-        assert_eq!(MziState::Cross.route(0), 1);
-        assert_eq!(MziState::Cross.route(1), 0);
+        assert_eq!(MziState::Cross.route(0), Ok(1));
+        assert_eq!(MziState::Cross.route(1), Ok(0));
     }
 
     #[test]
-    #[should_panic(expected = "two inputs")]
     fn route_rejects_out_of_range_input() {
-        let _ = MziState::Bar.route(2);
+        let element = MziElement::new();
+        for input in [2, usize::MAX] {
+            for routed in [
+                MziState::Bar.route(input),
+                MziState::Cross.route(input),
+                element.route(input),
+            ] {
+                assert!(matches!(routed, Err(HbdError::UnknownEntity { .. })));
+            }
+        }
+        assert_eq!(element.route(1), Ok(1));
     }
 
     #[test]

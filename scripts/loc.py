@@ -39,7 +39,8 @@ KEEP = {
     "mean_repair_time": "mean time to repair of a fault trace, the statistic "
     "GeneratorConfig::mean_time_to_repair calibrates",
     "from_node_rank": "inverse of GpuId::node in the GPU-id arithmetic that "
-    "hbd-types' public-API contract test pins",
+    "hbd-types' public-API contract test pins; returns UnknownEntity for a "
+    "rank outside the node",
 }
 
 ROOT = Path(__file__).resolve().parent.parent
