@@ -372,7 +372,7 @@ fn load_microbenches(path: Option<&str>) -> Vec<serde_json::Value> {
     text.lines()
         .filter(|line| !line.trim().is_empty())
         .map(|line| {
-            serde_json::from_str::<serde_json::Value>(line).unwrap_or_else(|e| {
+            serde_json::from_str(line).unwrap_or_else(|e| {
                 eprintln!("error: malformed record in --bench-json {path}: {e}");
                 std::process::exit(2);
             })

@@ -35,7 +35,6 @@ use orchestrator::service::{PlacementService, SnapshotStore};
 use orchestrator::{FatTreeOrchestrator, OrchestrationRequest, PlacementScheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use topology::KHopRing;
@@ -43,7 +42,7 @@ use topology::KHopRing;
 /// One job of the workload: what it asks the orchestrator for and how long it
 /// runs once placed (isolated service time, excluding queueing and placement
 /// latency).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job name (carried into the per-job record).
     pub name: String,
@@ -54,7 +53,7 @@ pub struct JobSpec {
 }
 
 /// A job plus its arrival instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobArrival {
     /// When the job enters the admission queue.
     pub at: Seconds,
@@ -63,7 +62,7 @@ pub struct JobArrival {
 }
 
 /// A job archetype for the seeded Poisson workload generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobTemplate {
     /// Template name; arrivals are named `<template>-<index>`.
     pub name: String,
@@ -76,7 +75,7 @@ pub struct JobTemplate {
 }
 
 /// A time-ordered arrival schedule, either trace-driven or generated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     arrivals: Vec<JobArrival>,
 }
@@ -185,7 +184,7 @@ fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 /// Deterministic placement-latency model: how long a placement decision takes
 /// to reach the fabric, as a function of what the control plane has to do —
 /// never wall-clock, so simulated latencies are reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementLatencyModel {
     /// Fixed scheduler overhead per successful placement.
     pub base: Seconds,
@@ -239,7 +238,7 @@ impl Default for PlacementLatencyModel {
 }
 
 /// Configuration of one lifecycle run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleConfig {
     /// Cluster size; must match the orchestrator's Fat-Tree.
     pub nodes: usize,
@@ -277,7 +276,7 @@ pub struct LifecycleConfig {
 }
 
 /// What happened to one job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Still waiting in the admission queue at the horizon.
     Queued,
@@ -288,7 +287,7 @@ pub enum JobStatus {
 }
 
 /// Per-job accounting of one lifecycle run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job name.
     pub name: String,
@@ -312,7 +311,7 @@ pub struct JobRecord {
 }
 
 /// The SLO report of one lifecycle run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleOutcome {
     /// Per-job records, in arrival order.
     pub jobs: Vec<JobRecord>,
@@ -1428,8 +1427,8 @@ mod tests {
         let four = simulate(&orch, &workload, &events, &cfg4).unwrap();
         assert_eq!(one, again, "same inputs must reproduce bit-for-bit");
         assert_eq!(
-            serde_json::to_string(&one).unwrap(),
-            serde_json::to_string(&four).unwrap(),
+            format!("{one:?}"),
+            format!("{four:?}"),
             "thread count must not change the outcome"
         );
         assert_eq!(outcome_invariants(&one), Ok(()));

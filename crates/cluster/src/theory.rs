@@ -12,10 +12,8 @@
 //! probability decays exponentially in `K`, and each break point wastes at most
 //! one in-progress TP group.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the Appendix-C bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WasteBoundInput {
     /// GPUs per node (`R`).
     pub gpus_per_node: usize,

@@ -4,11 +4,10 @@
 use fault::FaultTrace;
 use hbd_types::par::par_map;
 use hbd_types::{NodeId, Seconds};
-use serde::{Deserialize, Serialize};
 use topology::{FaultSet, HbdArchitecture};
 
 /// One sampled point of a waste curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WastePoint {
     /// The x-coordinate: either a node-fault ratio (sweeps) or a time in
     /// seconds (trace replay).

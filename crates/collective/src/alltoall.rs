@@ -12,10 +12,9 @@
 
 use crate::cost_model::{AlphaBeta, CollectiveCost};
 use hbd_types::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// The AllToAll algorithms analysed in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllToAllAlgorithm {
     /// Neighbour-shift on the ring: `p − 1` rounds, every rank forwards the
     /// full residual payload each round — the `O(p²)` case of §7.
@@ -124,7 +123,7 @@ impl AllToAllAlgorithm {
 }
 
 /// The priced result of an AllToAll run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllToAllCost {
     /// Which algorithm was priced.
     pub algorithm: AllToAllAlgorithm,

@@ -7,10 +7,9 @@
 //! AllToAll (`O(p²)`) against Binary Exchange (`O(p·log₂ p)`).
 
 use hbd_types::{Bytes, GBps, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// An α–β link model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaBeta {
     /// Per-message setup latency.
     pub alpha: Seconds,
@@ -56,7 +55,7 @@ impl AlphaBeta {
 
 /// The cost of a collective operation, broken down into latency and bandwidth
 /// terms so utilisation can be derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveCost {
     /// Number of communication steps on the critical path.
     pub steps: usize,

@@ -13,10 +13,9 @@
 use crate::alltoall::AllToAllAlgorithm;
 use crate::cost_model::AlphaBeta;
 use hbd_types::{Bytes, Microseconds, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// The reconfiguration behaviour assumed between rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReconfigOverlap {
     /// Reconfiguration latency is fully exposed on the critical path.
     Exposed,
@@ -29,7 +28,7 @@ pub enum ReconfigOverlap {
 }
 
 /// Binary Exchange AllToAll timed with OCSTrx fast switching.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FastSwitchAllToAll {
     /// Number of participating ranks (must be a power of two, ≥ 2).
     pub ranks: usize,
@@ -40,7 +39,7 @@ pub struct FastSwitchAllToAll {
 }
 
 /// Timing breakdown of one AllToAll execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FastSwitchCost {
     /// Communication rounds.
     pub rounds: usize,

@@ -14,12 +14,11 @@
 use crate::cost_model::{AlphaBeta, CollectiveCost};
 use crate::ring_allreduce::RingAllReduce;
 use hbd_types::{Bytes, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Ring Reduce-Scatter over `ranks` participants: `ranks − 1` steps, each
 /// moving `1/ranks` of the buffer; every rank ends with one fully-reduced
 /// shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReduceScatter {
     ranks: usize,
 }
@@ -55,7 +54,7 @@ impl ReduceScatter {
 
 /// Ring All-Gather over `ranks` participants — the mirror image of
 /// Reduce-Scatter (same step count and volume, no reduction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllGather {
     ranks: usize,
 }
@@ -90,7 +89,7 @@ impl AllGather {
 
 /// The two-level AllReduce: intra-node Reduce-Scatter, inter-node
 /// Ring-AllReduce over one representative GPU per node, intra-node All-Gather.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchicalAllReduce {
     /// GPUs per node participating in the local phases.
     pub gpus_per_node: usize,

@@ -16,10 +16,9 @@
 
 use crate::cost_model::{AlphaBeta, CollectiveCost};
 use hbd_types::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// The ring AllReduce algorithm on `ranks` participants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingAllReduce {
     /// Number of participating ranks.
     pub ranks: usize,
@@ -60,7 +59,7 @@ impl RingAllReduce {
 }
 
 /// Bandwidth-utilisation model reproducing the §5.2 measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingUtilization {
     /// Protocol/framing efficiency of the direct GPU-to-GPU ring links
     /// (encoding overhead, flow-control credits, kernel launch gaps).

@@ -8,14 +8,13 @@
 //! this module and integration tests in the umbrella crate lean on these
 //! simulators.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Symbolic Ring-AllReduce over `ranks` participants and `ranks` chunks.
 ///
 /// Each rank starts with its own contribution to every chunk; the simulation
 /// tracks, per `(rank, chunk)`, the set of contributions accumulated so far.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RingAllReduceSim {
     ranks: usize,
     /// `holdings[rank][chunk]` = set of source ranks whose contribution has
@@ -90,7 +89,7 @@ impl RingAllReduceSim {
 /// follows the paper's algorithm: in round `k` (1-based), rank `i` exchanges
 /// with `r = i ⊕ 2^(log₂ p − k)`, sending every block it currently holds whose
 /// destination lies in `r`'s half of the address space for that round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinaryExchangeSim {
     ranks: usize,
     /// `blocks[holder]` = set of `(source, destination)` blocks currently held.

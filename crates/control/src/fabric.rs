@@ -8,11 +8,10 @@
 use crate::plan::BundleAction;
 use hbd_types::{HbdError, Microseconds, NodeId, Result};
 use ocstrx::{Bundle, BundleState};
-use serde::{Deserialize, Serialize};
 
 /// What a versioned command delivery did — see
 /// [`FabricManager::apply_versioned`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CommandOutcome {
     /// The command was fresh and was executed; the hardware switching latency
     /// is attached (zero when the bundle was already in the requested state).
@@ -23,7 +22,7 @@ pub enum CommandOutcome {
 }
 
 /// Manages the OCSTrx bundles of one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FabricManager {
     node: NodeId,
     bundles: Vec<Bundle>,

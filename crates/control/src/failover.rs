@@ -11,11 +11,10 @@
 use crate::plan::RingPlan;
 use crate::wiring::Wiring;
 use hbd_types::Result;
-use serde::{Deserialize, Serialize};
 use topology::{FaultSet, HbdArchitecture, KHopRing, RingSegment};
 
 /// Plans OCSTrx configurations for a fixed K-Hop Ring deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailoverPlanner {
     ring: KHopRing,
     wiring: Wiring,

@@ -20,7 +20,6 @@ use crate::failover::FailoverPlanner;
 use crate::plan::RingPlan;
 use crate::timeline::{ControlEventKind, Timeline};
 use hbd_types::{HbdError, Microseconds, NodeId, Result, Seconds};
-use serde::{Deserialize, Serialize};
 use topology::{FaultSet, HbdArchitecture, KHopRing};
 
 /// Fixed software latencies of the control loop.
@@ -28,7 +27,7 @@ use topology::{FaultSet, HbdArchitecture, KHopRing};
 /// The hardware switching latency comes from the OCSTrx model; these three
 /// cover everything the paper's measurement explicitly excludes ("software
 /// level delays such as reconnection at the network protocol layer").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlLatencies {
     /// Time from the fault occurring to the cluster manager learning about it
     /// (health-check / telemetry interval).
@@ -72,7 +71,7 @@ impl Default for ControlLatencies {
 }
 
 /// What one fault (or repair) cost to recover from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryReport {
     /// Simulation time at which the triggering event occurred.
     pub event_at: Seconds,
@@ -92,7 +91,7 @@ pub struct RecoveryReport {
 }
 
 /// The stateful cluster manager.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterManager {
     planner: FailoverPlanner,
     /// The fabric manager of every node, indexed by node.

@@ -11,11 +11,11 @@
 use crate::wiring::{FabricPort, Wiring};
 use hbd_types::{HbdError, NodeId, Result};
 use ocstrx::{BundleState, PathId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::RingSegment;
 
 /// What a fabric bundle should be doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum BundleAction {
     /// Carry ring traffic on the primary external path (distance `+d`).
     ActivatePrimary,
@@ -46,7 +46,7 @@ impl BundleAction {
 }
 
 /// A single (node, bundle) directive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortDirective {
     /// The node whose fabric manager must execute the directive.
     pub node: NodeId,
@@ -87,7 +87,7 @@ impl NodeDirective<'_> {
 /// The plan holds `k` bundle slots per node, node-major, for every node of
 /// the wiring it was built on. A node the plan never mentions (a faulty one)
 /// has no action in any slot; a mentioned node has one in every slot.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RingPlan {
     k: usize,
     slots: Vec<Option<BundleAction>>,

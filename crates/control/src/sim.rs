@@ -44,7 +44,7 @@ use fault::{generate_events, validate_edges, GeneratorConfig, NodeEvent, NodeEve
 use hbd_types::{stream_seed, EventQueue, HbdError, NodeId, Result, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 use topology::{FaultSet, KHopRing};
 
@@ -64,7 +64,7 @@ const CH_DUPLICATE: u64 = 4;
 /// lost, and with probability `duplicate` a second independent copy is
 /// delivered. Lost commands are retransmitted after `ack_timeout`, at most
 /// `max_retries` times; the final attempt is reliable (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MessageFaults {
     /// Lower bound of the one-way message delay.
     pub delay_min: Seconds,
@@ -138,7 +138,7 @@ impl MessageFaults {
 }
 
 /// Full configuration of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Nodes in the K-Hop Ring deployment.
     pub nodes: usize,
@@ -189,7 +189,7 @@ impl SimConfig {
 }
 
 /// Deterministic counters and artifacts of one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SimReport {
     /// Fault/repair edges injected from the arrival schedule.
     pub arrivals: usize,
@@ -747,35 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn message_faults_serde_shape_is_pinned() {
-        let mf = MessageFaults {
-            delay_min: Seconds(0.05),
-            delay_max: Seconds(0.5),
-            reorder: 0.25,
-            drop: 0.2,
-            duplicate: 0.1,
-            ack_timeout: Seconds(1.5),
-            max_retries: 3,
-        };
-        let json = serde_json::to_string(&mf).unwrap();
-        // Keys serialise in alphabetical order (the serde shim's map layout).
-        assert_eq!(
-            json,
-            r#"{"ack_timeout":1.5,"delay_max":0.5,"delay_min":0.05,"drop":0.2,"duplicate":0.1,"max_retries":3,"reorder":0.25}"#
-        );
-        let back: MessageFaults = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, mf);
-    }
-
-    #[test]
-    fn sim_config_round_trips_through_json() {
-        let config = test_config(MessageFaults::adversarial());
-        let json = serde_json::to_string(&config).unwrap();
-        let back: SimConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, config);
-    }
-
-    #[test]
     fn invalid_parameters_are_rejected() {
         let mut mf = MessageFaults::reliable();
         mf.drop = 1.5;
@@ -826,10 +797,7 @@ mod tests {
         let a = run(&config, 7).unwrap();
         let b = run(&config, 7).unwrap();
         assert_eq!(a, b);
-        assert_eq!(
-            serde_json::to_string(&a.timeline).unwrap(),
-            serde_json::to_string(&b.timeline).unwrap()
-        );
+        assert_eq!(format!("{:?}", a.timeline), format!("{:?}", b.timeline));
         let c = run(&config, 8).unwrap();
         assert_ne!(a, c);
     }

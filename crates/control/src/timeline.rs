@@ -8,10 +8,10 @@
 
 use crate::plan::BundleAction;
 use hbd_types::{Microseconds, NodeId, Seconds};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ControlEventKind {
     /// The cluster manager learned that a node failed.
     FaultDetected {
@@ -54,7 +54,7 @@ pub enum ControlEventKind {
 }
 
 /// A timestamped control-plane event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ControlEvent {
     /// Simulation time at which the event occurred.
     pub at: Seconds,
@@ -63,7 +63,7 @@ pub struct ControlEvent {
 }
 
 /// An append-only log of control-plane events.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Timeline {
     events: Vec<ControlEvent>,
 }
@@ -178,7 +178,9 @@ mod tests {
             ControlEventKind::RepairDetected { node: NodeId(9) },
         );
         let json = serde_json::to_string(&timeline).unwrap();
-        let back: Timeline = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, timeline);
+        assert_eq!(
+            json,
+            r#"{"events":[{"at":0.5,"kind":{"RepairDetected":{"node":9}}}]}"#
+        );
     }
 }

@@ -28,11 +28,10 @@
 
 use hbd_types::{HbdError, NodeId, Result};
 use ocstrx::PathId;
-use serde::{Deserialize, Serialize};
 
 /// One selectable external attachment point of a node: a fabric bundle plus
 /// the external path on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FabricPort {
     /// Zero-based fabric bundle index.
     pub bundle: usize,
@@ -41,7 +40,7 @@ pub struct FabricPort {
 }
 
 /// The wiring of a whole K-Hop Ring (or line) deployment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Wiring {
     nodes: usize,
     k: usize,

@@ -2,10 +2,9 @@
 
 use crate::bom::ArchitectureBom;
 use hbd_types::Dollars;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 6.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NormalizedCost {
     /// Architecture name.
     pub name: String,
@@ -36,7 +35,7 @@ impl NormalizedCost {
 }
 
 /// Inputs of the Fig-17d aggregate-cost formula.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateCostInput {
     /// Price of one GPU (the paper's formula weights wasted and faulty GPUs by
     /// the GPU price).

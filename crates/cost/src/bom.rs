@@ -7,10 +7,9 @@
 
 use crate::components::Component;
 use hbd_types::{Dollars, GBps, Watts};
-use serde::{Deserialize, Serialize};
 
 /// One line of a bill of materials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BomLine {
     /// The component.
     pub component: Component,
@@ -39,7 +38,7 @@ impl BomLine {
 }
 
 /// The bill of materials of one architecture's reference deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchitectureBom {
     /// Architecture name (matches the Table 6 / Table 8 rows).
     pub name: String,

@@ -1,11 +1,10 @@
 //! The interconnect component catalogue of Appendix F (Table 8).
 
 use hbd_types::{Dollars, GBps, Watts};
-use serde::{Deserialize, Serialize};
 
 /// The kinds of interconnect components that appear in the evaluated
 /// architectures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// Centralised optical circuit switch (Google Palomar-class).
     OcsSwitch,
@@ -27,7 +26,7 @@ pub enum ComponentKind {
 
 /// One catalogue entry: a purchasable component with unit cost, unit bandwidth
 /// and unit power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Component {
     /// What kind of part this is.
     pub kind: ComponentKind,

@@ -52,14 +52,13 @@ use crate::network::DcnNetwork;
 use crate::traffic::JobTraffic;
 use hbd_types::par::par_try_map;
 use hbd_types::{GBps, Result, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Remaining volume below which a flow counts as complete (bytes). Epoch
 /// volumes are gigabytes-scale, so this absorbs float rounding only.
 const COMPLETE_EPS: f64 = 1e-6;
 
 /// One job's share of a replayed mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobInterference {
     /// Job name (from [`JobTraffic`]).
     pub name: String,
@@ -81,7 +80,7 @@ pub struct JobInterference {
 
 /// Cost counters of one replay — the engine's own performance telemetry
 /// (simulation-deterministic: identical inputs give identical counters).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReplayStats {
     /// Completion events processed (each advances time to the next finishing
     /// flow).
@@ -111,7 +110,7 @@ impl ReplayStats {
 }
 
 /// The outcome of replaying a job mix on a shared DCN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixOutcome {
     /// Per-job interference metrics, in input order.
     pub jobs: Vec<JobInterference>,
@@ -745,9 +744,11 @@ mod tests {
             .collect();
         let single = replay_mix_par(&net, &jobs, 1).unwrap();
         let wide = replay_mix_par(&net, &jobs, 4).unwrap();
-        let a = serde_json::to_string(&single).unwrap();
-        let b = serde_json::to_string(&wide).unwrap();
-        assert_eq!(a, b, "replay_mix_par must be thread-count invariant");
+        assert_eq!(
+            format!("{single:?}"),
+            format!("{wide:?}"),
+            "replay_mix_par must be thread-count invariant"
+        );
         assert_eq!(single, wide);
     }
 

@@ -1,11 +1,10 @@
 //! Flows and routes — the unit of traffic the DCN simulator reasons about.
 
 use hbd_types::{Bytes, LinkId, NodeId};
-use serde::{Deserialize, Serialize};
 use topology::NetworkDistance;
 
 /// A unidirectional transfer between two nodes' DCN NICs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Flow {
     /// Sending node.
     pub src: NodeId,
@@ -23,7 +22,7 @@ impl Flow {
 }
 
 /// The links a flow traverses, in order, plus the topological distance class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Directed links traversed by the flow, in path order. Empty for local
     /// flows.

@@ -15,11 +15,10 @@ use orchestrator::{
     greedy_placement, FatTreeOrchestrator, OrchestrationRequest, PlacementScheme, SnapshotDelta,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use topology::FaultSet;
 
 /// One job of the mix: a name plus its orchestration request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixJob {
     /// Job name (carried through lowering into the interference report).
     pub name: String,
@@ -38,7 +37,7 @@ impl MixJob {
 }
 
 /// A job successfully placed on the shared fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedJob {
     /// The job's name.
     pub name: String,

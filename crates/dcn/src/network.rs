@@ -16,11 +16,10 @@
 
 use crate::flow::{Flow, Route};
 use hbd_types::{GBps, Gbps, HbdError, LinkId, NodeId, Result, ToRId};
-use serde::{Deserialize, Serialize};
 use topology::{FatTree, NetworkDistance};
 
 /// What a directed link connects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// Node NIC → ToR.
     NodeUp(NodeId),
@@ -37,7 +36,7 @@ pub enum LinkKind {
 }
 
 /// One directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcnLink {
     /// Dense link identifier (index into the network's link table).
     pub id: LinkId,
@@ -48,7 +47,7 @@ pub struct DcnLink {
 }
 
 /// Sizing of the link plant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkParams {
     /// Per-node DCN NIC bandwidth (the paper uses one 400 Gbps ConnectX-7 per
     /// GPU; at node granularity the access link aggregates them).
@@ -102,7 +101,7 @@ impl NetworkParams {
 }
 
 /// The whole DCN: Fat-Tree structure plus sized, indexable links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcnNetwork {
     fat_tree: FatTree,
     params: NetworkParams,

@@ -5,10 +5,9 @@ use crate::flow::{Flow, Route};
 use crate::maxmin::max_min_rates;
 use crate::network::DcnNetwork;
 use hbd_types::{Bytes, GBps, LinkId, Result, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A solved flow-level scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowSimulation {
     flows: Vec<Flow>,
     routes: Vec<Route>,
@@ -17,7 +16,7 @@ pub struct FlowSimulation {
 }
 
 /// Aggregate congestion metrics of a solved scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CongestionReport {
     /// Total flows simulated (including local ones).
     pub flows: usize,

@@ -20,10 +20,9 @@ use crate::flow::Flow;
 use hbd_types::{Bytes, HbdError, Result};
 use llmsim::{CommModel, ModelConfig, ParallelismStrategy};
 use orchestrator::PlacementScheme;
-use serde::{Deserialize, Serialize};
 
 /// How much each DP neighbour pair exchanges per iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficSpec {
     /// Bytes exchanged (per direction) between DP-adjacent nodes per iteration.
     pub bytes_per_dp_pair: Bytes,
@@ -82,7 +81,7 @@ pub fn dp_ring_flows(scheme: &PlacementScheme, spec: &TrafficSpec) -> Vec<Flow> 
 /// DP is the fastest-varying dimension, so for `pp = cp = 1` the mapping
 /// degenerates to the original "group order = DP rank" convention of
 /// [`PlacementScheme`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LogicalShape {
     /// Data-parallel extent (groups per CP rank per stage).
     pub dp: usize,
@@ -136,7 +135,7 @@ impl LogicalShape {
 /// whether the DP and CP dimensions close into rings (Ring-AllReduce /
 /// Ring-Attention proper) or stay open lines (the conservative accounting the
 /// orchestrator's cross-ToR metric uses).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficProfile {
     /// Bytes per direction between DP-adjacent ranks per iteration.
     pub dp_pair_bytes: Bytes,
@@ -171,7 +170,7 @@ impl TrafficProfile {
 }
 
 /// One set of flows that are live on the DCN at the same time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficEpoch {
     /// Human-readable phase name (`"steady"` or `"sync"` for lowered plans).
     pub label: String,
@@ -195,7 +194,7 @@ impl TrafficEpoch {
 }
 
 /// One job's DCN traffic: a cycle of epochs replayed `iterations` times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobTraffic {
     /// Job name (carried into the interference report).
     pub name: String,
@@ -238,7 +237,7 @@ impl JobTraffic {
 ///
 /// Epochs that lower to zero flows are omitted, so a DP-only matrix produces
 /// the single epoch the original [`dp_ring_flows`] model simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficMatrix {
     /// The logical grid the placement's groups are arranged into.
     pub shape: LogicalShape,

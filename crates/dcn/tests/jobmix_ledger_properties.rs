@@ -5,7 +5,7 @@
 //! The oracle replays the full operation history after every step: the
 //! exclusion set is *defined* as `faults ∪ (nodes of active placements)`,
 //! recomputed from nothing. The ledger must agree exactly — same bitset,
-//! same serialised shape — after any interleaving of fault, repair, place
+//! same sorted node list — after any interleaving of fault, repair, place
 //! and release operations, including nodes that are simultaneously faulty
 //! and placed.
 
@@ -90,7 +90,7 @@ fn build_scheme(start: usize, len: usize, active: &[Option<PlacementScheme>]) ->
 proptest! {
     /// After every single operation, the ledger's exclusion set equals the
     /// rebuild-from-scratch oracle bit-for-bit (FaultSet equality is word
-    /// equality) and in serialised form.
+    /// equality) and as the sorted node list its `Debug` prints.
     #[test]
     fn ledger_matches_rebuild_oracle(ops in arbitrary_ops()) {
         let mut ledger = ExclusionLedger::new();
@@ -126,8 +126,8 @@ proptest! {
             let expected = oracle(&faults, &active);
             prop_assert_eq!(ledger.excluded(), &expected);
             prop_assert_eq!(
-                serde_json::to_string(ledger.excluded()).unwrap(),
-                serde_json::to_string(&expected).unwrap()
+                format!("{:?}", ledger.excluded()),
+                format!("{expected:?}")
             );
             prop_assert_eq!(ledger.faulty(), &faults);
             let placed: usize = active

@@ -127,8 +127,8 @@ proptest! {
 
     /// The DP-only restriction of the matrix reproduces the original
     /// `dp_ring_flows` lowering byte-for-byte — same flows, same order — and
-    /// therefore the same `FlowSimulation` congestion report, serialised to
-    /// the same JSON bytes.
+    /// therefore the same `FlowSimulation` congestion report, down to the
+    /// last bit of every float.
     #[test]
     fn dp_only_lowering_is_byte_identical_to_the_single_job_model(
         groups in 1usize..9,
@@ -156,14 +156,12 @@ proptest! {
         let lowered = matrix.dp_flows(&scheme).unwrap();
         prop_assert_eq!(&lowered, &legacy);
 
-        // End to end: both flow sets produce byte-identical congestion
-        // reports on the same network.
+        // End to end: both flow sets produce bit-identical congestion
+        // reports on the same network (`Debug` prints every float exactly).
         let tree = FatTree::new(32, 4, 4).unwrap();
         let network = DcnNetwork::new(tree, NetworkParams::non_blocking(4, 4)).unwrap();
         let legacy_report = FlowSimulation::run(&network, legacy).unwrap().report(&network);
         let lowered_report = FlowSimulation::run(&network, lowered).unwrap().report(&network);
-        let legacy_json = serde_json::to_string(&serde_json::to_value(&legacy_report)).unwrap();
-        let lowered_json = serde_json::to_string(&serde_json::to_value(&lowered_report)).unwrap();
-        prop_assert_eq!(legacy_json, lowered_json);
+        prop_assert_eq!(format!("{legacy_report:?}"), format!("{lowered_report:?}"));
     }
 }

@@ -14,10 +14,9 @@ use crate::event::FaultEvent;
 use crate::trace::FaultTrace;
 use hbd_types::{HbdError, NodeId, Result, Seconds};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorConfig {
     /// Number of nodes in the generated trace.
     pub nodes: usize,
@@ -197,8 +196,8 @@ mod tests {
     #[test]
     fn non_finite_duration_or_repair_time_is_an_error_not_a_hang() {
         // A NaN or +inf duration never ends the renewal loop, and a NaN
-        // repair time trips `FaultEvent::new`'s assert: both must be caught
-        // before the first draw.
+        // repair time yields periods that `FaultTrace::new` rejects: both
+        // must be caught before the first draw.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for config in [
                 GeneratorConfig {

@@ -11,10 +11,9 @@
 
 use hbd_types::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Independent, identically distributed node-fault model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IidFaultModel {
     /// Number of nodes in the cluster.
     pub nodes: usize,

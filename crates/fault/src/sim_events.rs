@@ -19,11 +19,10 @@ use crate::trace::FaultTrace;
 use hbd_types::{HbdError, NodeId, Result, Seconds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// The direction of a node-availability edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeEventKind {
     /// The node left service.
     Fault,
@@ -32,7 +31,7 @@ pub enum NodeEventKind {
 }
 
 /// One node-availability edge, ready for an event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeEvent {
     /// When the edge occurs.
     pub at: Seconds,
@@ -552,19 +551,5 @@ mod tests {
                 "{edges:?}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn node_event_serde_shape_is_pinned() {
-        let event = NodeEvent {
-            at: Seconds(12.5),
-            node: NodeId(7),
-            kind: NodeEventKind::Fault,
-        };
-        let json = serde_json::to_string(&event).unwrap();
-        // Keys serialise in alphabetical order (the serde shim's map layout).
-        assert_eq!(json, r#"{"at":12.5,"kind":"Fault","node":7}"#);
-        let back: NodeEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, event);
     }
 }

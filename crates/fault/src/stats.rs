@@ -4,13 +4,12 @@
 
 use crate::trace::FaultTrace;
 use hbd_types::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Seconds per day, used when bucketing a trace into daily samples.
 pub const DAY_SECONDS: f64 = 86_400.0;
 
 /// Summary statistics of the instantaneous node-fault ratio of a trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Sampled `(time, fault ratio)` series (Fig 18a).
     pub series: Vec<(Seconds, f64)>,

@@ -30,10 +30,9 @@ use crate::trace::FaultTrace;
 use hbd_types::{HbdError, NodeId, Result, Seconds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a correlated fault-storm schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormConfig {
     /// Cluster size (nodes).
     pub nodes: usize,
@@ -105,7 +104,7 @@ impl StormConfig {
 }
 
 /// One storm burst: when it struck and what it took down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StormBurst {
     /// The burst instant (onsets stagger from here).
     pub at: Seconds,
@@ -119,7 +118,7 @@ pub struct StormBurst {
 
 /// A full correlated-storm schedule: burst metadata plus the merged
 /// alternating fault/repair edge stream ready for replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StormSchedule {
     /// The bursts, in arrival order.
     pub bursts: Vec<StormBurst>,

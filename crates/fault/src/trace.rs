@@ -4,10 +4,9 @@
 
 use crate::event::FaultEvent;
 use hbd_types::{HbdError, NodeId, Result, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A fault trace over a cluster of `nodes` nodes and `duration` of wall time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultTrace {
     nodes: usize,
     duration: Seconds,
@@ -35,8 +34,8 @@ impl FaultTrace {
                     event.node
                 )));
             }
-            // `FaultEvent`'s fields are public, so a struct literal or a
-            // deserialized event may hold any times; NaN fails every check.
+            // This is the one check of a fault interval: `FaultEvent::new`
+            // and struct literals accept any times. NaN fails every check.
             if !(event.start.is_finite_non_negative()
                 && event.start.value() <= event.end.value()
                 && event.end.value() <= duration.value())
@@ -188,12 +187,7 @@ mod tests {
 
     #[test]
     fn non_finite_or_inverted_times_are_an_error_not_a_panic() {
-        // `FaultEvent`'s fields are public, so these bypass `FaultEvent::new`.
-        let event = |start: f64, end: f64| FaultEvent {
-            node: NodeId(0),
-            start: Seconds(start),
-            end: Seconds(end),
-        };
+        let event = |start: f64, end: f64| FaultEvent::new(NodeId(0), Seconds(start), Seconds(end));
         for duration in [f64::NAN, f64::INFINITY, -1.0] {
             assert!(matches!(
                 FaultTrace::new(2, Seconds(duration), vec![]),

@@ -2,13 +2,12 @@
 
 use crate::error::{HbdError, Result};
 use crate::units::{Bytes, Gbps};
-use serde::{Deserialize, Serialize};
 
 /// Number of GPUs per node.
 ///
 /// The paper evaluates two node form factors: the 4-GPU node used by GB200
 /// NVL-36/72/576 and TPUv4, and the 8-GPU node of DGX H100 / UBB 2.0 servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeSize {
     /// Four GPUs per node (GB200-style compute tray).
     Four,
@@ -31,7 +30,7 @@ impl NodeSize {
 /// Defaults follow the paper's setup: NVIDIA H100 (989 TFLOPS dense BF16,
 /// 80 GiB HBM), 6.4 Tbps of HBD bandwidth (8 × 800 Gbps OCSTrx) and a 400 Gbps
 /// ConnectX-7 DCN NIC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Peak dense compute throughput in TFLOPS (BF16 with FP32 accumulate).
     pub peak_tflops: f64,
@@ -62,7 +61,7 @@ impl Default for GpuSpec {
 }
 
 /// Static description of the simulated cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Total number of nodes in the cluster.
     pub nodes: usize,

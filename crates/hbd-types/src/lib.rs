@@ -6,9 +6,10 @@
 //! orchestration bug cannot silently mix a node id with a GPU id, and physical
 //! quantities (bandwidth, power, money, time) carry their unit in the type.
 //!
-//! Everything here is `Copy`/`Clone`, `serde`-serialisable and has a total order
-//! where that makes sense, so the higher-level crates can use these types as map
-//! keys and in sorted structures without ceremony.
+//! Everything here is `Copy`/`Clone` and has a total order where that makes
+//! sense, so the higher-level crates can use these types as map keys and in
+//! sorted structures without ceremony. Ids and units also serialise (as their
+//! bare number) for the control-plane simulation's JSON report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

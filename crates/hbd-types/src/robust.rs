@@ -22,7 +22,6 @@
 
 use crate::par::stream_seed;
 use crate::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// A capped exponential backoff schedule with deterministic seeded jitter.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// `(seed, key, attempt)`. With `jitter == 0.0` the schedule is the plain
 /// deterministic exponential; with `jitter > 0.0` distinct keys de-correlate
 /// (no retry thundering herd) while staying bit-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffSchedule {
     /// Delay of attempt 0, before jitter.
     pub base: Seconds,
@@ -72,7 +71,7 @@ impl BackoffSchedule {
 }
 
 /// The observable state of a [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Requests flow; consecutive failures are counted.
     Closed,
@@ -84,7 +83,7 @@ pub enum BreakerState {
 }
 
 /// Configuration of a [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Consecutive failures (while closed) that trip the breaker open.
     pub failure_threshold: u32,

@@ -6,7 +6,7 @@
 //! a full dimensional-analysis system but to make the most common unit mistakes
 //! (Gbps vs GBps, dollars vs watts) impossible to compile.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -15,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! scalar_unit {
     ($(#[$meta:meta])* $name:ident, $suffix:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
         #[serde(transparent)]
         pub struct $name(pub f64);
 

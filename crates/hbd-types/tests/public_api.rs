@@ -26,12 +26,8 @@ fn unit_conversions_compose() {
 fn units_serialize_transparently() {
     // `#[serde(transparent)]`: a unit must serialise as its bare number so
     // traces and reports stay tool-friendly.
-    let json = serde_json::to_string(&Seconds(12.5)).unwrap();
-    assert_eq!(json, "12.5");
-    let back: Seconds = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, Seconds(12.5));
-    let w: Watts = serde_json::from_str("75.95").unwrap();
-    assert_eq!(w, Watts(75.95));
+    assert_eq!(serde_json::to_string(&Seconds(12.5)).unwrap(), "12.5");
+    assert_eq!(serde_json::to_string(&Watts(75.95)).unwrap(), "75.95");
 }
 
 #[test]
@@ -45,8 +41,6 @@ fn id_newtypes_are_distinct_types_with_shared_behaviour() {
     assert_eq!(usize::from(LinkId(13)), 13);
     // ...and serialises as a bare index (transparent newtype).
     assert_eq!(serde_json::to_string(&NodeId(42)).unwrap(), "42");
-    let back: NodeId = serde_json::from_str("42").unwrap();
-    assert_eq!(back, NodeId(42));
 }
 
 #[test]
@@ -57,10 +51,11 @@ fn ids_work_as_ordered_map_keys() {
     }
     let keys: Vec<NodeId> = per_node.keys().copied().collect();
     assert_eq!(keys, vec![NodeId(1), NodeId(3), NodeId(5)]);
-    // Id-keyed maps round-trip through JSON (encoded as [key, value] pairs).
-    let json = serde_json::to_string(&per_node).unwrap();
-    let back: BTreeMap<NodeId, usize> = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, per_node);
+    // Id-keyed maps serialise as [key, value] pairs.
+    assert_eq!(
+        serde_json::to_string(&per_node).unwrap(),
+        "[[1,10],[3,30],[5,50]]"
+    );
 }
 
 #[test]
@@ -106,35 +101,10 @@ fn config_validation_reports_each_degenerate_parameter() {
 }
 
 #[test]
-fn node_size_rejects_unsupported_gpu_counts() {
-    // The enum admits only the two evaluated form factors, so a config that
-    // names any other GPU count fails to parse.
-    for gpus in ["0", "1", "2", "6", "16", "\"Six\""] {
-        assert!(serde_json::from_str::<NodeSize>(gpus).is_err(), "{gpus}");
-    }
-    for size in [NodeSize::Four, NodeSize::Eight] {
-        let json = serde_json::to_string(&size).unwrap();
-        assert_eq!(serde_json::from_str::<NodeSize>(&json).unwrap(), size);
-    }
-}
-
-#[test]
-fn cluster_config_round_trips_through_json() {
-    let config = ClusterConfig::paper_8192_gpu();
-    let json = serde_json::to_string_pretty(&config).unwrap();
-    let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, config);
-    assert_eq!(back.total_gpus(), 8192);
-}
-
-#[test]
 fn gpu_spec_defaults_to_the_papers_h100() {
     let spec = GpuSpec::default();
     assert_eq!(spec, GpuSpec::h100());
     assert!((spec.hbd_bandwidth.to_gbytes_per_sec().value() - 800.0).abs() < 1e-9);
-    let json = serde_json::to_string(&spec).unwrap();
-    let back: GpuSpec = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, spec);
 }
 
 #[test]

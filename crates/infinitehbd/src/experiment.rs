@@ -8,7 +8,6 @@ use hbd_types::par::par_map;
 use hbd_types::{ClusterConfig, HbdError, Result, Seconds};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use topology::{paper_architectures, HbdArchitecture};
 
 /// A cluster-level fault-resilience study comparing every architecture the
@@ -21,7 +20,7 @@ pub struct ClusterStudy {
 }
 
 /// Per-architecture results of a [`ClusterStudy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyReport {
     /// Architecture name (figure legend string).
     pub architecture: String,

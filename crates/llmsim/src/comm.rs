@@ -17,7 +17,6 @@ use crate::model::ModelConfig;
 use crate::parallelism::ParallelismStrategy;
 use collective::{AlphaBeta, RingAllReduce};
 use hbd_types::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// Bytes per activation / weight element (BF16).
 pub const BYTES_PER_ELEMENT: f64 = 2.0;
@@ -29,7 +28,7 @@ pub const BYTES_PER_ELEMENT: f64 = 2.0;
 /// iteration**; multiplying by the pair count and the two directions recovers
 /// the total volume of the dimension (the invariant the lowering's property
 /// tests assert).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DcnPairVolumes {
     /// Gradient Ring-AllReduce volume between DP-adjacent ranks:
     /// `2·(dp−1)/dp` of the per-rank gradient shard.
@@ -49,7 +48,7 @@ pub struct DcnPairVolumes {
 }
 
 /// Communication-time model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommModel {
     /// The HBD link serving TP (and EP) traffic.
     pub hbd: AlphaBeta,

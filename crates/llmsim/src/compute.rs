@@ -8,10 +8,9 @@
 //! small per-GPU workloads.
 
 use hbd_types::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Compute-time model for one GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeModel {
     /// Peak throughput actually reachable by dense transformer kernels on a
     /// healthy workload, as a fraction of the datasheet peak (flash-attention

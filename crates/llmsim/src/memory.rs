@@ -13,10 +13,9 @@
 use crate::model::ModelConfig;
 use crate::parallelism::ParallelismStrategy;
 use hbd_types::{Bytes, GpuSpec};
-use serde::{Deserialize, Serialize};
 
 /// Memory model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// Bytes per parameter held resident in BF16 (weights + gradients).
     pub bytes_per_param_resident: f64,

@@ -21,10 +21,9 @@ use crate::moe::ExpertImbalance;
 use crate::parallelism::ParallelismStrategy;
 use crate::pipeline::PipelineModel;
 use hbd_types::{GpuSpec, HbdError, Result, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// The result of simulating one (model, strategy) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MfuEstimate {
     /// The strategy that was simulated.
     pub strategy: ParallelismStrategy,
@@ -45,7 +44,7 @@ pub struct MfuEstimate {
 }
 
 /// The analytical training simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingSimulator {
     /// GPU specification.
     pub gpu: GpuSpec,

@@ -7,10 +7,8 @@
 //! * **GPT-MoE 1.1T**, the Appendix-B configuration (192 layers, hidden 12288,
 //!   inner 49152, 8 experts, top-2, MoE on every second layer).
 
-use serde::{Deserialize, Serialize};
-
 /// Dense transformer or Mixture-of-Experts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// Standard dense decoder-only transformer.
     Dense,
@@ -20,7 +18,7 @@ pub enum ModelKind {
 }
 
 /// Architecture hyper-parameters of the trained model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable name.
     pub name: String,

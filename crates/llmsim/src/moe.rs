@@ -13,10 +13,8 @@
 //! every expert — the key insight behind the paper's "TP is preferable for MoE"
 //! finding.
 
-use serde::{Deserialize, Serialize};
-
 /// Expert-imbalance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpertImbalance {
     /// The imbalance coefficient `(max − min) / max`, in `[0, 1)`.
     pub coefficient: f64,

@@ -1,11 +1,10 @@
 //! The parallelism-strategy space: (TP, PP, DP, CP, EP, virtual pipeline).
 
 use hbd_types::{HbdError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One point of the parallelism search space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelismStrategy {
     /// Tensor-parallel group size (GPUs per TP group).
     pub tp: usize,

@@ -14,10 +14,9 @@
 //! check is to grow TP instead of DP — the core argument of §2.3.
 
 use crate::parallelism::ParallelismStrategy;
-use serde::{Deserialize, Serialize};
 
 /// Pipeline-schedule model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineModel;
 
 impl PipelineModel {

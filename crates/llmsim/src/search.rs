@@ -12,10 +12,9 @@ use crate::mfu::{MfuEstimate, TrainingSimulator};
 use crate::model::{ModelConfig, ModelKind};
 use crate::parallelism::ParallelismStrategy;
 use hbd_types::{HbdError, Result};
-use serde::{Deserialize, Serialize};
 
 /// The strategy grid to search.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchSpace {
     /// Candidate TP sizes.
     pub tp: Vec<usize>,

@@ -10,10 +10,9 @@
 use crate::path::PathId;
 use crate::transceiver::OcsTrx;
 use hbd_types::{HbdError, Microseconds, Result};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate state of a bundle, as seen by the topology layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BundleState {
     /// The bundle carries traffic on its primary external path.
     ActivePrimary,
@@ -27,7 +26,7 @@ pub enum BundleState {
 }
 
 /// A bundle of OCSTrx modules serving one GPU pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bundle {
     modules: Vec<OcsTrx>,
     state: BundleState,

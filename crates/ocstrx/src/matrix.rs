@@ -19,10 +19,9 @@
 use crate::mzi::{MziElement, MziState};
 use crate::path::PathId;
 use hbd_types::{HbdError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Destination of a lane after the two front routing elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneTarget {
     /// The lane is steered to one of the external fiber outputs.
     External(PathId),
@@ -37,7 +36,7 @@ pub enum LaneTarget {
 
 /// The complete switch fabric of one OCSTrx: per-lane front routing elements
 /// plus the shared `N×N` cross-lane loopback matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MziSwitchMatrix {
     lanes: usize,
     /// Two routing elements per lane (stage that selects external-1 / external-2

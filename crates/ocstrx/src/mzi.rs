@@ -15,10 +15,9 @@
 //!   path and feeds the optics model.
 
 use hbd_types::{HbdError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Routing state of a 2×2 MZI element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MziState {
     /// Input 0 → output 0, input 1 → output 1 (no phase difference).
     Bar,
@@ -51,7 +50,7 @@ impl MziState {
 }
 
 /// A single thermo-optically tuned 2×2 MZI switch element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MziElement {
     state: MziState,
     /// Insertion loss contributed by this element when light passes through it,

@@ -19,10 +19,9 @@
 
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Ambient conditions for an optical measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpticalConditions {
     /// Ambient temperature in °C.
     pub temperature_c: f64,
@@ -37,7 +36,7 @@ pub struct OpticalConditions {
 /// ~3.5 dB at 85 °C, truncated to the observed 2.5–4.0 dB support at room
 /// temperature (the support widens slightly with temperature, matching the
 /// broader histograms of Fig 11c/d).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InsertionLossModel {
     /// Mean loss at 25 °C in dB.
     pub mean_at_25c_db: f64,
@@ -113,7 +112,7 @@ impl Default for InsertionLossModel {
 /// in OMA whose threshold moves up with temperature; above the cliff the BER is
 /// exactly zero (the paper reports genuine zeros, not just "below measurement
 /// floor").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerModel {
     /// OMA (mW) below which errors start appearing at 50 °C.
     pub threshold_oma_at_50c_mw: f64,

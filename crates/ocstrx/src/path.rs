@@ -7,11 +7,10 @@
 //! full GPU bandwidth is always concentrated on the active path ("activating one
 //! external path completely disables the other").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the three selectable paths of an OCSTrx.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PathId {
     /// External path 1 — by convention the *primary* neighbour link
     /// (distance ±1 in the K-Hop Ring).

@@ -12,10 +12,9 @@
 
 use crate::path::PathId;
 use hbd_types::Watts;
-use serde::{Deserialize, Serialize};
 
 /// Power model for one OCSTrx module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Power of the non-OCS circuitry (laser, modulator driver, TIA, SerDes).
     pub peripheral: Watts,

@@ -11,10 +11,9 @@ use crate::optics::{BerModel, InsertionLossModel, OpticalConditions};
 use crate::path::PathId;
 use crate::power::PowerModel;
 use hbd_types::{Gbps, HbdError, Microseconds, Result, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of an OCSTrx module.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrxConfig {
     /// Line rate of the module.
     pub line_rate: Gbps,
@@ -65,7 +64,7 @@ impl Default for TrxConfig {
 }
 
 /// A single OCSTrx module.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OcsTrx {
     config: TrxConfig,
     matrix: MziSwitchMatrix,

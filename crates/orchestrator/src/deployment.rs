@@ -11,11 +11,10 @@
 //! traffic stays under the ToR switch.
 
 use hbd_types::{HbdError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// The deployment wiring of the cluster.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeploymentStrategy {
     nodes: usize,
     /// Nodes per ToR (`p` in the paper's notation) — also the number of

@@ -23,13 +23,12 @@ use crate::dcn_free::{orchestrate_dcn_free, GroupCutter};
 use crate::deployment::DeploymentStrategy;
 use crate::scheme::PlacementScheme;
 use hbd_types::{HbdError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use topology::runscan::{scan_khop_runs, RunSink, RunSummary};
 use topology::{FatTree, FaultSet};
 
 /// What the job needs from the orchestrator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrchestrationRequest {
     /// Number of nodes the job needs (`s / r` in the paper's notation).
     pub job_nodes: usize,
@@ -58,7 +57,7 @@ impl OrchestrationRequest {
 }
 
 /// The Fat-Tree-aware orchestrator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FatTreeOrchestrator {
     deployment: DeploymentStrategy,
     fat_tree: FatTree,

@@ -10,11 +10,10 @@
 //!   cross-ToR accounting in [`crate::traffic`] measures.
 
 use hbd_types::{HbdError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One TP group: an ordered run of nodes forming a GPU ring.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpGroup {
     /// The member nodes, in TP-rank order.
     pub nodes: Vec<NodeId>,
@@ -38,7 +37,7 @@ impl TpGroup {
 }
 
 /// A complete placement scheme: the ordered TP groups selected for a job.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlacementScheme {
     /// The TP groups, in DP-rank order.
     pub groups: Vec<TpGroup>,

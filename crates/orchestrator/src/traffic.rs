@@ -16,12 +16,11 @@
 //! the rate toward zero.
 
 use crate::scheme::PlacementScheme;
-use serde::{Deserialize, Serialize};
 use topology::FatTree;
 
 /// Per-node, per-iteration traffic volumes (arbitrary but consistent units;
 /// the cross-ToR *rate* only depends on their ratio).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficModel {
     /// TP (HBD) volume exchanged by one node per iteration.
     pub tp_volume_per_node: f64,

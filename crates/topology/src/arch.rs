@@ -9,7 +9,6 @@
 //! constraints (NVLink domains, TPU cubes, ring segments, ...).
 
 use hbd_types::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The set of currently-faulty nodes.
 ///
@@ -20,8 +19,6 @@ use serde::{Deserialize, Serialize};
 /// Internally this is a dense `u64`-word bitset indexed by node id — the
 /// fault-resilience sweeps probe `is_faulty` for every node of the cluster at
 /// every trace instant, so membership must be O(1) and counting O(words).
-/// The serialised form is unchanged from the original `BTreeSet` version: an
-/// object holding the sorted faulty-node list (`{"nodes": [3, 17, ...]}`).
 #[derive(Clone, Default, Eq)]
 pub struct FaultSet {
     words: Vec<u64>,
@@ -324,32 +321,6 @@ impl std::fmt::Debug for FaultSet {
     }
 }
 
-// Hand-written serde keeping the wire format of the original
-// `struct FaultSet { nodes: BTreeSet<NodeId> }`: an object with a single
-// `nodes` key holding the sorted faulty-node array.
-impl Serialize for FaultSet {
-    fn to_value(&self) -> serde::value::Value {
-        let nodes: Vec<serde::value::Value> =
-            self.iter().map(|node| Serialize::to_value(&node)).collect();
-        let mut map = serde::value::Map::new();
-        map.insert(String::from("nodes"), serde::value::Value::Array(nodes));
-        serde::value::Value::Object(map)
-    }
-}
-
-impl Deserialize for FaultSet {
-    fn from_value(value: &serde::value::Value) -> Result<Self, serde::de::Error> {
-        let object = value.as_object().ok_or_else(|| {
-            serde::de::Error::custom(format!("expected object for FaultSet, found {value}"))
-        })?;
-        let nodes = object
-            .get("nodes")
-            .ok_or_else(|| serde::de::Error::custom("FaultSet: missing field `nodes`"))?;
-        let nodes: Vec<NodeId> = Deserialize::from_value(nodes)?;
-        Ok(FaultSet::from_nodes(nodes))
-    }
-}
-
 impl FromIterator<NodeId> for FaultSet {
     fn from_iter<T: IntoIterator<Item = NodeId>>(iter: T) -> Self {
         Self::from_nodes(iter)
@@ -358,7 +329,7 @@ impl FromIterator<NodeId> for FaultSet {
 
 /// How many GPUs an architecture can actually put to work under a given fault
 /// pattern and TP size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UtilizationReport {
     /// Total GPUs in the cluster (healthy + faulty).
     pub total_gpus: usize,
@@ -405,7 +376,7 @@ impl UtilizationReport {
 }
 
 /// Which family an architecture belongs to (Table 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchitectureKind {
     /// Switch chips provide all connectivity (NVL series).
     SwitchCentric,
@@ -663,22 +634,6 @@ mod tests {
         // Neither operand moved.
         assert_eq!(base, FaultSet::from_nodes([NodeId(1), NodeId(70)]));
         assert_eq!(extra, FaultSet::from_nodes([NodeId(2), NodeId(300)]));
-    }
-
-    #[test]
-    fn serde_shape_is_the_sorted_node_list() {
-        // The bitset rewrite must keep the original wire format: an object
-        // with a single `nodes` key holding the ascending faulty-node array.
-        let faults = FaultSet::from_nodes([NodeId(130), NodeId(5), NodeId(64)]);
-        let json = serde_json::to_string(&faults).expect("serialises");
-        assert_eq!(json, r#"{"nodes":[5,64,130]}"#);
-        let back: FaultSet = serde_json::from_str(&json).expect("deserialises");
-        assert_eq!(back, faults);
-        // Empty set round-trips too.
-        let empty_json = serde_json::to_string(&FaultSet::new()).expect("serialises");
-        assert_eq!(empty_json, r#"{"nodes":[]}"#);
-        let back: FaultSet = serde_json::from_str(&empty_json).expect("deserialises");
-        assert!(back.is_empty());
     }
 
     #[test]

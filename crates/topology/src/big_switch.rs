@@ -7,10 +7,9 @@
 //! the global fragmentation remainder `healthy mod TP`.
 
 use crate::arch::{ArchitectureKind, FaultSet, HbdArchitecture, UtilizationReport};
-use serde::{Deserialize, Serialize};
 
 /// The idealised Big-Switch HBD.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BigSwitch {
     nodes: usize,
     gpus_per_node: usize,

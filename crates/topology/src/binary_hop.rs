@@ -16,10 +16,9 @@
 use crate::arch::FaultSet;
 use crate::graph::NodeGraph;
 use hbd_types::{HbdError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 
 /// The ±2^i wiring used for Binary Exchange AllToAll.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinaryHopRing {
     nodes: usize,
     gpus_per_node: usize,

@@ -9,10 +9,9 @@
 //! crosses the core layer.
 
 use hbd_types::{ClusterConfig, HbdError, NodeId, Result, ToRId};
-use serde::{Deserialize, Serialize};
 
 /// Distance classes between two nodes in the Fat-Tree DCN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NetworkDistance {
     /// The two endpoints are the same node (intra-node traffic).
     SameNode,
@@ -47,7 +46,7 @@ impl NetworkDistance {
 }
 
 /// The Fat-Tree DCN of the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FatTree {
     nodes: usize,
     nodes_per_tor: usize,

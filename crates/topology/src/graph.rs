@@ -3,11 +3,10 @@
 //! and finds its connected components with a DFS).
 
 use hbd_types::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An undirected graph whose vertices are node indices `0..n`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeGraph {
     adjacency: Vec<BTreeSet<usize>>,
 }

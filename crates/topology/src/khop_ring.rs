@@ -23,11 +23,10 @@ use crate::arch::{ArchitectureKind, FaultSet, HbdArchitecture, UtilizationReport
 use crate::graph::NodeGraph;
 use crate::runscan::{self, PositionRun};
 use hbd_types::{HbdError, NodeId, Result};
-use serde::{Deserialize, Serialize};
 
 /// A maximal run of healthy nodes that remains mutually connected after
 /// bypassing faulty nodes with backup links.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RingSegment {
     /// The healthy nodes of the segment, in deployment order.
     pub nodes: Vec<NodeId>,
@@ -60,7 +59,7 @@ impl RingSegment {
 }
 
 /// The K-Hop Ring topology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KHopRing {
     name: String,
     nodes: usize,

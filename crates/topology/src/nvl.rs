@@ -8,10 +8,9 @@
 //! domain reduce the healthy pool of that domain only.
 
 use crate::arch::{ArchitectureKind, FaultSet, HbdArchitecture, UtilizationReport};
-use serde::{Deserialize, Serialize};
 
 /// The NVLink domain sizes compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NvlVariant {
     /// GB200 NVL-36: 36 GPUs per domain.
     Nvl36,
@@ -46,7 +45,7 @@ impl NvlVariant {
 }
 
 /// A cluster built from switch-centric NVLink domains.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nvl {
     nodes: usize,
     gpus_per_node: usize,

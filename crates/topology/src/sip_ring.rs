@@ -14,10 +14,9 @@
 
 use crate::arch::{ArchitectureKind, FaultSet, HbdArchitecture, UtilizationReport};
 use hbd_types::{HbdError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A cluster wired as fixed-size static rings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SipRing {
     nodes: usize,
     gpus_per_node: usize,

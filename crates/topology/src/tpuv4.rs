@@ -13,13 +13,12 @@
 //!   needed per group.
 
 use crate::arch::{ArchitectureKind, FaultSet, HbdArchitecture, UtilizationReport};
-use serde::{Deserialize, Serialize};
 
 /// GPUs (TPUs) per cube: 4 × 4 × 4.
 pub const CUBE_GPUS: usize = 64;
 
 /// A TPUv4-style cluster: cubes of 64 accelerators behind central OCS switches.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TpuV4 {
     nodes: usize,
     gpus_per_node: usize,

@@ -29,6 +29,17 @@ whether the gap between the medians exceeds the parent's quartile distance.
 A metric whose median got worse by more than its `BENCHMARK.json` bound is
 flagged, and the script then exits 1.
 
+When the working tree is the parent's tree (same git tree object, e.g.
+`--parent HEAD` on a clean checkout), both builds run the same code and the
+run is an A/A check of the measurement itself. Each metric then also gets a
+verdict: UNRESOLVED when the parent's quartile distance is wider than the
+metric's `BENCHMARK.json` bound (the runs cannot tell a gap of that size from
+noise), else PASS when the gap between the medians is within the parent's
+quartile distance and FAIL when it exceeds it. Both sides run the same code,
+so a FAIL is never a regression: it says the measurement reads a difference
+that is not there, at a resolution finer than the bound. Any FAIL makes the
+script exit 1; UNRESOLVED does not.
+
 Next to `peak_rss_mb` it prints how much of the median change the call log
 can explain. perfbench keeps one 8-byte `f64` per timed op in a growing
 `Vec`. The log first fills heap that setup freed, which raises no peak, and
@@ -92,7 +103,7 @@ def copy_change(root):
         subprocess.run(["git", "-C", str(root), "add", "-A"], check=True, env=env)
         sha = subprocess.run(["git", "-C", str(root), "write-tree"], check=True, env=env,
                              capture_output=True, text=True).stdout.strip()
-    return unpack(root, sha, f"change-{sha[:12]}")
+    return unpack(root, sha, f"change-{sha[:12]}"), sha
 
 
 def build(tree, target_dir):
@@ -151,9 +162,12 @@ def call_log_note(parent_ops, change_ops, rss_change_mb):
             f" {rss_change_mb:+.3f} MB median change (less while the log fits in freed heap)")
 
 
-def report(workload, declared, parent, change, ops):
-    """Prints one workload's table; returns the names of flagged metrics."""
-    flagged = []
+def report(workload, declared, parent, change, ops, same_tree):
+    """Prints one workload's table; returns the names of the metrics flagged
+    against their bound and, for an A/A run, of those whose median gap
+    exceeds the parent's quartile distance while that distance is within the
+    bound."""
+    flagged, aa_failed = [], []
     print(f"{workload}: {len(parent)} pairs")
     print(f"  {'metric':<34} {'parent median [q1, q3]':<34} {'change median [q1, q3]':<34}"
           f" {'change':>8} {'wins':>6}  gap>IQR")
@@ -175,13 +189,21 @@ def report(workload, declared, parent, change, ops):
                 + f" {c_med:.6g} [{c_q1:.4g}, {c_q3:.4g}]".ljust(35)
                 + f" {gain:>+8.1%} {wins:>3}/{len(pairs):<2}  {'yes' if clears else 'no'}")
         bound = metric.get("bound")
+        if same_tree:
+            if bound is not None and p_med and (p_q3 - p_q1) / p_med > bound:
+                line += "  A/A UNRESOLVED (parent spread wider than the bound)"
+            elif clears:
+                line += "  A/A FAIL (same code, gap beyond the parent's spread)"
+                aa_failed.append(f"{workload}.{name}")
+            else:
+                line += "  A/A PASS"
         if bound is not None and -gain > bound:
             line += f"  <-- worse by more than the {bound:.0%} bound"
             flagged.append(f"{workload}.{name}")
         print(line)
         if name == "peak_rss_mb" and None not in ops["parent"] + ops["change"]:
             print(call_log_note(ops["parent"], ops["change"], c_med - p_med))
-    return flagged
+    return flagged, aa_failed
 
 
 def main():
@@ -206,14 +228,20 @@ def main():
 
     pairs_dir = root / "target" / "pairs"
     parent_tree, sha = checkout_parent(root, args.parent)
-    change_tree = copy_change(root)
+    change_tree, change_tree_sha = copy_change(root)
     print(f"parent {sha[:12]} at {parent_tree}\nchange at {change_tree}")
+    same_tree = change_tree_sha == git(root, "rev-parse", f"{sha}^{{tree}}")
+    if same_tree:
+        print("A/A run: the working tree is the parent's tree. A metric is unresolved when"
+              " the parent's quartile distance is wider than its bound, and fails when its"
+              " median gap exceeds that distance; a failure is measurement noise, not a"
+              " regression, since both sides run the same code")
     builds = {
         "parent": (build(parent_tree, pairs_dir / "target-parent"), pairs_dir / "run-parent"),
         "change": (build(change_tree, pairs_dir / "target-change"), pairs_dir / "run-change"),
     }
 
-    flagged = []
+    flagged, aa_failed = [], []
     for workload in workloads:
         results = {"parent": [], "change": []}
         fingerprints = {"parent": [], "change": []}
@@ -228,10 +256,21 @@ def main():
                 results[side].append(metrics)
                 fingerprints[side].append(fingerprint)
                 ops[side].append(timed)
-        flagged += report(workload, declared, results["parent"], results["change"], ops)
+        bound_flags, aa_flags = report(workload, declared, results["parent"], results["change"],
+                                       ops, same_tree)
+        flagged += bound_flags
+        aa_failed += aa_flags
         report_fingerprints(workload, seeds, fingerprints["parent"], fingerprints["change"])
+    failures = []
     if flagged:
-        sys.exit(f"worse than parent by more than the bound: {', '.join(flagged)}")
+        failures.append(f"worse than parent by more than the bound: {', '.join(flagged)}")
+    if aa_failed:
+        failures.append("A/A (same code) gap exceeds the parent's quartile distance, so the"
+                        f" measurement does not resolve: {', '.join(aa_failed)}")
+    elif same_tree:
+        print("A/A verdict: PASS")
+    if failures:
+        sys.exit("\n".join(failures))
 
 
 if __name__ == "__main__":

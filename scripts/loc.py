@@ -5,13 +5,14 @@ Run from anywhere inside the repository (no flags):
 
     python3 scripts/loc.py
 
-Both line counts cover every `crates/**/*.rs` file. The total counts every
-line. The non-test count skips files under a `tests/` or `benches/` directory,
-and in the remaining files it skips each top-level `#[cfg(test)]` +
+The first two line counts cover every `crates/**/*.rs` file. The total counts
+every line. The non-test count skips files under a `tests/` or `benches/`
+directory, and in the remaining files it skips each top-level `#[cfg(test)]` +
 `mod tests` block, from the attribute line through the closing `}` in
-column 0.
+column 0. The third line gives the same two counts for the vendored shims,
+`shims/**/*.rs`.
 
-The third line counts the *test-only* `pub fn`s: functions declared `pub fn`
+The last line counts the *test-only* `pub fn`s: functions declared `pub fn`
 in `crates/*/src` whose name appears nowhere in the non-test corpus except on
 its own definition. The corpus is `crates/*/src` without the test blocks,
 plus `examples/`, `perfbench/src` and `src/lib.rs`; tests and benches do not
@@ -90,21 +91,24 @@ def test_only_pub_fns():
     return {name: paths for name, paths in defined.items() if name not in used}
 
 
-def non_test_lines(lines):
-    return len(strip_test_blocks(lines))
+def line_counts(top):
+    """The (non-test, total) line counts of every `*.rs` file under `top`."""
+    total = non_test = 0
+    for path in sorted(top.rglob("*.rs")):
+        lines = path.read_text().splitlines()
+        total += len(lines)
+        if not {"tests", "benches"} & set(path.relative_to(top).parts):
+            non_test += len(strip_test_blocks(lines))
+    return non_test, total
 
 
 def main():
-    crates = ROOT / "crates"
-    total = non_test = 0
-    for path in sorted(crates.rglob("*.rs")):
-        lines = path.read_text().splitlines()
-        total += len(lines)
-        if not {"tests", "benches"} & set(path.relative_to(crates).parts):
-            non_test += non_test_lines(lines)
+    non_test, total = line_counts(ROOT / "crates")
+    shim_non_test, shim_total = line_counts(ROOT / "shims")
     test_only = test_only_pub_fns()
     print(f"non-test lines: {non_test:,}")
     print(f"total lines:    {total:,}")
+    print(f"shim lines:     {shim_non_test:,} non-test, {shim_total:,} total")
     print(f"test-only pub fns: {len(test_only)}")
     unlisted = sorted(set(test_only) - set(KEEP))
     stale = sorted(set(KEEP) - set(test_only))

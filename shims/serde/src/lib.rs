@@ -4,30 +4,28 @@
 //! workspace vendors a minimal serialisation framework with the same *surface*
 //! as the subset of serde the simulator uses:
 //!
-//! * `#[derive(Serialize, Deserialize)]` on structs and enums (including the
+//! * `#[derive(Serialize)]` on structs and enums (including the
 //!   `#[serde(transparent)]` newtype attribute),
-//! * blanket implementations for the primitive types, `String`, `Option`,
-//!   `Vec`, tuples, arrays, and the standard map/set collections,
+//! * implementations for the primitive types, `String`, `str`, references,
+//!   `Vec`, slices and `BTreeMap`,
 //! * a JSON-compatible [`value::Value`] data model that `serde_json` (also
 //!   vendored) renders and parses.
 //!
-//! Unlike real serde there is no visitor machinery: serialisation goes through
-//! an intermediate [`value::Value`] tree. That is entirely sufficient for the
-//! simulator's needs (config files, fault traces, experiment reports) and
-//! keeps the implementation small and auditable.
+//! Serialisation only: the workspace writes one typed report (the control-plane
+//! simulation's `SimReport`) and reads JSON back only as an untyped `Value`, so
+//! nothing is deserialised into a typed value. Unlike real serde there is no
+//! visitor machinery: serialisation goes through an intermediate
+//! [`value::Value`] tree.
 
 #![forbid(unsafe_code)]
 
-pub mod de;
 pub mod value;
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
-use de::Error;
-use value::{Map, Number, Value};
+use value::{Number, Value};
 
 /// A type that can be turned into a JSON-compatible [`Value`] tree.
 ///
@@ -38,20 +36,6 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can be reconstructed from a JSON-compatible [`Value`] tree.
-///
-/// This is the shim's analogue of `serde::Deserialize`; the derive macro
-/// implements it field-by-field.
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a [`Value`], reporting a descriptive error when the
-    /// shape does not match.
-    fn from_value(value: &Value) -> Result<Self, Error>;
-}
-
-// ---------------------------------------------------------------------------
-// Serialize implementations
-// ---------------------------------------------------------------------------
-
 macro_rules! impl_ser_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -61,18 +45,7 @@ macro_rules! impl_ser_unsigned {
         }
     )*};
 }
-impl_ser_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_ser_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from_i64(*self as i64))
-            }
-        }
-    )*};
-}
-impl_ser_signed!(i8, i16, i32, i64, isize);
+impl_ser_unsigned!(u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -80,21 +53,9 @@ impl Serialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::from_f64(*self as f64))
-    }
-}
-
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
     }
 }
 
@@ -110,30 +71,9 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
-        }
     }
 }
 
@@ -149,27 +89,9 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for HashSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 // Maps serialise as an array of `[key, value]` pairs. JSON objects only allow
 // string keys while the simulator keys maps by id newtypes; the pair encoding
-// round-trips every key type uniformly.
+// writes every key type uniformly.
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
         Value::Array(
@@ -180,248 +102,8 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
-impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-macro_rules! impl_ser_tuple {
-    ($(($($name:ident . $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-    )*};
-}
-impl_ser_tuple! {
-    (A.0)
-    (A.0, B.1)
-    (A.0, B.1, C.2)
-    (A.0, B.1, C.2, D.3)
-    (A.0, B.1, C.2, D.3, E.4)
-    (A.0, B.1, C.2, D.3, E.4, F.5)
-}
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deserialize implementations
-// ---------------------------------------------------------------------------
-
-macro_rules! impl_de_unsigned {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value
-                    .as_u64()
-                    .ok_or_else(|| Error::custom(format!(
-                        "expected unsigned integer, found {value}"
-                    )))?;
-                <$t>::try_from(n).map_err(|_| {
-                    Error::custom(format!("integer {n} out of range for {}", stringify!($t)))
-                })
-            }
-        }
-    )*};
-}
-impl_de_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_de_signed {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value
-                    .as_i64()
-                    .ok_or_else(|| Error::custom(format!(
-                        "expected integer, found {value}"
-                    )))?;
-                <$t>::try_from(n).map_err(|_| {
-                    Error::custom(format!("integer {n} out of range for {}", stringify!($t)))
-                })
-            }
-        }
-    )*};
-}
-impl_de_signed!(i8, i16, i32, i64, isize);
-
-impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .ok_or_else(|| Error::custom(format!("expected number, found {value}")))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        f64::from_value(value).map(|f| f as f32)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::custom(format!("expected bool, found {value}")))
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let s = String::from_value(value)?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom(format!(
-                "expected single character, found {s:?}"
-            ))),
-        }
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::custom(format!("expected string, found {value}")))
-    }
-}
-
-impl Deserialize for () {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(()),
-            other => Err(Error::custom(format!("expected null, found {other}"))),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        T::from_value(value).map(Box::new)
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-fn expect_array<'v>(value: &'v Value, what: &str) -> Result<&'v [Value], Error> {
-    value
-        .as_array()
-        .ok_or_else(|| Error::custom(format!("expected array for {what}, found {value}")))
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        expect_array(value, "sequence")?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let items = Vec::<T>::from_value(value)?;
-        let len = items.len();
-        <[T; N]>::try_from(items)
-            .map_err(|_| Error::custom(format!("expected array of length {N}, found {len}")))
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        expect_array(value, "set")?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Deserialize + Hash + Eq> Deserialize for HashSet<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        expect_array(value, "set")?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-fn entry_pair<K: Deserialize, V: Deserialize>(entry: &Value) -> Result<(K, V), Error> {
-    let pair = expect_array(entry, "map entry")?;
-    if pair.len() != 2 {
-        return Err(Error::custom(format!(
-            "expected [key, value] pair, found array of length {}",
-            pair.len()
-        )));
-    }
-    Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        expect_array(value, "map")?.iter().map(entry_pair).collect()
-    }
-}
-
-impl<K: Deserialize + Hash + Eq, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        expect_array(value, "map")?.iter().map(entry_pair).collect()
-    }
-}
-
-macro_rules! impl_de_tuple {
-    ($(($len:expr; $($name:ident . $idx:tt),+))*) => {$(
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let items = expect_array(value, "tuple")?;
-                if items.len() != $len {
-                    return Err(Error::custom(format!(
-                        "expected tuple of length {}, found {}", $len, items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    )*};
-}
-impl_de_tuple! {
-    (1; A.0)
-    (2; A.0, B.1)
-    (3; A.0, B.1, C.2)
-    (4; A.0, B.1, C.2, D.3)
-    (5; A.0, B.1, C.2, D.3, E.4)
-    (6; A.0, B.1, C.2, D.3, E.4, F.5)
-}
-
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
-    }
-}
-
-impl Deserialize for Map<String, Value> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Object(map) => Ok(map.clone()),
-            other => Err(Error::custom(format!("expected object, found {other}"))),
-        }
     }
 }

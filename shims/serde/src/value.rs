@@ -31,14 +31,6 @@ impl Value {
         }
     }
 
-    /// Returns the bool if this is a `Value::Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the elements if this is a `Value::Array`.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -63,30 +55,9 @@ impl Value {
         }
     }
 
-    /// Numeric view as `u64` (integral, non-negative numbers only).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) => n.as_u64(),
-            _ => None,
-        }
-    }
-
-    /// Numeric view as `i64` (integral numbers only).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Number(n) => n.as_i64(),
-            _ => None,
-        }
-    }
-
     /// Indexes into an object by key.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_object().and_then(|map| map.get(key))
-    }
-
-    /// True for `Value::Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
     }
 }
 
@@ -133,33 +104,11 @@ impl Number {
         }
     }
 
-    /// The value as `u64` when integral and in range.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self.repr {
-            Repr::U64(n) => Some(n),
-            Repr::I64(n) => u64::try_from(n).ok(),
-            Repr::F64(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
-            Repr::F64(_) => None,
-        }
-    }
-
     /// Whether the number is finite (always true for the integer reprs).
     pub fn is_finite(&self) -> bool {
         match self.repr {
             Repr::F64(n) => n.is_finite(),
             _ => true,
-        }
-    }
-
-    /// The value as `i64` when integral and in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self.repr {
-            Repr::U64(n) => i64::try_from(n).ok(),
-            Repr::I64(n) => Some(n),
-            Repr::F64(n) if n.fract() == 0.0 && n >= i64::MIN as f64 && n <= i64::MAX as f64 => {
-                Some(n as i64)
-            }
-            Repr::F64(_) => None,
         }
     }
 }
@@ -223,24 +172,6 @@ impl<K: Ord, V> Map<K, V> {
         self.inner.get(key)
     }
 
-    /// True if the key is present.
-    pub fn contains_key<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.inner.contains_key(key)
-    }
-
-    /// Removes a key, returning its value.
-    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.inner.remove(key)
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.inner.len()
@@ -254,11 +185,6 @@ impl<K: Ord, V> Map<K, V> {
     /// Iterates entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.inner.iter()
-    }
-
-    /// Iterates keys in order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.inner.keys()
     }
 
     /// Iterates values in key order.

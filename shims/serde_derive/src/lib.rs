@@ -1,9 +1,10 @@
-//! Derive macros for the vendored `serde` shim.
+//! The derive macro of the vendored `serde` shim.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
-//! shapes this workspace actually uses — non-generic structs (named, tuple and
-//! unit) and enums (unit, tuple and struct variants) — honouring the
-//! `#[serde(transparent)]` attribute on single-field structs.
+//! Implements `#[derive(Serialize)]` for the shapes this workspace uses —
+//! non-generic structs (named, tuple and unit) and enums (unit, tuple and
+//! struct variants) — honouring the `#[serde(transparent)]` attribute on
+//! single-field structs. Serialisation only: the workspace writes typed
+//! values but reads back only untyped JSON.
 //!
 //! The parser walks the raw `proc_macro::TokenStream` directly instead of
 //! pulling in `syn`/`quote` (unavailable offline). Unsupported shapes produce
@@ -48,15 +49,6 @@ fn compile_error(msg: &str) -> TokenStream {
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse(input) {
         Ok(item) => gen_serialize(&item).parse().unwrap(),
-        Err(msg) => compile_error(&msg),
-    }
-}
-
-/// `#[derive(Deserialize)]` — implements `serde::Deserialize` via `from_value`.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse(input) {
-        Ok(item) => gen_deserialize(&item).parse().unwrap(),
         Err(msg) => compile_error(&msg),
     }
 }
@@ -390,107 +382,5 @@ fn gen_serialize(input: &Input) -> String {
     };
     format!(
         "#[automatically_derived]\nimpl ::serde::Serialize for {name} {{\n fn to_value(&self) -> ::serde::value::Value {{ {body} }}\n}}\n"
-    )
-}
-
-fn de_field(expr: &str) -> String {
-    format!("::serde::Deserialize::from_value({expr})?")
-}
-
-fn gen_deserialize(input: &Input) -> String {
-    let name = &input.name;
-    let body = match &input.data {
-        Data::NamedStruct(fields) if input.transparent && fields.len() == 1 => {
-            format!(
-                "Ok({name} {{ {f}: {} }})",
-                de_field("__value"),
-                f = fields[0]
-            )
-        }
-        Data::NamedStruct(fields) => {
-            let mut s = format!(
-                "let __obj = __value.as_object().ok_or_else(|| ::serde::de::Error::custom(format!(\"expected object for {name}, found {{__value}}\")))?;\nOk({name} {{\n"
-            );
-            for f in fields {
-                s.push_str(&format!(
-                    "{f}: {},\n",
-                    de_field(&format!(
-                        "__obj.get({f:?}).ok_or_else(|| ::serde::de::Error::custom(\"{name}: missing field `{f}`\"))?"
-                    ))
-                ));
-            }
-            s.push_str("})");
-            s
-        }
-        Data::TupleStruct(1) if input.transparent => {
-            format!("Ok({name}({}))", de_field("__value"))
-        }
-        Data::TupleStruct(n) => {
-            let mut s = format!(
-                "let __arr = __value.as_array().ok_or_else(|| ::serde::de::Error::custom(\"expected array for {name}\"))?;\nif __arr.len() != {n} {{ return Err(::serde::de::Error::custom(\"{name}: wrong tuple arity\")); }}\nOk({name}(\n"
-            );
-            for i in 0..*n {
-                s.push_str(&format!("{},\n", de_field(&format!("&__arr[{i}]"))));
-            }
-            s.push_str("))");
-            s
-        }
-        Data::UnitStruct => format!("Ok({name})"),
-        Data::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for v in variants {
-                let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => {
-                        unit_arms.push_str(&format!("{vname:?} => Ok({name}::{vname}),\n"));
-                        // Also accept the `{ "Variant": null }` object form.
-                        data_arms.push_str(&format!("{vname:?} => Ok({name}::{vname}),\n"));
-                    }
-                    VariantKind::Tuple(1) => data_arms.push_str(&format!(
-                        "{vname:?} => Ok({name}::{vname}({})),\n",
-                        de_field("__payload")
-                    )),
-                    VariantKind::Tuple(n) => {
-                        let mut arm = format!(
-                            "{vname:?} => {{ let __arr = __payload.as_array().ok_or_else(|| ::serde::de::Error::custom(\"expected array payload for {name}::{vname}\"))?;\nif __arr.len() != {n} {{ return Err(::serde::de::Error::custom(\"{name}::{vname}: wrong arity\")); }}\nOk({name}::{vname}(\n"
-                        );
-                        for i in 0..*n {
-                            arm.push_str(&format!("{},\n", de_field(&format!("&__arr[{i}]"))));
-                        }
-                        arm.push_str(")) },\n");
-                        data_arms.push_str(&arm);
-                    }
-                    VariantKind::Named(fields) => {
-                        let mut arm = format!(
-                            "{vname:?} => {{ let __obj = __payload.as_object().ok_or_else(|| ::serde::de::Error::custom(\"expected object payload for {name}::{vname}\"))?;\nOk({name}::{vname} {{\n"
-                        );
-                        for f in fields {
-                            arm.push_str(&format!(
-                                "{f}: {},\n",
-                                de_field(&format!(
-                                    "__obj.get({f:?}).ok_or_else(|| ::serde::de::Error::custom(\"{name}::{vname}: missing field `{f}`\"))?"
-                                ))
-                            ));
-                        }
-                        arm.push_str("}) },\n");
-                        data_arms.push_str(&arm);
-                    }
-                }
-            }
-            format!(
-                "match __value {{\n\
-                 ::serde::value::Value::String(__s) => match __s.as_str() {{\n{unit_arms}\
-                 __other => Err(::serde::de::Error::custom(format!(\"unknown variant {{__other}} for {name}\"))),\n}},\n\
-                 ::serde::value::Value::Object(__map) => {{\n\
-                 let (__tag, __payload) = __map.iter().next().ok_or_else(|| ::serde::de::Error::custom(\"empty variant object for {name}\"))?;\n\
-                 match __tag.as_str() {{\n{data_arms}\
-                 __other => Err(::serde::de::Error::custom(format!(\"unknown variant {{__other}} for {name}\"))),\n}}\n}},\n\
-                 __other => Err(::serde::de::Error::custom(format!(\"expected variant for {name}, found {{__other}}\"))),\n}}"
-            )
-        }
-    };
-    format!(
-        "#[automatically_derived]\nimpl ::serde::Deserialize for {name} {{\n fn from_value(__value: &::serde::value::Value) -> ::std::result::Result<Self, ::serde::de::Error> {{ {body} }}\n}}\n"
     )
 }
